@@ -12,24 +12,18 @@ from .algebra import (
     AlgebraElement,
     RingHom,
     adjoin_unit_variable,
-    element_equal,
     hom_compose,
-    hom_make,
-    identity_hom,
     make_algebra,
 )
 from .fields import RATIONALS, FieldConfig, Scalar, field_from_text, prime_field
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    bezout_lift,
     buchberger,
     divide_with_remainder,
     groebner_basis,
     ideal_equal,
-    ideal_membership,
     krull_dimension,
-    normal_form,
 )
 from .macros import (
     MoveMacro,

@@ -211,12 +211,6 @@ class AlgebraElement:
         return f"<{self.rep}>"
 
 
-def element_equal(a: AlgebraElement, b: AlgebraElement) -> bool:
-    if a.parent != b.parent:
-        raise RingMismatch("elements belong to different algebras")
-    return a == b
-
-
 class RingHom:
     """An algebra homomorphism given by one image per source variable.
 
@@ -250,14 +244,22 @@ class RingHom:
         return cached
 
     def _apply_poly(self, poly: Polynomial) -> AlgebraElement:
-        acc = self.target.zero()
+        # Every term below is already a normal form: a scaled normal form, or a
+        # constant, which no leading monomial of a proper ideal divides.  So is
+        # their sum, and no further reduction is needed.
+        ring = self.target.ring
+        acc = ring.zero()
         for mono, coeff in poly.terms.items():
-            term = self.target.element(Scalar(self.target.field, coeff))
+            term = None
             for var, exp in enumerate(mono):
                 if exp:
-                    term = term * self._power(var, exp)
-            acc = acc + term
-        return acc
+                    power = self._power(var, exp)
+                    term = power if term is None else term * power
+            if term is None:
+                acc = acc + ring.from_terms({(0,) * ring.nvars: coeff})
+            else:
+                acc = acc + term.rep.scale(coeff)
+        return AlgebraElement(self.target, acc)
 
     def __call__(self, elt) -> AlgebraElement:
         if isinstance(elt, AlgebraElement):
@@ -288,17 +290,9 @@ class RingHom:
         return f"RingHom({ims})"
 
 
-def hom_make(source: Algebra, target: Algebra, images) -> RingHom:
-    return RingHom(source, target, images)
-
-
 def hom_compose(f: RingHom, g: RingHom) -> RingHom:
     """Composite f o g; g's target must be f's source."""
     return f.compose(g)
-
-
-def identity_hom(algebra: Algebra) -> RingHom:
-    return RingHom(algebra, algebra, algebra.gens())
 
 
 def adjoin_unit_variable(algebra: Algebra, name: str) -> Algebra:

@@ -8,8 +8,8 @@ Subcommands:
 * ``umrow gb`` prints the reduced basis of an algebra's relation ideal.
 * ``umrow add`` performs orbit-level addition of two named rows from a
   bundle and prints the sum with its elementary certificates.
-* ``umrow map`` prints any of the named morphisms (eta, mu, E, mu-prime,
-  mu-minus-one, delta, phi, degree, fold) at a given size.
+* ``umrow map`` prints one of the named quadric morphisms at a given size;
+  ``MORPHISMS`` maps each name to the builder of its printout.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import sys
 import warnings
 
-from .algebra import Algebra
 from .errors import UmrowError
 from .fields import field_from_text
 from .fileio import load_algebra, load_rows_bundle, row_to_json, word_to_json
@@ -36,9 +35,11 @@ from .quadrics import (
     mu_minus_one,
     mu_prime_hom,
     phi_map,
+    universal_even_point,
+    universal_split_row,
     vtilde_ring,
 )
-from .rows import check_unimodular, vdk_add
+from .rows import vdk_add
 from .suites import SuiteConfig, run_suite
 
 
@@ -68,21 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--shrink-budget", type=int, default=200)
 
     m = sub.add_parser("map", help="print a named morphism")
-    m.add_argument(
-        "--name",
-        required=True,
-        choices=[
-            "eta",
-            "mu",
-            "E",
-            "mu-prime",
-            "mu-minus-one",
-            "delta",
-            "phi",
-            "degree",
-            "fold",
-        ],
-    )
+    m.add_argument("--name", required=True, choices=list(MORPHISMS))
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--field", required=True)
     m.add_argument("--alpha", type=int, default=2, help="scaling factor for degree")
@@ -150,9 +137,8 @@ def _cmd_add(args) -> int:
     return 0
 
 
-def _hom_payload(name, hom):
+def _hom_payload(hom):
     return {
-        "name": name,
         "source_vars": list(hom.source.variables),
         "target_vars": list(hom.target.variables),
         "images": {
@@ -161,61 +147,56 @@ def _hom_payload(name, hom):
     }
 
 
-def _cmd_map(args) -> int:
-    fieldcfg = field_from_text(args.field)
-    n = args.n
-    name = args.name
-    if name == "eta":
-        _emit(_hom_payload(name, eta_hom(n, fieldcfg)))
-    elif name == "mu":
-        _emit(_hom_payload(name, mu_hom(n, fieldcfg)))
-    elif name == "E":
-        _emit(_hom_payload(name, e_endo(n, fieldcfg)))
-    elif name == "mu-prime":
-        _emit(_hom_payload(name, mu_prime_hom(n, fieldcfg)))
-    elif name == "mu-minus-one":
-        _emit(_hom_payload(name, mu_minus_one(n, fieldcfg)))
-    elif name == "degree":
-        _emit(_hom_payload(name, degree_action(args.alpha, n, fieldcfg)))
-    elif name == "delta":
-        from .suites import universal_even_point
+def _hom(build):
+    """Printout builder for a morphism given as a ring map of (n, field)."""
+    return lambda n, field, alpha: _hom_payload(build(n, field))
 
-        row, split = delta_map(universal_even_point(n, fieldcfg))
-        _emit(
-            {
-                "name": name,
-                "row": row_to_json(row),
-                "splitting": [str(e.rep) for e in split.entries],
-            }
-        )
-    elif name == "phi":
-        names = [f"a{i}" for i in range(1, n + 2)] + [f"b{i}" for i in range(1, n + 2)]
-        rel = " + ".join(f"a{i}*b{i}" for i in range(1, n + 2)) + " - 1"
-        alg = Algebra(fieldcfg, names, [rel])
-        row = check_unimodular(alg, [alg.var(f"a{i}") for i in range(1, n + 2)])
-        oriented, point = phi_map(row)
-        _emit(
-            {
-                "name": name,
-                "lift": [str(e.rep) for e in oriented.lift],
-                "point_x": [str(e.rep) for e in point.x],
-                "point_y": [str(e.rep) for e in point.y],
-                "point_z": str(point.z.rep),
-            }
-        )
-    elif name == "fold":
-        vt = vtilde_ring(n, fieldcfg)
-        fold = fold_model_row(vt)
-        payload = {
-            "name": name,
-            "row": row_to_json(fold.row),
-            "witness_row": [str(e.rep) for e in fold.witness.row.entries],
-            "witness_splitting": [str(e.rep) for e in fold.witness.entries],
-        }
-        if n >= 4:
-            cert = fold_model_certificate(vt)
-            payload["certificate"] = word_to_json(cert.word)
-        _emit(payload)
+
+def _delta_payload(n, field, alpha):
+    row, split = delta_map(universal_even_point(n, field))
+    return {"row": row_to_json(row), "splitting": [str(e.rep) for e in split.entries]}
+
+
+def _phi_payload(n, field, alpha):
+    oriented, point = phi_map(universal_split_row(n, field))
+    return {
+        "lift": [str(e.rep) for e in oriented.lift],
+        "point_x": [str(e.rep) for e in point.x],
+        "point_y": [str(e.rep) for e in point.y],
+        "point_z": str(point.z.rep),
+    }
+
+
+def _fold_payload(n, field, alpha):
+    vt = vtilde_ring(n, field)
+    fold = fold_model_row(vt)
+    payload = {
+        "row": row_to_json(fold.row),
+        "witness_row": [str(e.rep) for e in fold.witness.row.entries],
+        "witness_splitting": [str(e.rep) for e in fold.witness.entries],
+    }
+    if n >= 4:
+        payload["certificate"] = word_to_json(fold_model_certificate(vt).word)
+    return payload
+
+
+# Each named morphism and the builder of its printout, called as (n, field, alpha).
+MORPHISMS = {
+    "eta": _hom(eta_hom),
+    "mu": _hom(mu_hom),
+    "E": _hom(e_endo),
+    "mu-prime": _hom(mu_prime_hom),
+    "mu-minus-one": _hom(mu_minus_one),
+    "delta": _delta_payload,
+    "phi": _phi_payload,
+    "degree": lambda n, field, alpha: _hom_payload(degree_action(alpha, n, field)),
+    "fold": _fold_payload,
+}
+
+
+def _cmd_map(args) -> int:
+    payload = MORPHISMS[args.name](args.n, field_from_text(args.field), args.alpha)
+    _emit({"name": args.name, **payload})
     return 0
 
 

@@ -32,7 +32,7 @@ def field_from_json(spec) -> FieldConfig:
 
 
 def field_to_json(field: FieldConfig):
-    return "Q" if field.kind == "rationals" else {"Fp": field.modulus}
+    return "Q" if field.characteristic == 0 else {"Fp": field.modulus}
 
 
 def algebra_from_dict(data: dict, where: str = "<inline>") -> Algebra:

@@ -102,6 +102,19 @@ def _reduce(f: Polynomial, divisors, order: MonomialOrder):
     )
 
 
+def _cofactor_update(row, quots, rows):
+    """row - sum(quots[t] * rows[t]): the cofactor row of an element after it
+    is reduced with quotients ``quots`` by basis elements whose own cofactor
+    rows are ``rows``."""
+    row = list(row)
+    for q, other in zip(quots, rows):
+        if not q.is_zero():
+            for k, c in enumerate(other):
+                if not c.is_zero():
+                    row[k] = row[k] - q * c
+    return row
+
+
 class GroebnerBasis:
     """A reduced Groebner basis together with its cofactor matrix.
 
@@ -142,13 +155,9 @@ class GroebnerBasis:
         quots, rem = self.normal_form_with_quotients(f)
         if not rem.is_zero():
             raise NotInIdeal(f"{f} is not in the ideal")
-        coeffs = []
-        for i in range(len(self.generators)):
-            acc = self.ring.zero()
-            for k, q in enumerate(quots):
-                if not q.is_zero():
-                    acc = acc + q * self.cofactors[k][i]
-            coeffs.append(acc)
+        # f = sum(q_k * basis[k]) = 0 - sum(-q_k * basis[k])
+        zeros = [self.ring.zero()] * len(self.generators)
+        coeffs = _cofactor_update(zeros, [-q for q in quots], self.cofactors)
         check = self.ring.zero()
         for c, g in zip(coeffs, self.generators):
             check = check + c * g
@@ -240,11 +249,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         quots, rem = _reduce(s, basis, order) if basis else ([], s)
         if rem.is_zero():
             continue
-        for t, q in enumerate(quots):
-            if not q.is_zero():
-                for k in range(ngen):
-                    if not cofs[t][k].is_zero():
-                        cof_s[k] = cof_s[k] - q * cofs[t][k]
+        cof_s = _cofactor_update(cof_s, quots, cofs)
         lc = rem.lead(order)[1]
         inv = field.inv(lc)
         rem = rem.scale(inv)
@@ -269,20 +274,11 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
 
     # Tail-reduce each element against the others; leading terms are fixed.
     for pos in range(len(final_polys)):
-        others = [final_polys[s] for s in range(len(final_polys)) if s != pos]
+        others = [s for s in range(len(final_polys)) if s != pos]
         if not others:
             continue
-        quots, rem = _reduce(final_polys[pos], others, order)
-        qi = 0
-        for s in range(len(final_polys)):
-            if s == pos:
-                continue
-            q = quots[qi]
-            qi += 1
-            if not q.is_zero():
-                for k in range(ngen):
-                    if not final_cofs[s][k].is_zero():
-                        final_cofs[pos][k] = final_cofs[pos][k] - q * final_cofs[s][k]
+        quots, rem = _reduce(final_polys[pos], [final_polys[s] for s in others], order)
+        final_cofs[pos] = _cofactor_update(final_cofs[pos], quots, [final_cofs[s] for s in others])
         final_polys[pos] = rem
 
     ranked = sorted(
@@ -307,18 +303,6 @@ def _cached_basis(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
 def groebner_basis(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Cached entry point; ideals and orders are immutable."""
     return _cached_basis(ideal, order or ideal.ring.order)
-
-
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(f)
-
-
-def ideal_membership(f: Polynomial, ideal: Ideal, order: MonomialOrder | None = None) -> bool:
-    return groebner_basis(ideal, order).contains(f)
-
-
-def bezout_lift(f: Polynomial, ideal: Ideal, order: MonomialOrder | None = None):
-    return groebner_basis(ideal, order).lift(f)
 
 
 def ideal_equal(a: Ideal, b: Ideal, order: MonomialOrder | None = None) -> bool:

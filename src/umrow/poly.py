@@ -320,7 +320,7 @@ class Polynomial:
                     parts.append(names[i])
                 elif e > 1:
                     parts.append(f"{names[i]}^{e}")
-            negative = field.kind == "rationals" and coeff < 0
+            negative = field.characteristic == 0 and coeff < 0
             mag = -coeff if negative else coeff
             if not parts:
                 body = field.to_str(mag)

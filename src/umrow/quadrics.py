@@ -30,6 +30,7 @@ from .rows import (
     SplittingRow,
     UnimodularRow,
     apply_word_entries,
+    check_unimodular,
     compute_splitting,
     row_from_witness,
     vdk_add,
@@ -405,6 +406,17 @@ def degree_action(alpha_raw, n: int, field: FieldConfig) -> RingHom:
 # -- Euler-class level maps ------------------------------------------------------
 
 
+def universal_even_point(d: int, field: FieldConfig) -> QuadricEvenPoint:
+    """The tautological point (x, y, z) of Q_{2d} over its own coordinate ring."""
+    even = build_q_even(d, field)
+    return QuadricEvenPoint(
+        even.algebra,
+        tuple(even.x(i) for i in range(1, d + 1)),
+        tuple(even.y(i) for i in range(1, d + 1)),
+        even.z(),
+    )
+
+
 def delta_map(point: QuadricEvenPoint):
     """From an even-quadric point (a, b, s) to the unimodular row
     (2a_1, ..., 2a_d, 1-2s) with explicit splitting (2b_1, ..., 2b_d, 1-2s);
@@ -444,6 +456,15 @@ class OrientedIdeal:
     @property
     def ideal(self) -> Ideal:
         return self.parent.ideal_with(self.generators)
+
+
+def universal_split_row(d: int, field: FieldConfig) -> UnimodularRow:
+    """The row (a_1, ..., a_{d+1}) over k[a, b] / (sum(a_i b_i) - 1), the
+    universal unimodular row of length d+1 with a chosen splitting."""
+    names = [f"a{i}" for i in range(1, d + 2)] + [f"b{i}" for i in range(1, d + 2)]
+    rel = " + ".join(f"a{i}*b{i}" for i in range(1, d + 2)) + " - 1"
+    alg = Algebra(field, names, [rel])
+    return check_unimodular(alg, [alg.var(f"a{i}") for i in range(1, d + 2)])
 
 
 def phi_map(row: UnimodularRow, check_height: bool = False):

@@ -420,14 +420,8 @@ def vdk_add(
     """
     parent = u.parent
     n = len(u.entries)
-    dim = None
-    try:
-        dim = parent.dimension
-    except Exception:  # pragma: no cover - advisory only
-        pass
-    if dim is None:
-        warnings.warn("could not evaluate the dimension hypothesis d <= 2n-4")
-    elif dim > 2 * n - 4:
+    dim = parent.dimension
+    if dim > 2 * n - 4:
         warnings.warn(
             f"dimension hypothesis violated: dim {dim} > 2n-4 = {2 * n - 4}; "
             "the procedure may still succeed"

@@ -19,7 +19,6 @@ from .errors import ConfigError, UmrowError
 from .fields import FieldConfig
 from .groebner import ideal_equal
 from .quadrics import (
-    QuadricEvenPoint,
     build_q_even,
     build_q_odd,
     degree_action,
@@ -36,6 +35,8 @@ from .quadrics import (
     mu_prime_hom,
     phi_map,
     scalar_algebra,
+    universal_even_point,
+    universal_split_row,
     vtilde_ring,
 )
 from .rows import (
@@ -123,6 +124,19 @@ class Report:
             "summary": self.summary(),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _declined(suite, names, n, reason, in_all):
+    """Cases for an n below a family's range.  Requesting the suite
+    explicitly surfaces each as a declination naming the range; the combined
+    suite simply has none."""
+    if in_all:
+        return []
+
+    def run(n, cfg):
+        raise CaseDecline(reason)
+
+    return [Case(suite, name, n, run) for name in names]
 
 
 # -- identity cases -------------------------------------------------------------
@@ -324,9 +338,13 @@ def _case_mn_universal(n, cfg):
     mn_postconditions(u, v, result)
 
 
-def rows_cases(cfg: SuiteConfig):
+def rows_cases(cfg: SuiteConfig, in_all: bool = False):
     cases = []
     for n in range(cfg.n_min, cfg.n_max + 1):
+        if n < 2:
+            names = ("splitting-random", "mn-random", "vdk-random")
+            cases += _declined("rows", names, n, "row cases require n >= 2", in_all)
+            continue
         cases.append(Case("rows", "splitting-random", n, _case_row_splitting))
         if n == 3:
             cases.append(Case("rows", "splitting-sphere", n, _case_sphere_row))
@@ -372,18 +390,12 @@ def _case_fold_tamper(n, cfg):
         raise CaseFailure("tampered certificate still verifies")
 
 
-def _decline_fold(n, cfg):
-    raise CaseDecline("certificate assembly requires n >= 4")
-
-
 def fold_cases(cfg: SuiteConfig, in_all: bool = False):
     cases = []
     for n in range(cfg.n_min, cfg.n_max + 1):
         if n < 4:
-            # Requesting the fold suite explicitly surfaces the declination;
-            # the combined suite simply has no fold cases below n = 4.
-            if not in_all:
-                cases.append(Case("fold", "fold-certificate", n, _decline_fold))
+            reason = "certificate assembly requires n >= 4"
+            cases += _declined("fold", ("fold-certificate",), n, reason, in_all)
             continue
         cases.append(Case("fold", "fold-row", n, _case_fold_row))
         cases.append(Case("fold", "fold-witness", n, _case_fold_witness))
@@ -393,16 +405,6 @@ def fold_cases(cfg: SuiteConfig, in_all: bool = False):
 
 
 # -- euler cases --------------------------------------------------------------------
-
-
-def universal_even_point(d: int, fieldcfg) -> QuadricEvenPoint:
-    even = build_q_even(d, fieldcfg)
-    return QuadricEvenPoint(
-        even.algebra,
-        tuple(even.x(i) for i in range(1, d + 1)),
-        tuple(even.y(i) for i in range(1, d + 1)),
-        even.z(),
-    )
 
 
 def _require_odd_char(cfg):
@@ -454,11 +456,7 @@ def _case_degree_composite(d, cfg):
 
 
 def _case_phi_universal(d, cfg):
-    names = [f"a{i}" for i in range(1, d + 2)] + [f"b{i}" for i in range(1, d + 2)]
-    rel = " + ".join(f"a{i}*b{i}" for i in range(1, d + 2)) + " - 1"
-    alg = Algebra(cfg.field, names, [rel])
-    row = check_unimodular(alg, [alg.var(f"a{i}") for i in range(1, d + 2)])
-    phi_map(row, check_height=True)
+    phi_map(universal_split_row(d, cfg.field), check_height=True)
 
 
 def euler_cases(cfg: SuiteConfig):
@@ -480,7 +478,7 @@ def build_cases(cfg: SuiteConfig):
     if cfg.suite == "all":
         cases = (
             identities_cases(cfg)
-            + rows_cases(cfg)
+            + rows_cases(cfg, in_all=True)
             + fold_cases(cfg, in_all=True)
             + euler_cases(cfg)
         )

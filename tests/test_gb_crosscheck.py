@@ -10,7 +10,6 @@ implementation that cannot share their bugs.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -68,10 +67,7 @@ def random_ideal(ring, rng, ngens, maxdeg=3, maxterms=3):
                 mono = tuple(min(e, 1) for e in mono)
             coeff = rng.randint(-4, 4)
             if coeff:
-                if ring.field.kind == "rationals":
-                    terms[mono] = Fraction(coeff)
-                else:
-                    terms[mono] = coeff % ring.field.modulus
+                terms[mono] = ring.field.from_int(coeff)
         poly = ring.from_terms(terms)
         if not poly.is_zero():
             gens.append(poly)

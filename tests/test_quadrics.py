@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from umrow.algebra import Algebra, RingHom, hom_compose, make_algebra
+from umrow.algebra import RingHom, hom_compose, make_algebra
 from umrow.errors import (
     CertificateAssemblyFailed,
     CharacteristicTwoUnsupported,
@@ -33,18 +33,12 @@ from umrow.quadrics import (
     phi_map,
     scalar_algebra,
     segre_point,
+    universal_split_row,
     vtilde_ring,
 )
 from umrow.rows import check_unimodular, compute_splitting, verify_certificate
 
 F5 = prime_field(5)
-
-
-def universal_split_row(d, field=RATIONALS):
-    names = [f"a{i}" for i in range(1, d + 2)] + [f"b{i}" for i in range(1, d + 2)]
-    rel = " + ".join(f"a{i}*b{i}" for i in range(1, d + 2)) + " - 1"
-    alg = Algebra(field, names, [rel])
-    return alg, check_unimodular(alg, [alg.var(f"a{i}") for i in range(1, d + 2)])
 
 
 # -- builders -------------------------------------------------------------------
@@ -99,7 +93,8 @@ def test_jouanolou_lift_standard_vector():
 
 
 def test_segre_point_universal():
-    alg, row = universal_split_row(2)
+    row = universal_split_row(2, RATIONALS)
+    alg = row.parent
     split = compute_splitting(row)
     point = segre_point(row, split)
     total = alg.zero()
@@ -289,7 +284,8 @@ def test_degree_twist_of_mu_minus_one(d):
 
 
 def test_phi_universal_row():
-    alg, row = universal_split_row(2)
+    row = universal_split_row(2, RATIONALS)
+    alg = row.parent
     oriented, point = phi_map(row, check_height=True)
     assert oriented.height_checked
     assert oriented.lift == (alg.var("a1"), alg.var("a2") * alg.var("a3"))
@@ -311,7 +307,8 @@ def test_phi_consistent_with_eta_after_lift():
     # Oracle: push the universal row through the odd quadric via its
     # splitting, pull back the even-quadric coordinates along eta, and
     # compare with the point phi produces directly.
-    alg, row = universal_split_row(2)
+    row = universal_split_row(2, RATIONALS)
+    alg = row.parent
     oriented, point = phi_map(row)
     lift = jouanolou_lift(row)
     odd = build_q_odd(2, RATIONALS)
@@ -389,7 +386,8 @@ def test_mu_prime_at_one_collapses_to_base_point():
 
 
 def test_delta_of_segre_point_is_unimodular():
-    alg, row = universal_split_row(2)
+    row = universal_split_row(2, RATIONALS)
+    alg = row.parent
     point = segre_point(row, compute_splitting(row))
     drow, dsplit = delta_map(point)
     assert drow.verified

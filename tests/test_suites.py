@@ -61,3 +61,16 @@ def test_rows_suite_over_prime_field():
     cfg = SuiteConfig("rows", 2, 2, prime_field(5), timing=False)
     report = run_suite(cfg)
     assert report.all_pass(), report.to_json()
+
+
+def test_rows_below_length_two_decline():
+    report = run_suite(SuiteConfig("rows", 1, 1, RATIONALS, timing=False))
+    assert {c["name"]: c["status"] for c in report.cases} == {
+        "splitting-random": "error",
+        "mn-random": "error",
+        "vdk-random": "error",
+    }
+    assert all("n >= 2" in c["witness"] for c in report.cases)
+    combined = run_suite(SuiteConfig("all", 1, 1, RATIONALS, timing=False))
+    assert not [c for c in combined.cases if c["suite"] == "rows"]
+    assert combined.all_pass(), combined.to_json()
