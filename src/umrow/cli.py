@@ -18,8 +18,9 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import nullcontext
 
-from .errors import UmrowError
+from .errors import ConfigError, UmrowError
 from .fields import field_from_text
 from .fileio import load_algebra, load_rows_bundle, row_to_json, word_to_json
 from .groebner import groebner_basis
@@ -90,12 +91,17 @@ def _cmd_verify(args) -> int:
         shrink_budget=args.shrink_budget,
         timing=not args.no_timing,
     )
-    report = run_suite(config)
-    text = report.to_json()
-    sys.stdout.write(text)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
+    # Open the report file first, so that a bad path costs no suite run.
+    try:
+        out = open(args.report, "w") if args.report else nullcontext()
+    except OSError as exc:
+        raise ConfigError(f"cannot write report: {exc}") from exc
+    with out:
+        report = run_suite(config)
+        text = report.to_json()
+        sys.stdout.write(text)
+        if args.report:
+            out.write(text)
     return 0 if report.all_pass() else 1
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Union
 
 from .errors import ConfigError, DivisionByZero, FieldMismatch
@@ -22,17 +21,33 @@ RawScalar = Union[Fraction, int]
 _SCALAR_RE = re.compile(r"^\s*([+-]?)\s*(\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
+# The first 12 primes as Miller-Rabin bases decide primality exactly for
+# every n < 3.1e23 (Sorenson and Webster, Math. Comp. 2017), which covers
+# every modulus below 2^MAX_MODULUS_BITS.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
-    # Trial division; moduli are machine-word sized by construction.
+    """Deterministic Miller-Rabin, exact for p < 3.1e23."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f <= isqrt(p):
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     DimensionOfZeroRing,
@@ -57,45 +58,67 @@ def divide_with_remainder(f: Polynomial, divisors, order: MonomialOrder | None =
             raise RingMismatch("divisor outside the dividend's ring")
         if d.is_zero():
             raise InvalidDivisor("zero divisor")
-    quots, rem = _reduce(f, divisors, order)
-    return quots, rem
+    return _reduce(f, [_split_lead(d, order) for d in divisors], order)
 
 
-def _reduce(f: Polynomial, divisors, order: MonomialOrder):
-    """Core reduction loop shared by division, Buchberger and normal forms."""
+def _split_lead(d: Polynomial, order: MonomialOrder):
+    """(lead monomial, lead coefficient, other terms) of a divisor, the form
+    ``_reduce`` takes; a basis computes this once, not per reduction."""
+    lm, lc = d.lead(order)
+    return lm, lc, tuple((m, c) for m, c in d.terms.items() if m != lm)
+
+
+def _reduce(f: Polynomial, leads, order: MonomialOrder):
+    """Core reduction loop shared by division, Buchberger and normal forms.
+
+    ``leads`` are the divisors split by ``_split_lead``.  The remainder-to-be
+    lives in a dict ``p`` and its monomials in a min-heap of
+    ``order.desc_key``, so each step pops the leading term instead of
+    rescanning ``p``, and each monomial is keyed once, when it first enters.
+    A monomial that cancels stays in the heap and is skipped when popped;
+    ``queued`` keeps a monomial that reappears before then from being pushed
+    twice.  Every new term is below the popped one, so popped monomials never
+    return.  Terms leave in descending order and the first divisor in list
+    order whose lead divides is used, so quotients and remainder are those of
+    plain multivariate division."""
     ring = f.ring
     field = ring.field
-    key = order.key
-    sub, mul, div = field.sub, field.mul, field.div
-
-    leads = []
-    for d in divisors:
-        lm, lc = d.lead(order)
-        leads.append((lm, lc, d.terms))
+    dkey = order.desc_key
+    add, sub, mul, div, neg = field.add, field.sub, field.mul, field.div, field.neg
 
     p = dict(f.terms)
+    heap = [(dkey(m), m) for m in p]
+    heapify(heap)
+    queued = set(p)
     rem: dict = {}
-    quots = [dict() for _ in divisors]
-    while p:
-        m = max(p, key=key)
-        c = p[m]
-        for idx, (dm, dc, dterms) in enumerate(leads):
+    quots = [dict() for _ in leads]
+    while heap:
+        m = heappop(heap)[1]
+        c = p.pop(m, None)
+        if c is None:
+            continue
+        for idx, (dm, dc, tail) in enumerate(leads):
             if mono_divides(dm, m):
                 t = mono_div(m, dm)
                 q = div(c, dc)
                 qd = quots[idx]
-                qd[t] = field.add(qd[t], q) if t in qd else q
-                for m2, c2 in dterms.items():
+                qd[t] = add(qd[t], q) if t in qd else q
+                for m2, c2 in tail:
                     mm = mono_mul(m2, t)
-                    v = sub(p[mm], mul(q, c2)) if mm in p else field.neg(mul(q, c2))
-                    if v:
-                        p[mm] = v
-                    elif mm in p:
-                        del p[mm]
+                    if mm in p:
+                        v = sub(p[mm], mul(q, c2))
+                        if v:
+                            p[mm] = v
+                        else:
+                            del p[mm]
+                    else:
+                        p[mm] = neg(mul(q, c2))
+                        if mm not in queued:
+                            queued.add(mm)
+                            heappush(heap, (dkey(mm), mm))
                 break
         else:
             rem[m] = c
-            del p[m]
     return (
         [ring.from_terms(q) for q in quots],
         ring.from_terms(rem),
@@ -128,6 +151,7 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self.basis = tuple(basis)
         self.cofactors = tuple(tuple(row) for row in cofactors)
+        self._leads = [_split_lead(g, order) for g in self.basis]
 
     def is_unit_ideal(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].constant_value() is not None
@@ -137,7 +161,7 @@ class GroebnerBasis:
             raise RingMismatch("element outside the basis ring")
         if not self.basis:
             return f
-        _, rem = _reduce(f, self.basis, self.order)
+        _, rem = _reduce(f, self._leads, self.order)
         return rem
 
     def normal_form_with_quotients(self, f: Polynomial):
@@ -145,7 +169,7 @@ class GroebnerBasis:
             raise RingMismatch("element outside the basis ring")
         if not self.basis:
             return [], f
-        return _reduce(f, self.basis, self.order)
+        return _reduce(f, self._leads, self.order)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -207,7 +231,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         basis.append(poly)
         cofs.append(cof)
 
-    lead_monos = [p.lead(order)[0] for p in basis]
+    leads = [_split_lead(g, order) for g in basis]
+    lead_monos = [lm for lm, _, _ in leads]
     pairs: dict = {}
 
     def add_pairs(j):
@@ -246,7 +271,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             cofs[i][k].mul_term(ti, one) - cofs[j][k].mul_term(tj, one)
             for k in range(ngen)
         ]
-        quots, rem = _reduce(s, basis, order) if basis else ([], s)
+        quots, rem = _reduce(s, leads, order)
         if rem.is_zero():
             continue
         cof_s = _cofactor_update(cof_s, quots, cofs)
@@ -258,7 +283,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             return finish_unit(rem, cof_s)
         basis.append(rem)
         cofs.append(cof_s)
-        lead_monos.append(rem.lead(order)[0])
+        leads.append(_split_lead(rem, order))
+        lead_monos.append(leads[-1][0])
         add_pairs(len(basis) - 1)
 
     # Minimalize: keep only elements whose leading monomial no kept element
@@ -273,17 +299,19 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     final_cofs = [list(cofs[t]) for t in kept]
 
     # Tail-reduce each element against the others; leading terms are fixed.
+    final_leads = [leads[t] for t in kept]
     for pos in range(len(final_polys)):
         others = [s for s in range(len(final_polys)) if s != pos]
         if not others:
             continue
-        quots, rem = _reduce(final_polys[pos], [final_polys[s] for s in others], order)
+        quots, rem = _reduce(final_polys[pos], [final_leads[s] for s in others], order)
         final_cofs[pos] = _cofactor_update(final_cofs[pos], quots, [final_cofs[s] for s in others])
         final_polys[pos] = rem
+        final_leads[pos] = _split_lead(rem, order)
 
     ranked = sorted(
         range(len(final_polys)),
-        key=lambda t: order.key(final_polys[t].lead(order)[0]),
+        key=lambda t: order.key(final_leads[t][0]),
         reverse=True,
     )
     return GroebnerBasis(

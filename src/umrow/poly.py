@@ -57,8 +57,12 @@ class MonomialOrder:
             return tuple(m[i] for i in self.precedence)
         return (sum(m), tuple(-m[i] for i in reversed(self.precedence)))
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
+    def desc_key(self, m: Monomial):
+        """Flat sort key; smaller key means larger monomial, so a min-heap
+        of these keys pops monomials in descending order."""
+        if self.kind == "lex":
+            return tuple(-m[i] for i in self.precedence)
+        return (-sum(m), *(m[i] for i in reversed(self.precedence)))
 
 
 def lex(nvars: int, precedence: Sequence[int] | None = None) -> MonomialOrder:

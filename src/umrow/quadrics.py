@@ -17,6 +17,7 @@ from .algebra import Algebra, AlgebraElement, RingHom, adjoin_unit_variable, hom
 from .errors import (
     CertificateAssemblyFailed,
     CharacteristicTwoUnsupported,
+    DimensionOfZeroRing,
     HeightMismatch,
     InvalidUnit,
     ShapeError,
@@ -494,7 +495,7 @@ def phi_map(row: UnimodularRow, check_height: bool = False):
         ambient_dim = parent.dimension
         try:
             quotient_dim = krull_dimension(j0)
-        except Exception as exc:
+        except DimensionOfZeroRing as exc:
             raise HeightMismatch(f"could not evaluate the height of J_0: {exc}") from exc
         if ambient_dim - quotient_dim != d:
             raise HeightMismatch(

@@ -235,6 +235,17 @@ def test_report_file_written(tmp_path, capsys):
     assert report_path.read_text() == out
 
 
+def test_report_to_bad_path_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "nodir" / "report.json"
+    argv = ["verify", "--suite", "euler", "--n-min", "2", "--n-max", "2", "--field", "q"]
+    code = main(argv + ["--report", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # refused before the suite ran
+    assert captured.err.startswith("error: cannot write report:")
+    assert not bad.parent.exists()
+
+
 def test_load_rows_bundle_missing_algebra_file(tmp_path):
     bundle = {"algebra": "missing.json", "rows": {"u": ["1", "2"]}}
     path = write_json(tmp_path / "rows.json", bundle)

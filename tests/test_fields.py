@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from umrow.errors import ConfigError, DivisionByZero, FieldMismatch
-from umrow.fields import RATIONALS, Scalar, field_from_text, prime_field
+from umrow.fields import RATIONALS, Scalar, _is_prime, field_from_text, prime_field
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -52,6 +52,26 @@ def test_modulus_validation():
     with pytest.raises(ConfigError):
         prime_field(2**63 + 9)
     assert prime_field(2).characteristic == 2
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**63 - 25])
+def test_large_prime_moduli_accepted(p):
+    assert prime_field(p).characteristic == p
+
+
+@pytest.mark.parametrize(
+    "n",
+    [561, 41041, 3215031751],  # two Carmichael numbers; a strong pseudoprime to bases 2, 3, 5, 7
+)
+def test_pseudoprime_moduli_rejected(n):
+    with pytest.raises(ConfigError, match="not prime"):
+        prime_field(n)
+
+
+@given(st.integers(min_value=0, max_value=3000))
+def test_primality_matches_trial_division(n):
+    expected = n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+    assert _is_prime(n) == expected
 
 
 def test_field_spec_parsing():

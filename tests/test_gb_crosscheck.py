@@ -12,10 +12,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, buchberger, divide_with_remainder
-from umrow.poly import PolyRing, grevlex, lex, mono_div, mono_divides, mono_lcm
+from umrow.poly import (
+    PolyRing,
+    grevlex,
+    lex,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 
 
 def naive_groebner(ideal, order):
@@ -46,6 +55,36 @@ def naive_groebner(ideal, order):
                 break
         if not appended:
             return basis
+
+
+def naive_division(f, divisors, order):
+    """Plain multivariate division that rescans the whole remainder for its
+    largest monomial at every step: slow, but with no ordering state that a
+    faster reducer could get wrong."""
+    field = f.ring.field
+    leads = [d.lead(order) for d in divisors]
+    p = dict(f.terms)
+    rem = {}
+    quots = [{} for _ in divisors]
+    while p:
+        m = max(p, key=order.key)
+        c = p[m]
+        for idx, (dm, dc) in enumerate(leads):
+            if mono_divides(dm, m):
+                t = mono_div(m, dm)
+                q = field.div(c, dc)
+                quots[idx][t] = field.add(quots[idx].get(t, field.zero()), q)
+                for m2, c2 in divisors[idx].terms.items():
+                    mm = mono_mul(m2, t)
+                    v = field.sub(p.get(mm, field.zero()), field.mul(q, c2))
+                    if v:
+                        p[mm] = v
+                    else:
+                        p.pop(mm, None)
+                break
+        else:
+            rem[m] = p.pop(m)
+    return [{t: c for t, c in q.items() if c} for q in quots], rem
 
 
 def minimal_lead_monomials(basis, order):
@@ -124,3 +163,50 @@ def test_engine_agrees_on_structured_ideals():
             for g in naive:
                 _, rem = divide_with_remainder(g, list(engine.basis), order)
                 assert rem.is_zero()
+
+
+@st.composite
+def division_problems(draw):
+    field = draw(st.sampled_from([RATIONALS, prime_field(32003)]))
+    nvars = draw(st.integers(2, 3))
+    ring = PolyRing(field, ["x", "y", "z"][:nvars])
+    precedence = draw(st.permutations(range(nvars)))
+    order = draw(st.sampled_from([lex, grevlex]))(nvars, precedence)
+    monos = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 4)).map(
+        lambda nd: field.div(field.from_int(nd[0]), field.from_int(nd[1]))
+    )
+
+    def polys(max_terms):
+        return st.dictionaries(monos, coeffs, min_size=1, max_size=max_terms).map(
+            ring.from_terms
+        )
+
+    divisors = draw(st.lists(polys(3), min_size=1, max_size=3))
+    # A multiple of an earlier divisor plus a perturbation, placed anywhere in
+    # the list, gives divisors whose leads divide each other.
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(divisors))
+        related = base.mul_term(draw(monos), field.one()) + draw(polys(2))
+        if not related.is_zero():
+            divisors.insert(draw(st.integers(0, len(divisors))), related)
+    dividend = draw(polys(10))
+    if draw(st.booleans()):
+        dividend = dividend * draw(st.sampled_from(divisors)) + draw(polys(3))
+    return dividend, divisors, order
+
+
+@settings(max_examples=100)
+@given(division_problems())
+def test_reducer_matches_naive_division(problem):
+    f, divisors, order = problem
+    quots, rem = divide_with_remainder(f, divisors, order)
+    naive_quots, naive_rem = naive_division(f, divisors, order)
+    assert [q.terms for q in quots] == naive_quots
+    assert rem.terms == naive_rem
+    total = rem
+    for q, d in zip(quots, divisors):
+        total = total + q * d
+    assert total == f
+    leads = [d.lead(order)[0] for d in divisors]
+    assert not any(mono_divides(lm, m) for lm in leads for m in rem.terms)

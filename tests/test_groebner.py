@@ -16,7 +16,8 @@ from umrow.groebner import (
     ideal_equal,
     krull_dimension,
 )
-from umrow.poly import PolyRing, grevlex, lex, mono_divides, mono_lcm
+from umrow.poly import MonomialOrder, PolyRing, grevlex, lex, mono_divides, mono_lcm, mono_mul
+from umrow.quadrics import vtilde_ring
 
 R2 = PolyRing(RATIONALS, ["x", "y"])
 R3 = PolyRing(RATIONALS, ["x", "y", "z"], "lex")
@@ -78,6 +79,47 @@ def test_division_identity_random(seed):
     for m in rem.terms:
         for d in divisors:
             assert not mono_divides(d.lead()[0], m)
+
+
+class CountingOrder(MonomialOrder):
+    """A monomial order that records every monomial it is asked to key."""
+
+    keyed = []
+
+    def key(self, m):
+        self.keyed.append(m)
+        return super().key(m)
+
+    def desc_key(self, m):
+        self.keyed.append(m)
+        return super().desc_key(m)
+
+
+def test_normal_form_keys_each_monomial_once():
+    # A rescanning reducer keys the whole remainder after every step, so its
+    # key count grows with the square of the term count; this bound does not.
+    alg = vtilde_ring(2, RATIONALS).algebra
+    ring = alg.ring
+    order = CountingOrder("grevlex", ring.order.precedence)
+    gb = buchberger(alg.relations_ideal, order)
+    # The relations' tails bring in y2, u2, v2 and s2, so reduction creates
+    # monomials that f does not have, and the multiple of two relations makes
+    # terms cancel and come back while they are still queued.
+    p = sum((ring.var(v) for v in ("x1", "y1", "u1", "v1", "x2", "r2")), ring.one())
+    f = p**3 * (alg.relations[0] * alg.relations[1] + p**2)
+    assert len(f.terms) > 900
+    CountingOrder.keyed.clear()
+    gb.normal_form(f)
+    keyed = list(CountingOrder.keyed)
+    # Every monomial that enters the remainder is a term of f or a tail term
+    # of a basis element times a quotient term.
+    quots, _ = gb.normal_form_with_quotients(f)
+    entered = set(f.terms)
+    for q, g in zip(quots, gb.basis):
+        lm = g.lead(order)[0]
+        entered.update(mono_mul(t, m) for t in q.terms for m in g.terms if m != lm)
+    assert len(entered) > len(f.terms)
+    assert len(keyed) == len(set(keyed)) <= len(entered)
 
 
 # -- Buchberger ----------------------------------------------------------------

@@ -6,6 +6,7 @@ from umrow.algebra import RingHom, hom_compose, make_algebra
 from umrow.errors import (
     CertificateAssemblyFailed,
     CharacteristicTwoUnsupported,
+    DimensionOfZeroRing,
     HeightMismatch,
     InvalidUnit,
     ShapeError,
@@ -326,6 +327,15 @@ def test_phi_height_check_flags_low_height():
     row = check_unimodular(alg, [a, a, one - a * a])
     with pytest.raises(HeightMismatch):
         phi_map(row, check_height=True)
+
+
+def test_phi_height_check_unit_ideal():
+    # J_0 = <1, 0> is the unit ideal, whose quotient has no dimension; the
+    # height check reports that as a mismatch caused by DimensionOfZeroRing.
+    row = check_unimodular(scalar_algebra(RATIONALS), [1, 0, 0])
+    with pytest.raises(HeightMismatch) as info:
+        phi_map(row, check_height=True)
+    assert isinstance(info.value.__cause__, DimensionOfZeroRing)
 
 
 # -- the universal double-row ring and the fold model ----------------------------------

@@ -245,13 +245,11 @@ def test_mn_rejects_unverified():
 # -- van der Kallen addition ----------------------------------------------------------
 
 
-def test_vdk_worked_example():
-    alg = scalars()
-    u = check_unimodular(alg, [2, 3])
-    v = check_unimodular(alg, [5, 7])
+def assert_vdk_sum(u, v):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = vdk_add(u, v)
+    alg = u.parent
     assert result.row.verified
     x = result.x
     assert result.row.entries[0] == x * (alg.one() - x)
@@ -259,6 +257,18 @@ def test_vdk_worked_example():
     for a, b in zip(result.row.entries, result.splitting.entries):
         total = total + a * b
     assert total == alg.one()
+
+
+def test_vdk_worked_example():
+    alg = scalars()
+    assert_vdk_sum(check_unimodular(alg, [2, 3]), check_unimodular(alg, [5, 7]))
+
+
+def test_vdk_universal_pair_vtilde3():
+    # The sum's witness has thousands of terms; verifying it is a normal
+    # form that a rescanning reducer could not finish in minutes.
+    vt = vtilde_ring(3, RATIONALS)
+    assert_vdk_sum(vt.x_row(), vt.u_row())
 
 
 def test_vdk_dimension_warning():
