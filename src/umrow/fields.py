@@ -123,6 +123,8 @@ class FieldConfig:
         if m is None:
             raise ConfigError(f"bad scalar literal {text!r}")
         sign, num, den = m.group(1), int(m.group(2)), m.group(3)
+        if den and not int(den):
+            raise DivisionByZero(f"zero denominator in {text!r}")
         if self.kind == "rationals":
             value = Fraction(num, int(den)) if den else Fraction(num)
             return -value if sign == "-" else value

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add as _add, le as _le, sub as _sub
 from typing import Iterable, Sequence
 
 from .errors import DuplicateVariable, ParseError, RingMismatch
@@ -18,19 +19,19 @@ Monomial = tuple  # tuple[int, ...]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(_le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(_sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -94,6 +95,17 @@ class PolyRing:
         self.vars = names
         self.order = make_order(order, len(names)) if isinstance(order, str) else order
         self._index = {name: i for i, name in enumerate(names)}
+        self.check_order(self.order)
+
+    def check_order(self, order: MonomialOrder) -> MonomialOrder:
+        """``order``, if it ranks exactly this ring's variables; an order of
+        another width would tie distinct monomials, and division by such
+        ties never ends."""
+        if len(order.precedence) != len(self.vars):
+            raise RingMismatch(
+                f"order on {len(order.precedence)} variables for a ring with {len(self.vars)}"
+            )
+        return order
 
     @property
     def nvars(self) -> int:
@@ -247,7 +259,7 @@ class Polynomial:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(_add, m1, m2))
                 v = mul(c1, c2)
                 if m in out:
                     v = add(out[m], v)
@@ -285,7 +297,7 @@ class Polynomial:
         mul = self.ring.field.mul
         return Polynomial(
             self.ring,
-            {tuple(x + y for x, y in zip(m, mono)): mul(c, raw) for m, c in self.terms.items()},
+            {tuple(map(_add, m, mono)): mul(c, raw) for m, c in self.terms.items()},
         )
 
     def extend(self, new_ring: PolyRing) -> "Polynomial":

@@ -7,6 +7,8 @@ from hypothesis import assume, given, strategies as st
 
 from umrow.errors import ConfigError, DivisionByZero, FieldMismatch
 from umrow.fields import RATIONALS, Scalar, _is_prime, field_from_text, prime_field
+from umrow.poly import PolyRing
+from umrow.quadrics import degree_action
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -37,6 +39,18 @@ def test_division_by_zero():
         RATIONALS.scalar(0).inverse()
     with pytest.raises(DivisionByZero):
         F5.scalar(0).inverse()
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F5], ids=str)
+def test_zero_denominator_is_typed(field):
+    with pytest.raises(DivisionByZero):
+        field.scalar("1/0")
+    with pytest.raises(DivisionByZero):
+        field.scalar("-3/ 0")
+    with pytest.raises(DivisionByZero):
+        PolyRing(field, ["x"]).const("1/0")
+    with pytest.raises(DivisionByZero):
+        degree_action("1/0", 2, field)
 
 
 def test_field_mismatch():

@@ -1,21 +1,25 @@
 """Cross-check the production basis engine against a deliberately naive
-Buchberger loop with no pair pruning and no cofactor tracking.
+Buchberger loop with no pair pruning and no cofactor tracking, and against
+sympy's reduced bases.
 
 Both computations must present the same ideal: the minimal leading-term
-sets must coincide and each basis must reduce the other to zero.  This
-exercises the pair-selection strategy and both pruning criteria against an
-implementation that cannot share their bugs.
+sets must coincide and each basis must reduce the other to zero.  A reduced
+basis is unique for a fixed order, so sympy's must equal the engine's term
+for term.  This exercises the pair-selection strategy and both pruning
+criteria against implementations that cannot share their bugs; the cofactor
+rows are checked against the plain sums they stand for.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from umrow.fields import RATIONALS, prime_field
-from umrow.groebner import Ideal, buchberger, divide_with_remainder
+from umrow.groebner import Ideal, _cofactor_update, buchberger, divide_with_remainder
 from umrow.poly import (
     PolyRing,
     grevlex,
@@ -210,3 +214,118 @@ def test_reducer_matches_naive_division(problem):
     assert total == f
     leads = [d.lead(order)[0] for d in divisors]
     assert not any(mono_divides(lm, m) for lm in leads for m in rem.terms)
+
+
+def fractions_in(field):
+    """Nonzero coefficients n/d with small n and d, as raw values of ``field``."""
+    return st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 4)).map(
+        lambda nd: field.div(field.from_int(nd[0]), field.from_int(nd[1]))
+    )
+
+
+@st.composite
+def small_ideals(draw):
+    """A small ideal over Q or GF(32003) with an order on its ring: lex or
+    grevlex with a random precedence, generators of total degree at most 3,
+    and sometimes a zero generator, whose cofactor column stays zero."""
+    field = draw(st.sampled_from([RATIONALS, prime_field(32003)]))
+    nvars = draw(st.integers(2, 3))
+    ring = PolyRing(field, ["x", "y", "z"][:nvars])
+    order = draw(st.sampled_from([lex, grevlex]))(nvars, draw(st.permutations(range(nvars))))
+    monos = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: sum(m) <= 3)
+    polys = st.dictionaries(monos, fractions_in(field), min_size=1, max_size=3)
+    gens = draw(st.lists(polys.map(ring.from_terms), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), ring.zero())
+    return Ideal.of(ring, gens), order
+
+
+@settings(max_examples=60)
+@given(small_ideals())
+def test_basis_elements_equal_their_cofactor_expansions(problem):
+    ideal, order = problem
+    gb = buchberger(ideal, order)
+    assert len(gb.cofactors) == len(gb.basis)
+    for b, row in zip(gb.basis, gb.cofactors):
+        assert len(row) == len(ideal.generators)
+        total = ideal.ring.zero()
+        for c, g in zip(row, ideal.generators):
+            total = total + c * g
+        assert total == b
+        for c, g in zip(row, ideal.generators):
+            if g.is_zero():
+                assert c.is_zero()
+
+
+@st.composite
+def cofactor_updates(draw):
+    """(row, quots, rows) with zero entries, zero quotients and zero rows,
+    and sometimes a row that the update cancels exactly."""
+    field = draw(st.sampled_from([RATIONALS, prime_field(5)]))
+    ring = PolyRing(field, ["x", "y"])
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    polys = st.dictionaries(monos, fractions_in(field), max_size=3).map(ring.from_terms)
+    width = draw(st.integers(1, 3))
+    count = draw(st.integers(0, 3))
+    quots = draw(st.lists(polys, min_size=count, max_size=count))
+    rows = draw(
+        st.lists(
+            st.one_of(st.just([ring.zero()] * width), st.lists(polys, min_size=width, max_size=width)),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    if draw(st.booleans()):
+        row = [sum((q * r[k] for q, r in zip(quots, rows)), ring.zero()) for k in range(width)]
+    else:
+        row = draw(st.lists(polys, min_size=width, max_size=width))
+    return row, quots, rows
+
+
+@given(cofactor_updates())
+def test_cofactor_update_matches_plain_sum(update):
+    row, quots, rows = update
+    expected = list(row)
+    for q, r in zip(quots, rows):
+        expected = [e - q * c for e, c in zip(expected, r)]
+    got = _cofactor_update(row, quots, rows)
+    assert got == expected
+    assert all(c for entry in got for c in entry.terms.values())
+
+
+@settings(max_examples=40)
+@given(small_ideals())
+def test_reduced_basis_matches_sympy(problem):
+    sympy = pytest.importorskip("sympy")
+    ideal, order = problem
+    ring = ideal.ring
+    p = ring.field.characteristic
+    symbols = sympy.symbols(ring.vars)
+    # sympy ranks its generators in the order given, most significant first.
+    ranked = [symbols[i] for i in order.precedence]
+
+    def to_sympy(poly):
+        return sympy.Add(*(
+            sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+            * sympy.Mul(*(s**e for s, e in zip(symbols, m)))
+            for m, c in poly.terms.items()
+        ))
+
+    def from_sympy(poly):
+        terms = {}
+        for exps, c in poly.terms():
+            mono = [0] * ring.nvars
+            for i, e in zip(order.precedence, exps):
+                mono[i] = e
+            terms[tuple(mono)] = int(c) % p if p else Fraction(int(c.p), int(c.q))
+        return terms
+
+    options = {"modulus": p} if p else {"domain": sympy.QQ}
+    theirs = sympy.groebner([to_sympy(g) for g in ideal.generators], *ranked, order=order.kind, **options)
+    ours = buchberger(ideal, order)
+    expected = {}
+    for poly in theirs.polys:
+        terms = from_sympy(poly)
+        expected[max(terms, key=order.key)] = terms
+    assert {b.lead(order)[0]: b.terms for b in ours.basis} == expected
+    assert len(ours.basis) == len(theirs.polys)

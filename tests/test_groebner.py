@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from umrow.errors import DimensionOfZeroRing, InvalidDivisor, NotInIdeal
+from umrow.errors import DimensionOfZeroRing, InvalidDivisor, NotInIdeal, RingMismatch
 from umrow.fields import RATIONALS
 from umrow.groebner import (
+    BASIS_CACHE_SIZE,
     Ideal,
+    _cached_basis,
     buchberger,
     divide_with_remainder,
     groebner_basis,
@@ -53,6 +55,24 @@ def test_divide_constant_remainder():
 def test_divide_rejects_zero_divisor():
     with pytest.raises(InvalidDivisor):
         divide_with_remainder(R2.parse("x"), [R2.zero()])
+
+
+def test_order_of_another_width_is_rejected():
+    # lex(2) ignores z, so z and z^2 tie and a division by z - z^2 would
+    # never end; every entry point refuses the order instead.
+    ring = PolyRing(RATIONALS, ["x", "y", "z"])
+    narrow = lex(2)
+    with pytest.raises(RingMismatch):
+        divide_with_remainder(ring.parse("z^3"), [ring.parse("z - z^2")], narrow)
+    ideal = ideal_of(ring, "z - z^2", "x*z")
+    with pytest.raises(RingMismatch):
+        buchberger(ideal, narrow)
+    with pytest.raises(RingMismatch):
+        groebner_basis(ideal, narrow)
+    with pytest.raises(RingMismatch):
+        PolyRing(RATIONALS, ["x", "y", "z"], order=narrow)
+    with pytest.raises(RingMismatch):
+        PolyRing(RATIONALS, ["x"], order=grevlex(2))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -270,6 +290,19 @@ def test_bezout_lift_twisted_cubic():
 def test_bezout_lift_rejects_non_members():
     with pytest.raises(NotInIdeal):
         groebner_basis(ideal_of(R2, "x")).lift(R2.parse("y"))
+
+
+def test_basis_cache_is_bounded():
+    assert _cached_basis.cache_info().maxsize == BASIS_CACHE_SIZE
+    ring = PolyRing(RATIONALS, ["x"])
+    for k in range(1, BASIS_CACHE_SIZE + 20):
+        groebner_basis(Ideal.of(ring, [ring.from_terms({(k,): Fraction(1)})]))
+        assert _cached_basis.cache_info().currsize <= BASIS_CACHE_SIZE
+    assert _cached_basis.cache_info().currsize == BASIS_CACHE_SIZE
+    latest = Ideal.of(ring, [ring.from_terms({(BASIS_CACHE_SIZE + 19,): Fraction(1)})])
+    hits = _cached_basis.cache_info().hits
+    groebner_basis(latest)
+    assert _cached_basis.cache_info().hits == hits + 1
 
 
 def test_ideal_equal():
