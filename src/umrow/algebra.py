@@ -130,11 +130,14 @@ class AlgebraElement:
             return self.parent.element(other)
         return NotImplemented
 
+    # Sums, differences and negations of normal forms are normal forms (no
+    # monomial is divisible by a leading monomial); only products are reduced.
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgebraElement(self.parent, self.parent.reduce(self.rep + other.rep))
+        return AlgebraElement(self.parent, self.rep + other.rep)
 
     __radd__ = __add__
 
@@ -142,7 +145,7 @@ class AlgebraElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgebraElement(self.parent, self.parent.reduce(self.rep - other.rep))
+        return AlgebraElement(self.parent, self.rep - other.rep)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -307,8 +310,3 @@ def adjoin_unit_variable(algebra: Algebra, name: str) -> Algebra:
     lifted = [rel.extend(new_ring) for rel in algebra.relations]
     lifted.append(new_ring.var(name) * new_ring.var(inv_name) - new_ring.one())
     return Algebra(algebra.field, new_vars, lifted, algebra.ring.order.kind)
-
-
-def embed(element: AlgebraElement, extended: Algebra) -> AlgebraElement:
-    """Transport an element along a variable-extension of its parent."""
-    return extended.element(element.rep.extend(extended.ring))

@@ -1,12 +1,16 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Rationals are represented by ``fractions.Fraction`` (always reduced, positive
-denominator); prime-field elements are residues in ``[0, p)``.  Both
+A field is an instance of one of two subclasses of :class:`FieldConfig`:
+:class:`Rationals` (the single instance ``RATIONALS``), whose values are
+``fractions.Fraction`` objects (always reduced, positive denominator), and
+:class:`PrimeField`, whose values are residues in ``[0, p)``.  Each class
+binds its arithmetic once, so no operation asks which field it is in.  Both
 representations are canonical, so equal values compare bit-identical.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,63 +55,19 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldConfig:
-    """Choice of coefficient field: the rationals or F_p for a prime p."""
+    """A coefficient field.  Each subclass binds ``characteristic``,
+    ``from_int``, ``from_fraction``, ``add``, ``sub``, ``mul``, ``neg`` and
+    ``inv`` on raw values; the methods below are written once in terms of
+    those."""
 
-    kind: str
-    modulus: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "rationals":
-            if self.modulus is not None:
-                raise ConfigError("rationals take no modulus")
-        elif self.kind == "prime":
-            p = self.modulus
-            if not isinstance(p, int) or p <= 1:
-                raise ConfigError(f"modulus must be a positive prime, got {p!r}")
-            if p.bit_length() > MAX_MODULUS_BITS:
-                raise ConfigError(f"modulus must fit in {MAX_MODULUS_BITS} bits")
-            if not _is_prime(p):
-                raise ConfigError(f"modulus {p} is not prime")
-        else:
-            raise ConfigError(f"unknown field kind {self.kind!r}")
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.kind == "rationals" else self.modulus
+    characteristic: int
 
     def zero(self) -> RawScalar:
-        return Fraction(0) if self.kind == "rationals" else 0
+        return self.from_int(0)
 
     def one(self) -> RawScalar:
-        return Fraction(1) if self.kind == "rationals" else 1
-
-    def from_int(self, n: int) -> RawScalar:
-        return Fraction(n) if self.kind == "rationals" else n % self.modulus
-
-    # -- raw-value arithmetic ----------------------------------------------
-
-    def add(self, a: RawScalar, b: RawScalar) -> RawScalar:
-        return a + b if self.kind == "rationals" else (a + b) % self.modulus
-
-    def sub(self, a: RawScalar, b: RawScalar) -> RawScalar:
-        return a - b if self.kind == "rationals" else (a - b) % self.modulus
-
-    def mul(self, a: RawScalar, b: RawScalar) -> RawScalar:
-        return a * b if self.kind == "rationals" else (a * b) % self.modulus
-
-    def neg(self, a: RawScalar) -> RawScalar:
-        return -a if self.kind == "rationals" else (-a) % self.modulus
-
-    def inv(self, a: RawScalar) -> RawScalar:
-        if not a:
-            raise DivisionByZero("no inverse of zero")
-        if self.kind == "rationals":
-            return Fraction(1) / a
-        return pow(a, self.modulus - 2, self.modulus)
+        return self.from_int(1)
 
     def div(self, a: RawScalar, b: RawScalar) -> RawScalar:
         return self.mul(a, self.inv(b))
@@ -116,25 +76,15 @@ class FieldConfig:
     def is_zero(a: RawScalar) -> bool:
         return not a
 
-    # -- text --------------------------------------------------------------
-
     def parse_raw(self, text: str) -> RawScalar:
         m = _SCALAR_RE.match(text)
         if m is None:
             raise ConfigError(f"bad scalar literal {text!r}")
-        sign, num, den = m.group(1), int(m.group(2)), m.group(3)
-        if den and not int(den):
-            raise DivisionByZero(f"zero denominator in {text!r}")
-        if self.kind == "rationals":
-            value = Fraction(num, int(den)) if den else Fraction(num)
-            return -value if sign == "-" else value
-        value = self.from_int(num)
+        sign, num, den = m.groups()
+        value = self.from_int(int(num))
         if den:
             value = self.div(value, self.from_int(int(den)))
         return self.neg(value) if sign == "-" else value
-
-    def to_str(self, a: RawScalar) -> str:
-        return str(a)
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar):
@@ -145,19 +95,86 @@ class FieldConfig:
             return Scalar(self, self.parse_raw(value))
         if isinstance(value, int):
             return Scalar(self, self.from_int(value))
-        if isinstance(value, Fraction) and self.kind == "rationals":
-            return Scalar(self, value)
+        if isinstance(value, Fraction):
+            return Scalar(self, self.from_fraction(value))
         raise ConfigError(f"cannot coerce {value!r} into {self}")
 
+
+@dataclass(frozen=True)
+class Rationals(FieldConfig):
+    """Q, with values as reduced ``Fraction`` objects."""
+
+    characteristic = 0
+    from_int = Fraction
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+    neg = operator.neg
+
+    @staticmethod
+    def from_fraction(f: Fraction) -> Fraction:
+        return f
+
+    def inv(self, a: Fraction) -> Fraction:
+        if not a:
+            raise DivisionByZero("no inverse of zero")
+        return Fraction(1) / a
+
     def __str__(self) -> str:
-        return "q" if self.kind == "rationals" else f"fp:{self.modulus}"
+        return "q"
 
 
-RATIONALS = FieldConfig("rationals")
+@dataclass(frozen=True)
+class PrimeField(FieldConfig):
+    """F_p for a prime p below 2^MAX_MODULUS_BITS, with values in [0, p)."""
+
+    modulus: int
+
+    def __post_init__(self):
+        p = self.modulus
+        if not isinstance(p, int) or p <= 1:
+            raise ConfigError(f"modulus must be a positive prime, got {p!r}")
+        if p.bit_length() > MAX_MODULUS_BITS:
+            raise ConfigError(f"modulus must fit in {MAX_MODULUS_BITS} bits")
+        if not _is_prime(p):
+            raise ConfigError(f"modulus {p} is not prime")
+
+    @property
+    def characteristic(self) -> int:
+        return self.modulus
+
+    def from_int(self, n: int) -> int:
+        return n % self.modulus
+
+    def from_fraction(self, f: Fraction) -> int:
+        return self.div(self.from_int(f.numerator), self.from_int(f.denominator))
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.modulus
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.modulus
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.modulus
+
+    def neg(self, a: int) -> int:
+        return -a % self.modulus
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise DivisionByZero("no inverse of zero")
+        return pow(a, self.modulus - 2, self.modulus)
+
+    def __str__(self) -> str:
+        return f"fp:{self.modulus}"
 
 
-def prime_field(p: int) -> FieldConfig:
-    return FieldConfig("prime", p)
+RATIONALS = Rationals()
+
+
+def prime_field(p: int) -> PrimeField:
+    return PrimeField(p)
 
 
 def field_from_text(text: str) -> FieldConfig:
@@ -182,14 +199,8 @@ class Scalar:
     value: RawScalar
 
     def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.config != self.config:
-                raise FieldMismatch(
-                    f"operands in different fields: {self.config} vs {other.config}"
-                )
-            return other
-        if isinstance(other, int):
-            return Scalar(self.config, self.config.from_int(other))
+        if isinstance(other, (Scalar, int)):
+            return self.config.scalar(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -230,4 +241,4 @@ class Scalar:
         return not self.value
 
     def __str__(self) -> str:
-        return self.config.to_str(self.value)
+        return str(self.value)

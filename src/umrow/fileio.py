@@ -27,12 +27,8 @@ def field_from_json(spec) -> FieldConfig:
     if isinstance(spec, str) and spec.lower() == "q":
         return RATIONALS
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
-        return prime_field(int(spec["Fp"]))
+        return prime_field(spec["Fp"])
     raise ConfigError(f"bad field spec {spec!r} (expected \"Q\" or {{\"Fp\": p}})")
-
-
-def field_to_json(field: FieldConfig):
-    return "Q" if field.characteristic == 0 else {"Fp": field.modulus}
 
 
 def algebra_from_dict(data: dict, where: str = "<inline>") -> Algebra:

@@ -34,10 +34,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order: lex or graded reverse lex, with a precedence
@@ -336,14 +332,14 @@ class Polynomial:
                     parts.append(names[i])
                 elif e > 1:
                     parts.append(f"{names[i]}^{e}")
-            negative = field.characteristic == 0 and coeff < 0
+            negative = coeff < 0
             mag = -coeff if negative else coeff
             if not parts:
-                body = field.to_str(mag)
+                body = str(mag)
             elif mag == field.one():
                 body = "*".join(parts)
             else:
-                body = field.to_str(mag) + "*" + "*".join(parts)
+                body = str(mag) + "*" + "*".join(parts)
             if not chunks:
                 chunks.append(("-" if negative else "") + body)
             else:
@@ -431,18 +427,14 @@ class _Parser:
     def atom(self) -> Polynomial:
         kind, text, off = self.take()
         if kind == "int":
-            raw = self.ring.field.from_int(int(text))
             kind2, text2, _ = self.peek()
             if kind2 == "op" and text2 == "/":
                 self.take()
                 kind3, text3, off3 = self.take()
                 if kind3 != "int":
                     raise ParseError("denominator must be an integer", off3)
-                raw = self.ring.field.div(raw, self.ring.field.from_int(int(text3)))
-            poly = self.ring.zero()
-            if raw:
-                poly = Polynomial(self.ring, {(0,) * self.ring.nvars: raw})
-            return poly
+                text += "/" + text3
+            return self.ring.const(text)
         if kind == "name":
             if text not in self.ring._index:
                 raise ParseError(f"unknown variable {text!r}", off)

@@ -38,6 +38,11 @@ from .rows import (
     verify_certificate,
 )
 
+# Entries kept by each cached builder below: two golden ``verify --suite all
+# --n-min 2 --n-max 6`` runs fill at most 10 per builder, and a caller-chosen
+# key (the scale of ``degree_action``) cannot grow a cache without limit.
+QUADRIC_CACHE_SIZE = 64
+
 # -- coordinate rings ---------------------------------------------------------
 
 
@@ -85,7 +90,7 @@ class EvenQuadric:
         return tuple([field.scalar(0)] * (2 * self.n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def build_q_odd(n: int, field: FieldConfig) -> OddQuadric:
     if n < 0:
         raise ShapeError("odd quadrics need n >= 0")
@@ -94,7 +99,7 @@ def build_q_odd(n: int, field: FieldConfig) -> OddQuadric:
     return OddQuadric(n, Algebra(field, names, [f"{ring_terms} - 1"]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def build_q_even(n: int, field: FieldConfig) -> EvenQuadric:
     if n < 1:
         raise ShapeError("even quadrics need n >= 1")
@@ -126,19 +131,19 @@ class GmQuadric:
         return self.algebra.var("t_inv")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def gm_quadric(n: int, field: FieldConfig) -> GmQuadric:
     even = build_q_even(n, field)
     return GmQuadric(n, adjoin_unit_variable(even.algebra, "t"))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def scalar_algebra(field: FieldConfig) -> Algebra:
     """The base field presented as an algebra with no variables."""
     return Algebra(field, (), ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def gm_algebra(field: FieldConfig) -> Algebra:
     """k[Gm] = k[t, t_inv] / (t*t_inv - 1)."""
     return adjoin_unit_variable(scalar_algebra(field), "t")
@@ -226,7 +231,7 @@ def segre_point(row: UnimodularRow, splitting: SplittingRow) -> QuadricEvenPoint
 # -- the explicit morphisms ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def eta_hom(n: int, field: FieldConfig) -> RingHom:
     """The comparison map from the odd quadric of dimension 2n+1 to the even
     quadric of dimension 2n, as the algebra map k[Q_{2n}] -> k[Q_{2n+1}]:
@@ -265,7 +270,7 @@ def b_of(t: AlgebraElement, t_inv: AlgebraElement) -> AlgebraElement:
     return t.parent.element(2) - t - t_inv
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def mu_hom(n: int, field: FieldConfig) -> RingHom:
     """The map Gm x Q_{2n} -> Q_{2n+1}, stored as
     k[Q_{2n+1}] -> k[Gm x Q_{2n}]:
@@ -288,7 +293,7 @@ def mu_hom(n: int, field: FieldConfig) -> RingHom:
     return RingHom(odd.algebra, gm.algebra, images)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def e_endo(n: int, field: FieldConfig) -> RingHom:
     """The elementary endomorphism of the odd quadric fixing the base point:
 
@@ -310,14 +315,14 @@ def e_endo(n: int, field: FieldConfig) -> RingHom:
     return RingHom(odd.algebra, odd.algebra, images)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def mu_prime_hom(n: int, field: FieldConfig) -> RingHom:
     """The base-point-preserving modification of mu: the composite of mu with
     the elementary endomorphism."""
     return hom_compose(mu_hom(n, field), e_endo(n, field))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def mu_prime_explicit(n: int, field: FieldConfig) -> RingHom:
     """The closed-form images of the modified map, built directly:
 
@@ -384,7 +389,7 @@ def mu_prime_basepoint_check(n: int, field: FieldConfig) -> bool:
     return list(composite.images) == expected
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def degree_action(alpha_raw, n: int, field: FieldConfig) -> RingHom:
     """The degree-scaling endomorphism of the odd quadric:
 
@@ -553,7 +558,7 @@ class VTildeRing:
         return row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def vtilde_ring(n: int, field: FieldConfig) -> VTildeRing:
     if n < 2:
         raise ShapeError("the universal double-row ring needs n >= 2")
@@ -592,7 +597,7 @@ class FoldModel:
     word_v: ElementaryWord
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def fold_model_row(vt: VTildeRing) -> FoldModel:
     """Run the addition of the universal row with the base-point row; the
     outcome is pinned to its closed form."""

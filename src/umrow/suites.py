@@ -51,8 +51,6 @@ from .rows import (
     verify_certificate,
 )
 
-SUITES = ("identities", "rows", "fold", "euler", "all")
-
 MAX_N = 6
 
 
@@ -126,11 +124,11 @@ class Report:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _declined(suite, names, n, reason, in_all):
+def _declined(cfg, suite, names, n, reason):
     """Cases for an n below a family's range.  Requesting the suite
     explicitly surfaces each as a declination naming the range; the combined
     suite simply has none."""
-    if in_all:
+    if cfg.suite == "all":
         return []
 
     def run(n, cfg):
@@ -250,11 +248,10 @@ def identities_cases(cfg: SuiteConfig):
 def random_scalar_row(algebra: Algebra, n: int, rng: random.Random):
     """A random row of integer scalars with at least one entry nonzero in
     the base field."""
-    p = algebra.field.characteristic
+    from_int = algebra.field.from_int
     while True:
         values = [rng.randint(-9, 9) for _ in range(n)]
-        reduced = [v % p if p else v for v in values]
-        if any(reduced):
+        if any(map(from_int, values)):
             return [algebra.element(v) for v in values]
 
 
@@ -338,12 +335,12 @@ def _case_mn_universal(n, cfg):
     mn_postconditions(u, v, result)
 
 
-def rows_cases(cfg: SuiteConfig, in_all: bool = False):
+def rows_cases(cfg: SuiteConfig):
     cases = []
     for n in range(cfg.n_min, cfg.n_max + 1):
         if n < 2:
             names = ("splitting-random", "mn-random", "vdk-random")
-            cases += _declined("rows", names, n, "row cases require n >= 2", in_all)
+            cases += _declined(cfg, "rows", names, n, "row cases require n >= 2")
             continue
         cases.append(Case("rows", "splitting-random", n, _case_row_splitting))
         if n == 3:
@@ -390,12 +387,12 @@ def _case_fold_tamper(n, cfg):
         raise CaseFailure("tampered certificate still verifies")
 
 
-def fold_cases(cfg: SuiteConfig, in_all: bool = False):
+def fold_cases(cfg: SuiteConfig):
     cases = []
     for n in range(cfg.n_min, cfg.n_max + 1):
         if n < 4:
             reason = "certificate assembly requires n >= 4"
-            cases += _declined("fold", ("fold-certificate",), n, reason, in_all)
+            cases += _declined(cfg, "fold", ("fold-certificate",), n, reason)
             continue
         cases.append(Case("fold", "fold-row", n, _case_fold_row))
         cases.append(Case("fold", "fold-witness", n, _case_fold_witness))
@@ -474,22 +471,20 @@ def euler_cases(cfg: SuiteConfig):
 # -- runner -------------------------------------------------------------------------
 
 
+# Each family and the builder of its cases; the suite "all" runs every family.
+FAMILIES = {
+    "identities": identities_cases,
+    "rows": rows_cases,
+    "fold": fold_cases,
+    "euler": euler_cases,
+}
+
+SUITES = (*FAMILIES, "all")
+
+
 def build_cases(cfg: SuiteConfig):
-    if cfg.suite == "all":
-        cases = (
-            identities_cases(cfg)
-            + rows_cases(cfg, in_all=True)
-            + fold_cases(cfg, in_all=True)
-            + euler_cases(cfg)
-        )
-    else:
-        table = {
-            "identities": identities_cases,
-            "rows": rows_cases,
-            "fold": fold_cases,
-            "euler": euler_cases,
-        }
-        cases = table[cfg.suite](cfg)
+    names = FAMILIES if cfg.suite == "all" else (cfg.suite,)
+    cases = [case for name in names for case in FAMILIES[name](cfg)]
     return sorted(cases, key=lambda c: (c.suite, c.n, c.name))
 
 

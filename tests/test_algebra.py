@@ -27,6 +27,19 @@ def test_make_algebra_examples():
         make_algebra(RATIONALS, ["x"], ["x", "1 - x"])
 
 
+def test_sums_of_normal_forms_are_not_reduced_again(monkeypatch):
+    alg = even_quadric_2()
+    a = alg.element("x1^2*y1 + 3*z^3 - x1")
+    b = alg.element("2*x1*y1 - z^2 + y1")
+    calls = []
+    normal_form = alg.gb.normal_form
+    monkeypatch.setattr(alg.gb, "normal_form", lambda f: calls.append(f) or normal_form(f))
+    total, difference = a + b, a - b
+    assert calls == []
+    assert total == alg.element(a.rep + b.rep)
+    assert difference == alg.element(a.rep - b.rep)
+
+
 def test_element_equality_under_relations():
     alg = even_quadric_2()
     lhs = alg.var("x1") * alg.var("y1")

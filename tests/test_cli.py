@@ -39,6 +39,18 @@ def test_field_specs():
         field_from_json({"GF": 4})
 
 
+@pytest.mark.parametrize("modulus", [5.5, "x", [5], True, "7"], ids=repr)
+def test_malformed_prime_modulus_is_a_config_error(tmp_path, capsys, modulus):
+    # Only an int names a prime field; nothing else is coerced into one.
+    with pytest.raises(ConfigError):
+        field_from_json({"Fp": modulus})
+    path = write_json(tmp_path / "bad.json", dict(SPHERE, field={"Fp": modulus}))
+    assert main(["gb", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: modulus must be a positive prime")
+
+
 def test_load_algebra(tmp_path):
     path = write_json(tmp_path / "sphere.json", SPHERE)
     algebra = load_algebra(path)

@@ -53,6 +53,19 @@ def test_zero_denominator_is_typed(field):
         degree_action("1/0", 2, field)
 
 
+@pytest.mark.parametrize("field", [RATIONALS, F5, F7], ids=str)
+def test_fractions_coerce_like_their_literals(field):
+    for text in ["1/2", "-3/4", "-2/3", "0/3"]:
+        value = field.scalar(Fraction(text))
+        assert value == field.scalar(text)
+        assert type(value.value) is type(field.zero())
+
+
+def test_fraction_with_denominator_divisible_by_p_is_typed():
+    with pytest.raises(DivisionByZero):
+        F5.scalar(Fraction(1, 10))
+
+
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         RATIONALS.scalar(1) + F5.scalar(1)

@@ -13,7 +13,9 @@ from umrow.errors import (
 )
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import krull_dimension
+from umrow import quadrics
 from umrow.quadrics import (
+    QUADRIC_CACHE_SIZE,
     QuadricEvenPoint,
     build_q_even,
     build_q_odd,
@@ -215,6 +217,19 @@ def test_degree_action_identity_and_units():
     with pytest.raises(InvalidUnit):
         degree_action(0, 2, RATIONALS)
     degree_action(3, 2, prime_field(7))
+
+
+def test_quadric_caches_are_bounded():
+    builders = [f for f in vars(quadrics).values() if hasattr(f, "cache_info")]
+    assert len(builders) == 13
+    assert {f.cache_info().maxsize for f in builders} == {QUADRIC_CACHE_SIZE}
+    for alpha in range(1, QUADRIC_CACHE_SIZE + 10):
+        degree_action(alpha, 1, RATIONALS)
+        assert degree_action.cache_info().currsize <= QUADRIC_CACHE_SIZE
+    assert degree_action.cache_info().currsize == QUADRIC_CACHE_SIZE
+    hits = degree_action.cache_info().hits
+    degree_action(QUADRIC_CACHE_SIZE + 9, 1, RATIONALS)
+    assert degree_action.cache_info().hits == hits + 1
 
 
 # -- euler-level maps -----------------------------------------------------------------
