@@ -25,10 +25,11 @@ from .poly import PolyRing, Polynomial
 
 
 class Algebra:
-    """A nonzero finitely presented algebra over an exact field."""
+    """A nonzero finitely presented algebra over an exact field, whose
+    elements are normal forms under graded reverse lex."""
 
-    def __init__(self, field: FieldConfig, variables, relations, order="grevlex"):
-        self.ring = PolyRing(field, variables, order)
+    def __init__(self, field: FieldConfig, variables, relations):
+        self.ring = PolyRing(field, variables)
         rels = []
         for r in relations:
             poly = self.ring.parse(r) if isinstance(r, str) else r
@@ -306,7 +307,7 @@ def adjoin_unit_variable(algebra: Algebra, name: str) -> Algebra:
         if n in algebra.variables:
             raise DuplicateVariable(f"variable {n!r} already declared")
     new_vars = algebra.variables + (name, inv_name)
-    new_ring = PolyRing(algebra.field, new_vars, algebra.ring.order.kind)
+    new_ring = PolyRing(algebra.field, new_vars)
     lifted = [rel.extend(new_ring) for rel in algebra.relations]
     lifted.append(new_ring.var(name) * new_ring.var(inv_name) - new_ring.one())
-    return Algebra(algebra.field, new_vars, lifted, algebra.ring.order.kind)
+    return Algebra(algebra.field, new_vars, lifted)

@@ -24,7 +24,7 @@ from .errors import ConfigError, UmrowError
 from .fields import field_from_text
 from .fileio import load_algebra, load_rows_bundle, row_to_json, word_to_json
 from .groebner import groebner_basis
-from .poly import make_order
+from .poly import ORDERS
 from .quadrics import (
     degree_action,
     delta_map,
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gb", help="reduced basis of an algebra's relations")
     g.add_argument("--input", required=True)
-    g.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")
+    g.add_argument("--order", choices=list(ORDERS), default="grevlex")
 
     a = sub.add_parser("add", help="orbit-level addition of two rows")
     a.add_argument("--rows", required=True, help="row bundle file")
@@ -107,7 +107,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gb(args) -> int:
     algebra = load_algebra(args.input)
-    order = make_order(args.order, algebra.ring.nvars)
+    order = ORDERS[args.order](algebra.ring.nvars)
     gb = groebner_basis(algebra.relations_ideal, order)
     _emit(
         {

@@ -300,9 +300,12 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
 
     # Minimalize: keep only elements whose leading monomial no kept element
     # divides; ascending processing makes the kept set deterministic.
-    order_asc = sorted(range(len(basis)), key=lambda t: order.key(lead_monos[t]))
+    # The sort is stable, so elements with equal leads keep their order.
+    ascending = sorted(
+        range(len(basis)), key=lambda t: order.desc_key(lead_monos[t]), reverse=True
+    )
     kept: list[int] = []
-    for idx in order_asc:
+    for idx in ascending:
         if not any(mono_divides(lead_monos[k], lead_monos[idx]) for k in kept):
             kept.append(idx)
 
@@ -320,11 +323,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         final_polys[pos] = rem
         final_leads[pos] = _split_lead(rem, order)
 
-    ranked = sorted(
-        range(len(final_polys)),
-        key=lambda t: order.key(final_leads[t][0]),
-        reverse=True,
-    )
+    ranked = sorted(range(len(final_polys)), key=lambda t: order.desc_key(final_leads[t][0]))
     return GroebnerBasis(
         ring,
         order,

@@ -1,175 +1,146 @@
 """Certified macros over the elementary-generator vocabulary.
 
-Each macro expands, against a concrete row, into a word of raw generators and
-the expansion is validated by symbolic application before it is returned:
-the declared row transformation must hold exactly in the parent algebra.
-A macro whose certificate data fails its defining identity raises
-``BadCertificate``; nothing is ever patched silently.
+Each builder returns a :class:`MoveMacro` whose two closures sit side by
+side: ``promise`` states the row transformation the move declares, and
+``expand`` gives the word of raw generators that is meant to realize it.
+``macro_expand`` checks the slots against the row, computes the promise
+independently of the word, applies the word symbolically, and returns it
+only if the two agree exactly in the parent algebra.  A macro whose
+certificate data fails its defining identity raises ``BadCertificate``;
+nothing is ever patched silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .algebra import AlgebraElement
 from .errors import BadCertificate, ShapeError
 from .rows import ElementaryGen, ElementaryWord, UnimodularRow, apply_word_entries
 
 
 @dataclass(frozen=True)
 class MoveMacro:
-    """A named move with its certificate data.
+    """A named move on the row slots it reads or writes.
 
-    kinds and parameters:
-
-    * ``add``: entry j += lam * entry i.
-    * ``swap_sign``: (a_i, a_j) -> (-a_j, a_i).
-    * ``scale_unit_pair``: (a_i, a_j) -> (u a_i, u^-1 a_j) for a unit u with
-      certified inverse ``unit_inv``.
-    * ``congruent_unit_scale``: a_i -> u a_i where u = 1 + sum(c_j a_j) over
-      the coordinates named in ``certs``; with ``invert`` set the macro undoes
-      that scaling, and ``base`` must then be the pre-image value of entry i.
-    * ``whitehead_mod_coordinate``: (a_i, a_j) -> (w a_i, u a_j) where
-      u * w = 1 + cofactor * (pivot entry).
+    ``promise(row)`` maps each slot the move changes to its new entry, and
+    ``expand(row)`` lists the generators of the word that realizes it.
     """
 
-    kind: str
-    i: int
-    j: int | None = None
-    pivot: int | None = None
-    lam: AlgebraElement | None = None
-    unit: AlgebraElement | None = None
-    unit_inv: AlgebraElement | None = None
-    cofactor: AlgebraElement | None = None
-    certs: tuple = ()
-    invert: bool = False
-    base: AlgebraElement | None = None
+    name: str
+    slots: tuple
+    promise: Callable
+    expand: Callable
 
 
 def add_move(i: int, j: int, lam) -> MoveMacro:
-    return MoveMacro("add", i=i, j=j, lam=lam)
+    """Entry j += lam * entry i."""
+
+    def promise(row):
+        return {j: row.entries[j] + lam * row.entries[i]}
+
+    def expand(row):
+        return [ElementaryGen(i, j, row.parent.element(lam))]
+
+    return MoveMacro("add", (i, j), promise, expand)
 
 
 def swap_sign(i: int, j: int) -> MoveMacro:
-    return MoveMacro("swap_sign", i=i, j=j)
+    """(a_i, a_j) -> (-a_j, a_i)."""
+
+    def promise(row):
+        return {i: -row.entries[j], j: row.entries[i]}
+
+    def expand(row):
+        one = row.parent.one()
+        return [ElementaryGen(i, j, one), ElementaryGen(j, i, -one), ElementaryGen(i, j, one)]
+
+    return MoveMacro("swap_sign", (i, j), promise, expand)
 
 
 def scale_unit_pair(i: int, j: int, unit, unit_inv) -> MoveMacro:
-    return MoveMacro("scale_unit_pair", i=i, j=j, unit=unit, unit_inv=unit_inv)
+    """(a_i, a_j) -> (u a_i, u^-1 a_j) for a unit u with certified inverse
+    ``unit_inv``."""
 
-
-def congruent_unit_scale(i: int, certs, invert: bool = False, base=None) -> MoveMacro:
-    return MoveMacro(
-        "congruent_unit_scale",
-        i=i,
-        certs=tuple(sorted(certs.items())) if isinstance(certs, dict) else tuple(certs),
-        invert=invert,
-        base=base,
-    )
-
-
-def whitehead_mod_coordinate(i: int, j: int, pivot: int, unit, witness, cofactor) -> MoveMacro:
-    return MoveMacro(
-        "whitehead_mod_coordinate",
-        i=i,
-        j=j,
-        pivot=pivot,
-        unit=unit,
-        unit_inv=witness,
-        cofactor=cofactor,
-    )
-
-
-def _expected(row, macro):
-    """The transformation each macro promises, computed independently of the
-    expansion so validation is meaningful."""
-    parent = row.parent
-    out = list(row.entries)
-    k = macro.kind
-    if k == "add":
-        out[macro.j] = out[macro.j] + macro.lam * out[macro.i]
-    elif k == "swap_sign":
-        out[macro.i], out[macro.j] = -out[macro.j], out[macro.i]
-    elif k == "scale_unit_pair":
-        if macro.unit * macro.unit_inv != parent.one():
+    def promise(row):
+        if unit * unit_inv != row.parent.one():
             raise BadCertificate("unit certificate does not invert exactly")
-        out[macro.i] = macro.unit * out[macro.i]
-        out[macro.j] = macro.unit_inv * out[macro.j]
-    elif k == "congruent_unit_scale":
-        u = parent.one()
-        for idx, c in macro.certs:
-            if idx == macro.i:
-                raise BadCertificate("congruence certificate may not use the scaled slot")
-            u = u + parent.element(c) * out[idx]
-        if macro.invert:
-            if macro.base is None:
-                raise BadCertificate("inverse scaling needs the pre-image value")
-            if out[macro.i] != u * macro.base:
-                raise BadCertificate("entry is not the claimed multiple of the base")
-            out[macro.i] = macro.base
-        else:
-            out[macro.i] = u * out[macro.i]
-    elif k == "whitehead_mod_coordinate":
-        u, w, c = macro.unit, macro.unit_inv, macro.cofactor
-        if u * w != parent.one() + c * out[macro.pivot]:
-            raise BadCertificate("u*w != 1 + c*pivot")
-        out[macro.i] = w * out[macro.i]
-        out[macro.j] = u * out[macro.j]
-    else:
-        raise BadCertificate(f"unknown macro kind {k!r}")
-    return out
+        return {i: unit * row.entries[i], j: unit_inv * row.entries[j]}
 
-
-def _gens(row, macro):
-    parent = row.parent
-    entries = row.entries
-    k = macro.kind
-    if k == "add":
-        return [ElementaryGen(macro.i, macro.j, parent.element(macro.lam))]
-    if k == "swap_sign":
-        one = parent.one()
+    def expand(row):
+        one = row.parent.one()
         return [
-            ElementaryGen(macro.i, macro.j, one),
-            ElementaryGen(macro.j, macro.i, -one),
-            ElementaryGen(macro.i, macro.j, one),
-        ]
-    if k == "scale_unit_pair":
-        u, ui = macro.unit, macro.unit_inv
-        one = parent.one()
-        i, j = macro.i, macro.j
-        return [
-            ElementaryGen(i, j, u),
-            ElementaryGen(j, i, -ui),
-            ElementaryGen(i, j, u),
+            ElementaryGen(i, j, unit),
+            ElementaryGen(j, i, -unit_inv),
+            ElementaryGen(i, j, unit),
             ElementaryGen(i, j, -one),
             ElementaryGen(j, i, one),
             ElementaryGen(i, j, -one),
         ]
-    if k == "congruent_unit_scale":
-        base = macro.base if macro.invert else entries[macro.i]
+
+    return MoveMacro("scale_unit_pair", (i, j), promise, expand)
+
+
+def congruent_unit_scale(i: int, certs, invert: bool = False, base=None) -> MoveMacro:
+    """a_i -> u a_i where u = 1 + sum(c_k a_k) over the slots k named in
+    ``certs``; with ``invert`` set the move undoes that scaling, and ``base``
+    must then be the pre-image value of entry i."""
+    certs = tuple(sorted(certs.items())) if isinstance(certs, dict) else tuple(certs)
+
+    def promise(row):
+        parent, entries = row.parent, row.entries
+        u = parent.one()
+        for k, c in certs:
+            if k == i:
+                raise BadCertificate("congruence certificate may not use the scaled slot")
+            u = u + parent.element(c) * entries[k]
+        if not invert:
+            return {i: u * entries[i]}
+        if base is None:
+            raise BadCertificate("inverse scaling needs the pre-image value")
+        if entries[i] != u * base:
+            raise BadCertificate("entry is not the claimed multiple of the base")
+        return {i: base}
+
+    def expand(row):
+        scaled = base if invert else row.entries[i]
         gens = []
-        for idx, c in macro.certs:
-            coeff = parent.element(c) * base
-            gens.append(ElementaryGen(idx, macro.i, -coeff if macro.invert else coeff))
-        if macro.invert:
+        for k, c in certs:
+            coeff = row.parent.element(c) * scaled
+            gens.append(ElementaryGen(k, i, -coeff if invert else coeff))
+        if invert:
             gens.reverse()
         return gens
-    if k == "whitehead_mod_coordinate":
-        i, j, p = macro.i, macro.j, macro.pivot
-        u, w, c = macro.unit, macro.unit_inv, macro.cofactor
-        a, b = entries[i], entries[j]
+
+    return MoveMacro("congruent_unit_scale", (i, *(k for k, _ in certs)), promise, expand)
+
+
+def whitehead_mod_coordinate(i: int, j: int, pivot: int, unit, witness, cofactor) -> MoveMacro:
+    """(a_i, a_j) -> (w a_i, u a_j), where u = ``unit`` and w = ``witness``
+    satisfy u * w = 1 + cofactor * (pivot entry)."""
+    u, w, c = unit, witness, cofactor
+
+    def promise(row):
+        entries = row.entries
+        if u * w != row.parent.one() + c * entries[pivot]:
+            raise BadCertificate("u*w != 1 + c*pivot")
+        return {i: w * entries[i], j: u * entries[j]}
+
+    def expand(row):
+        a, b = row.entries[i], row.entries[j]
         one = row.parent.one()
         return [
             ElementaryGen(i, j, w),
             ElementaryGen(j, i, -u),
-            ElementaryGen(p, i, c * a),
+            ElementaryGen(pivot, i, c * a),
             ElementaryGen(i, j, w),
-            ElementaryGen(p, j, c * b),
+            ElementaryGen(pivot, j, c * b),
             ElementaryGen(i, j, -one),
             ElementaryGen(j, i, one),
             ElementaryGen(i, j, -one),
         ]
-    raise BadCertificate(f"unknown macro kind {k!r}")
+
+    return MoveMacro("whitehead_mod_coordinate", (i, j, pivot), promise, expand)
 
 
 def macro_expand(macro: MoveMacro, row: UnimodularRow) -> ElementaryWord:
@@ -177,14 +148,16 @@ def macro_expand(macro: MoveMacro, row: UnimodularRow) -> ElementaryWord:
     applying it symbolically: the result must equal the macro's declared
     transformation entry by entry."""
     n = len(row.entries)
-    for idx in (macro.i, macro.j, macro.pivot):
-        if idx is not None and not (0 <= idx < n):
+    for idx in macro.slots:
+        if not 0 <= idx < n:
             raise ShapeError(f"macro index {idx} out of range for length {n}")
-    expected = _expected(row, macro)
-    word = ElementaryWord(n, tuple(_gens(row, macro)))
+    expected = list(row.entries)
+    for idx, entry in macro.promise(row).items():
+        expected[idx] = entry
+    word = ElementaryWord(n, tuple(macro.expand(row)))
     got = apply_word_entries(row.entries, word)
     if any(a != b for a, b in zip(got, expected)):
         raise BadCertificate(
-            f"{macro.kind} expansion does not realize its declared transformation"
+            f"{macro.name} expansion does not realize its declared transformation"
         )
     return word

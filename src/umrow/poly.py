@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import add as _add, le as _le, sub as _sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DuplicateVariable, ParseError, RingMismatch
 from .fields import FieldConfig, Scalar
@@ -36,46 +36,39 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: lex or graded reverse lex, with a precedence
-    permutation listing variable indices from most to least significant."""
+    """A monomial order, with a precedence permutation listing variable
+    indices from most to least significant.  Each subclass defines one sort
+    key, ``desc_key``: a smaller key means a larger monomial, so sorting by
+    it lists monomials in descending order and a min-heap of these keys
+    pops the largest first."""
 
-    kind: str
     precedence: tuple
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grevlex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
         if sorted(self.precedence) != list(range(len(self.precedence))):
             raise ValueError("precedence must be a permutation of variable indices")
 
-    def key(self, m: Monomial):
-        """Sort key; larger key means larger monomial."""
-        if self.kind == "lex":
-            return tuple(m[i] for i in self.precedence)
-        return (sum(m), tuple(-m[i] for i in reversed(self.precedence)))
 
+class Lex(MonomialOrder):
     def desc_key(self, m: Monomial):
-        """Flat sort key; smaller key means larger monomial, so a min-heap
-        of these keys pops monomials in descending order."""
-        if self.kind == "lex":
-            return tuple(-m[i] for i in self.precedence)
+        return tuple(-m[i] for i in self.precedence)
+
+
+class Grevlex(MonomialOrder):
+    def desc_key(self, m: Monomial):
         return (-sum(m), *(m[i] for i in reversed(self.precedence)))
 
 
-def lex(nvars: int, precedence: Sequence[int] | None = None) -> MonomialOrder:
-    return MonomialOrder("lex", tuple(precedence) if precedence else tuple(range(nvars)))
+def lex(nvars: int, precedence: Sequence[int] | None = None) -> Lex:
+    return Lex(tuple(precedence) if precedence else tuple(range(nvars)))
 
 
-def grevlex(nvars: int, precedence: Sequence[int] | None = None) -> MonomialOrder:
-    return MonomialOrder("grevlex", tuple(precedence) if precedence else tuple(range(nvars)))
+def grevlex(nvars: int, precedence: Sequence[int] | None = None) -> Grevlex:
+    return Grevlex(tuple(precedence) if precedence else tuple(range(nvars)))
 
 
-def make_order(kind: str, nvars: int) -> MonomialOrder:
-    if kind == "lex":
-        return lex(nvars)
-    if kind == "grevlex":
-        return grevlex(nvars)
-    raise ValueError(f"unknown order kind {kind!r}")
+# Each order's name and its constructor, for rings and the command line.
+ORDERS = {"lex": lex, "grevlex": grevlex}
 
 
 class PolyRing:
@@ -89,7 +82,7 @@ class PolyRing:
             raise DuplicateVariable(f"repeated variable name in {names}")
         self.field = field
         self.vars = names
-        self.order = make_order(order, len(names)) if isinstance(order, str) else order
+        self.order = ORDERS[order](len(names)) if isinstance(order, str) else order
         self._index = {name: i for i, name in enumerate(names)}
         self.check_order(self.order)
 
@@ -161,9 +154,6 @@ class PolyRing:
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)
 
-    def with_extra_vars(self, names: Iterable[str]) -> "PolyRing":
-        return PolyRing(self.field, self.vars + tuple(names), self.order.kind)
-
 
 class Polynomial:
     """Immutable sparse polynomial; ``terms`` maps monomials to nonzero
@@ -199,8 +189,7 @@ class Polynomial:
         """Leading (monomial, coefficient) under ``order``; None when zero."""
         if not self.terms:
             return None
-        order = order or self.ring.order
-        m = max(self.terms, key=order.key)
+        m = min(self.terms, key=(order or self.ring.order).desc_key)
         return m, self.terms[m]
 
     def coeff(self, mono: Monomial):
@@ -316,8 +305,8 @@ class Polynomial:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def sorted_terms(self, order: MonomialOrder | None = None):
-        order = order or self.ring.order
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
+        key = (order or self.ring.order).desc_key
+        return sorted(self.terms.items(), key=lambda mc: key(mc[0]))
 
     def __str__(self):
         if not self.terms:

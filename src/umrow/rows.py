@@ -436,11 +436,10 @@ def vdk_add(
     sv = compute_splitting(mn.v_final)
     c0, cs = su.entries[0], su.entries[1:]
     d0, ds = sv.entries[0], sv.entries[1:]
-    s_cross = parent.zero()
-    for a_i, d_i in zip(mn.tail, ds):
-        s_cross = s_cross + a_i * d_i
-    witness = [c0 * d0]
-    for c_i, d_i in zip(cs, ds):
-        witness.append(x * c0 * d_i + (one - x) * d0 * c_i + c_i * s_cross)
+    # su splits (x, a) and sv splits (1-x, a), so sum(a_i d_i) = 1 - (1-x) d0
+    # and the product x c0 d_i + (1-x) d0 c_i + c_i sum(a_k d_k) of the two
+    # splittings is x c0 d_i + c_i.
+    x_c0 = x * c0
+    witness = [c0 * d0] + [x_c0 * d_i + c_i for c_i, d_i in zip(cs, ds)]
     row, split = row_from_witness(parent, sum_entries, witness)
     return VdkSum(row, split, mn.word_u, mn.word_v, x, mn.tail)

@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, _cofactor_update, buchberger, divide_with_remainder
 from umrow.poly import (
+    Grevlex,
+    Lex,
     PolyRing,
     grevlex,
     lex,
@@ -61,17 +63,35 @@ def naive_groebner(ideal, order):
             return basis
 
 
+def reference_key(order, m):
+    """The textbook comparison, as a key that is larger for the larger
+    monomial; it reads only the order's class and precedence, not its own
+    key.  Lex compares exponents from the most significant variable down.
+    Grevlex compares total degree, then prefers the smaller exponent at the
+    least significant variable where the two monomials differ."""
+    ranked = [m[i] for i in order.precedence]
+    if isinstance(order, Lex):
+        return ranked
+    assert isinstance(order, Grevlex)
+    return sum(m), [-e for e in reversed(ranked)]
+
+
+def reference_lead(terms, order):
+    return max(terms, key=lambda m: reference_key(order, m))
+
+
 def naive_division(f, divisors, order):
     """Plain multivariate division that rescans the whole remainder for its
-    largest monomial at every step: slow, but with no ordering state that a
-    faster reducer could get wrong."""
+    largest monomial at every step, under the reference key: slow, but with
+    no ordering state or key that a faster reducer could get wrong."""
     field = f.ring.field
-    leads = [d.lead(order) for d in divisors]
+    lead_monos = [reference_lead(d.terms, order) for d in divisors]
+    leads = [(m, d.terms[m]) for m, d in zip(lead_monos, divisors)]
     p = dict(f.terms)
     rem = {}
     quots = [{} for _ in divisors]
     while p:
-        m = max(p, key=order.key)
+        m = reference_lead(p, order)
         c = p[m]
         for idx, (dm, dc) in enumerate(leads):
             if mono_divides(dm, m):
@@ -321,11 +341,12 @@ def test_reduced_basis_matches_sympy(problem):
         return terms
 
     options = {"modulus": p} if p else {"domain": sympy.QQ}
-    theirs = sympy.groebner([to_sympy(g) for g in ideal.generators], *ranked, order=order.kind, **options)
+    name = {Lex: "lex", Grevlex: "grevlex"}[type(order)]
+    theirs = sympy.groebner([to_sympy(g) for g in ideal.generators], *ranked, order=name, **options)
     ours = buchberger(ideal, order)
     expected = {}
     for poly in theirs.polys:
         terms = from_sympy(poly)
-        expected[max(terms, key=order.key)] = terms
+        expected[reference_lead(terms, order)] = terms
     assert {b.lead(order)[0]: b.terms for b in ours.basis} == expected
     assert len(ours.basis) == len(theirs.polys)

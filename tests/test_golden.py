@@ -1,10 +1,12 @@
 """The byte-stable report of the combined suite over n = 2..6 is pinned by
-its sha256, per field, and so are the printouts of every named morphism; a
-refactor must leave all three digests unchanged."""
+its sha256, per field, and so are the printouts of every named morphism and
+of `gb` and `add` on the sphere; a refactor must leave all four digests
+unchanged."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -41,3 +43,23 @@ def test_map_printouts_digest(capsys):
             assert main(argv) == 0
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == "3f84dd9a29f0be83499d350c7c270990df30f88e2e0d4d714b94c618208436d3"
+
+
+def test_gb_and_add_printouts_digest(tmp_path, capsys):
+    # `gb` on the sphere under both orders and `add` of (x, y, z) + (y, z, x)
+    # on the sphere, over q and fp:5; one digest over all six outputs.
+    digest = hashlib.sha256()
+    for field in ("Q", {"Fp": 5}):
+        sphere = {"field": field, "vars": ["x", "y", "z"]}
+        sphere["relations"] = ["x^2 + y^2 + z^2 - 1"]
+        algebra = tmp_path / "sphere.json"
+        algebra.write_text(json.dumps(sphere))
+        for order in ("lex", "grevlex"):
+            assert main(["gb", "--input", str(algebra), "--order", order]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        bundle = tmp_path / "rows.json"
+        rows = {"u": ["x", "y", "z"], "v": ["y", "z", "x"]}
+        bundle.write_text(json.dumps({"algebra": sphere, "rows": rows}))
+        assert main(["add", "--rows", str(bundle), "--u", "u", "--v", "v"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "786a99ab11f1ebcd135eb816fd6c40c5ded2be24f2ec9c7c9c5f8e2a38a6add9"

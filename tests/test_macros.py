@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from umrow.algebra import make_algebra
-from umrow.errors import BadCertificate
+from umrow.errors import BadCertificate, ShapeError
 from umrow.fields import RATIONALS
 from umrow.macros import (
     add_move,
@@ -105,6 +105,13 @@ def test_congruent_unit_scale_inverse_needs_correct_base():
     macro = congruent_unit_scale(1, {0: -alg.one()}, invert=True, base=alg.var("a"))
     with pytest.raises(BadCertificate):
         macro_expand(macro, row)
+
+
+@pytest.mark.parametrize("slot", [5, -1])
+def test_congruent_unit_scale_checks_certificate_slots(slot):
+    alg, row = generic_two_row()
+    with pytest.raises(ShapeError):
+        macro_expand(congruent_unit_scale(0, {slot: alg.one()}), row)
 
 
 def test_whitehead_mod_coordinate():

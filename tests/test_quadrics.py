@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from umrow.algebra import RingHom, hom_compose, make_algebra
@@ -223,13 +225,27 @@ def test_quadric_caches_are_bounded():
     builders = [f for f in vars(quadrics).values() if hasattr(f, "cache_info")]
     assert len(builders) == 13
     assert {f.cache_info().maxsize for f in builders} == {QUADRIC_CACHE_SIZE}
+    cache_info = quadrics._degree_action.cache_info
     for alpha in range(1, QUADRIC_CACHE_SIZE + 10):
         degree_action(alpha, 1, RATIONALS)
-        assert degree_action.cache_info().currsize <= QUADRIC_CACHE_SIZE
-    assert degree_action.cache_info().currsize == QUADRIC_CACHE_SIZE
-    hits = degree_action.cache_info().hits
+        assert cache_info().currsize <= QUADRIC_CACHE_SIZE
+    assert cache_info().currsize == QUADRIC_CACHE_SIZE
+    hits = cache_info().hits
     degree_action(QUADRIC_CACHE_SIZE + 9, 1, RATIONALS)
-    assert degree_action.cache_info().hits == hits + 1
+    assert cache_info().hits == hits + 1
+
+
+def test_degree_action_caches_one_entry_per_scale():
+    # Every spelling of one scale names one map: 2, "2" and Fraction(2) over
+    # Q, and 2 and 7 over F_5.
+    quadrics._degree_action.cache_clear()
+    maps = [degree_action(alpha, 2, RATIONALS) for alpha in (2, "2", Fraction(2))]
+    assert maps[0] is maps[1] is maps[2]
+    info = quadrics._degree_action.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    f5 = prime_field(5)
+    assert degree_action(7, 2, f5) is degree_action(2, 2, f5)
+    assert quadrics._degree_action.cache_info().currsize == 2
 
 
 # -- euler-level maps -----------------------------------------------------------------
