@@ -96,7 +96,15 @@ class Algebra:
         return AlgebraElement(self, self.ring.zero())
 
     def one(self) -> "AlgebraElement":
-        return self.element(self.ring.one())
+        # The relations are not the unit ideal, so no leading monomial
+        # divides 1 and 1 is its own normal form.
+        return AlgebraElement(self, self.ring.one())
+
+    def dot(self, xs, ys) -> "AlgebraElement":
+        """sum(x_i * y_i), reduced once: normal forms are linear, so this is
+        the sum of the reduced products."""
+        reps = self.ring.dot([self.element(x).rep for x in xs], [self.element(y).rep for y in ys])
+        return AlgebraElement(self, self.reduce(reps))
 
     def ideal_with(self, elements) -> Ideal:
         """Ambient ideal for quotient-level membership questions: the given

@@ -125,29 +125,13 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder):
     return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
-def _cofactor_update(row, quots, rows):
-    """row - sum(quots[t] * rows[t]): the cofactor row of an element after it
-    is reduced with quotients ``quots`` by basis elements whose own cofactor
-    rows are ``rows``.  One pass per update: each entry sums its products
-    into one term dict, with no intermediate polynomial per quotient, and
-    zero quotients and zero entries cost nothing."""
-    accs = [dict(c.terms) for c in row]
-    for q, other in zip(quots, rows):
-        if q.is_zero():
-            continue
-        field = q.ring.field
-        add, mul, neg = field.add, field.mul, field.neg
-        neg_q = [(m, neg(c)) for m, c in q.terms.items()]
-        for acc, entry in zip(accs, other):
-            for m2, c2 in entry.terms.items():
-                for m1, c1 in neg_q:
-                    m = mono_mul(m1, m2)
-                    v = mul(c1, c2)
-                    acc[m] = add(acc[m], v) if m in acc else v
-    return [
-        Polynomial(c.ring, {m: v for m, v in acc.items() if v})
-        for c, acc in zip(row, accs)
-    ]
+def _combine_rows(ring: PolyRing, mults, rows, width: int):
+    """sum(mults[t] * rows[t]) for cofactor rows of ``width`` entries: each
+    entry is the dot product of the multipliers with that column of the
+    rows.  Zero multipliers are dropped first, so they cost nothing."""
+    live = [(m, row) for m, row in zip(mults, rows) if not m.is_zero()]
+    mults = [m for m, _ in live]
+    return [ring.dot(mults, [row[k] for _, row in live]) for k in range(width)]
 
 
 class GroebnerBasis:
@@ -191,13 +175,9 @@ class GroebnerBasis:
         quots, rem = self.normal_form_with_quotients(f)
         if not rem.is_zero():
             raise NotInIdeal(f"{f} is not in the ideal")
-        # f = sum(q_k * basis[k]) = 0 - sum(-q_k * basis[k])
-        zeros = [self.ring.zero()] * len(self.generators)
-        coeffs = _cofactor_update(zeros, [-q for q in quots], self.cofactors)
-        check = self.ring.zero()
-        for c, g in zip(coeffs, self.generators):
-            check = check + c * g
-        if check != f:
+        # f = sum(q_k * basis[k]), and basis[k] = sum(cofactors[k][i] * g_i).
+        coeffs = _combine_rows(self.ring, quots, self.cofactors, len(self.generators))
+        if self.ring.dot(coeffs, self.generators) != f:
             raise AssertionError("cofactor expansion failed to reproduce the element")
         return coeffs
 
@@ -252,7 +232,6 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         add_pairs(j)
 
     one = field.one()
-    zero_row = [ring.zero()] * ngen
     while queue:
         _, i, j = heappop(queue)
         pending.remove((i, j))
@@ -283,12 +262,14 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         # the new element is rem scaled to be monic: its cofactor row is the
         # same combination of cofactor rows, scaled alike.
         inv = field.inv(rem.lead(order)[1])
+        neg_inv = field.neg(inv)
         rem = rem.scale(inv)
-        cof_s = _cofactor_update(
-            zero_row,
-            [ring.from_terms({ti: field.neg(inv)}), ring.from_terms({tj: inv}),
-             *(q.scale(inv) for q in quots)],
+        cof_s = _combine_rows(
+            ring,
+            [ring.from_terms({ti: inv}), ring.from_terms({tj: neg_inv}),
+             *(q.scale(neg_inv) for q in quots)],
             [cofs[i], cofs[j], *cofs],
+            ngen,
         )
         if rem.constant_value() is not None:
             return GroebnerBasis(ring, order, gens, [rem], [cof_s])
@@ -319,7 +300,10 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         if not others:
             continue
         quots, rem = _reduce(final_polys[pos], [final_leads[s] for s in others], order)
-        final_cofs[pos] = _cofactor_update(final_cofs[pos], quots, [final_cofs[s] for s in others])
+        # Adding the update to the old row shares its terms with that row,
+        # which ``cofs`` still holds, where a product by 1 would copy them.
+        update = _combine_rows(ring, [-q for q in quots], [final_cofs[s] for s in others], ngen)
+        final_cofs[pos] = [c + u for c, u in zip(final_cofs[pos], update)]
         final_polys[pos] = rem
         final_leads[pos] = _split_lead(rem, order)
 

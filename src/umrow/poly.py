@@ -22,6 +22,25 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(_add, a, b))
 
 
+def _mul_into(out: dict, p: dict, q: dict, field: FieldConfig) -> dict:
+    """Add the product of the term dicts ``p`` and ``q`` into ``out`` and
+    return it; a coefficient that cancels is deleted, so ``out`` keeps no
+    zero.  The one multiply-accumulate loop: products, sums of products and
+    cofactor rows all go through it."""
+    mul, add = field.mul, field.add
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(map(_add, m1, m2))
+            v = mul(c1, c2)
+            if m in out:
+                v = add(out[m], v)
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+    return out
+
+
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(_le, a, b))
 
@@ -128,17 +147,23 @@ class PolyRing:
         return Polynomial(self, {(0,) * self.nvars: raw})
 
     def var(self, name_or_index) -> "Polynomial":
-        if isinstance(name_or_index, str):
-            if name_or_index not in self._index:
-                raise KeyError(f"no variable {name_or_index!r} in {self.vars}")
-            i = self._index[name_or_index]
-        else:
-            i = name_or_index
+        i = self._index.get(name_or_index) if isinstance(name_or_index, str) else name_or_index
+        if i not in range(self.nvars):
+            raise RingMismatch(f"no variable {name_or_index!r} in {self.vars}")
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {mono: self.field.one()})
 
     def gens(self) -> tuple:
         return tuple(self.var(i) for i in range(self.nvars))
+
+    def dot(self, ps, qs) -> "Polynomial":
+        """sum(p_i * q_i), summed into one term dict."""
+        out: dict = {}
+        for p, q in zip(ps, qs, strict=True):
+            if p.ring != self or q.ring != self:
+                raise RingMismatch("dot product outside the ring")
+            _mul_into(out, p.terms, q.terms, self.field)
+        return Polynomial(self, out)
 
     def from_terms(self, terms: dict) -> "Polynomial":
         clean = {}
@@ -239,20 +264,7 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.ring.field
-        mul, add = field.mul, field.add
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(_add, m1, m2))
-                v = mul(c1, c2)
-                if m in out:
-                    v = add(out[m], v)
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _mul_into({}, self.terms, other.terms, self.ring.field))
 
     __rmul__ = __mul__
 

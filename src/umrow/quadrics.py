@@ -21,6 +21,7 @@ from .errors import (
     HeightMismatch,
     InvalidUnit,
     ShapeError,
+    UmrowError,
 )
 from .fields import FieldConfig
 from .groebner import Ideal, groebner_basis, ideal_equal, krull_dimension
@@ -163,10 +164,7 @@ class QuadricOddPoint:
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise ShapeError("x and y have different lengths")
-        total = self.parent.zero()
-        for a, b in zip(self.x, self.y):
-            total = total + a * b
-        if total != self.parent.one():
+        if self.parent.dot(self.x, self.y) != self.parent.one():
             raise ShapeError("point violates the odd quadric relation")
 
 
@@ -182,10 +180,7 @@ class QuadricEvenPoint:
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise ShapeError("x and y have different lengths")
-        total = self.parent.zero()
-        for a, b in zip(self.x, self.y):
-            total = total + a * b
-        if total != self.z * (self.parent.one() - self.z):
+        if self.parent.dot(self.x, self.y) != self.z * (self.parent.one() - self.z):
             raise ShapeError("point violates the even quadric relation")
 
 
@@ -217,9 +212,7 @@ def segre_point(row: UnimodularRow, splitting: SplittingRow) -> QuadricEvenPoint
     xs = list(a[: n - 1]) + [a[n - 1] * a[n]]
     last = a[n] * b[n]
     ys = [b[i] * last for i in range(n - 1)] + [b[n - 1] * b[n]]
-    z = parent.zero()
-    for i in range(n):
-        z = z + a[i] * b[i]
+    z = parent.dot(a[:n], b[:n])
     point = QuadricEvenPoint(parent, tuple(xs), tuple(ys), z)
     lhs = parent.ideal_with(a[:n])
     rhs = parent.ideal_with(list(xs) + [z])
@@ -252,10 +245,8 @@ def eta_hom(n: int, field: FieldConfig) -> RingHom:
     for i in range(1, n):
         images.append(odd.y(i) * unit_factor)
     images.append(odd.y(n) * odd.y(n + 1))
-    z = odd.algebra.zero()
-    for i in range(1, n + 1):
-        z = z + odd.x(i) * odd.y(i)
-    images.append(z)
+    ks = range(1, n + 1)
+    images.append(odd.algebra.dot([odd.x(i) for i in ks], [odd.y(i) for i in ks]))
     return RingHom(even.algebra, odd.algebra, images)
 
 
@@ -650,7 +641,7 @@ def fold_model_certificate(vt: VTildeRing) -> OrbitCertificate:
         nonlocal current, word
         try:
             stage_word = macro_expand(macro, current)
-        except Exception as exc:
+        except UmrowError as exc:
             raise CertificateAssemblyFailed(f"stage {name!r} failed: {exc}") from exc
         word = word.concat(stage_word)
         current = UnimodularRow(

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, AlgebraElement
-from .errors import NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
+from .errors import ConfigError, NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
 from .groebner import groebner_basis
 
 
@@ -53,10 +53,8 @@ class SplittingRow:
     def __post_init__(self):
         if len(self.entries) != len(self.row.entries):
             raise ShapeError("splitting length differs from row length")
-        total = self.row.parent.zero()
-        for a, b in zip(self.row.entries, self.entries):
-            total = total + a * b
-        if total != self.row.parent.one():
+        parent = self.row.parent
+        if parent.dot(self.row.entries, self.entries) != parent.one():
             raise NotUnimodular("proposed splitting does not sum to 1")
 
 
@@ -287,6 +285,8 @@ def mennicke_newman(
     Step two subtracts a Bezout combination of u1+v1-1 from the first
     coordinates.  The final cross-adjustment produces the common tail.
     """
+    if shrink_budget < 1:
+        raise ConfigError("shrink budget must be positive")
     parent = u.parent
     if v.parent != parent:
         raise RingMismatch("rows belong to different algebras")

@@ -124,19 +124,6 @@ class Report:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _declined(cfg, suite, names, n, reason):
-    """Cases for an n below a family's range.  Requesting the suite
-    explicitly surfaces each as a declination naming the range; the combined
-    suite simply has none."""
-    if cfg.suite == "all":
-        return []
-
-    def run(n, cfg):
-        raise CaseDecline(reason)
-
-    return [Case(suite, name, n, run) for name in names]
-
-
 # -- identity cases -------------------------------------------------------------
 
 
@@ -151,9 +138,7 @@ def _case_eta_relation(n, cfg):
 def _case_eta_ideal(n, cfg):
     odd = build_q_odd(n, cfg.field)
     alg = odd.algebra
-    z = alg.zero()
-    for i in range(1, n + 1):
-        z = z + odd.x(i) * odd.y(i)
+    z = alg.dot([odd.x(i) for i in range(1, n + 1)], [odd.y(i) for i in range(1, n + 1)])
     tuple_ideal = alg.ideal_with(
         [odd.x(i) for i in range(1, n)] + [odd.x(n) * odd.x(n + 1), z]
     )
@@ -168,9 +153,7 @@ def _case_ab_identity(n, cfg):
     a_pos = (one - gm.z()) + gm.t() * gm.z()
     a_neg = (one - gm.z()) + gm.t_inv() * gm.z()
     b = gm.algebra.element(2) - gm.t() - gm.t_inv()
-    dot = gm.algebra.zero()
-    for i in range(1, n + 1):
-        dot = dot + gm.x(i) * gm.y(i)
+    dot = gm.algebra.dot([gm.x(i) for i in range(1, n + 1)], [gm.y(i) for i in range(1, n + 1)])
     residue = a_pos * a_neg - (one - b * dot)
     if not residue.is_zero():
         raise CaseFailure(f"a(t,z)a(1/t,z) - (1 - b(t) sum(x_i y_i)) = {residue}")
@@ -182,10 +165,9 @@ def _case_e_welldef(n, cfg):
     one = alg.one()
     z = odd.x(n + 1)
     v = odd.y(n + 1)
-    total = alg.zero()
-    for i in range(1, n + 1):
-        total = total + odd.x(i) * (one - z) * odd.y(i)
-    total = total + z * (v + one - z * v)
+    xs = [odd.x(i) for i in range(1, n + 1)] + [z]
+    ys = [(one - z) * odd.y(i) for i in range(1, n + 1)] + [v + one - z * v]
+    total = alg.dot(xs, ys)
     if total != one:
         raise CaseFailure(f"sum x_i(1-z)y_i + z(v+1-zv) = {total}")
     e_endo(n, cfg.field)
@@ -224,22 +206,6 @@ def _case_mu_prime_explicit(n, cfg):
 def _case_mu_prime_basepoint(n, cfg):
     if not mu_prime_basepoint_check(n, cfg.field):
         raise CaseFailure("(lambda, base point) does not map to the base point")
-
-
-def identities_cases(cfg: SuiteConfig):
-    cases = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        if n >= 2:
-            cases.append(Case("identities", "eta-relation", n, _case_eta_relation))
-        if 2 <= n <= 3:
-            cases.append(Case("identities", "eta-ideal", n, _case_eta_ideal))
-        cases.append(Case("identities", "ab-identity", n, _case_ab_identity))
-        cases.append(Case("identities", "e-welldef", n, _case_e_welldef))
-        cases.append(Case("identities", "e-basepoint", n, _case_e_basepoint))
-        cases.append(Case("identities", "mu-at-one", n, _case_mu_at_one))
-        cases.append(Case("identities", "mu-prime-explicit", n, _case_mu_prime_explicit))
-        cases.append(Case("identities", "mu-prime-basepoint", n, _case_mu_prime_basepoint))
-    return cases
 
 
 # -- row cases --------------------------------------------------------------------
@@ -293,10 +259,7 @@ def _case_sphere_row(n, cfg):
     alg = Algebra(cfg.field, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
     row = check_unimodular(alg, [alg.var("x"), alg.var("y"), alg.var("z")])
     split = compute_splitting(row)
-    total = alg.zero()
-    for a, b in zip(row.entries, split.entries):
-        total = total + a * b
-    if total != alg.one():
+    if alg.dot(row.entries, split.entries) != alg.one():
         raise CaseFailure("splitting identity fails on the sphere row")
 
 
@@ -335,23 +298,6 @@ def _case_mn_universal(n, cfg):
     mn_postconditions(u, v, result)
 
 
-def rows_cases(cfg: SuiteConfig):
-    cases = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        if n < 2:
-            names = ("splitting-random", "mn-random", "vdk-random")
-            cases += _declined(cfg, "rows", names, n, "row cases require n >= 2")
-            continue
-        cases.append(Case("rows", "splitting-random", n, _case_row_splitting))
-        if n == 3:
-            cases.append(Case("rows", "splitting-sphere", n, _case_sphere_row))
-        cases.append(Case("rows", "mn-random", n, _case_mn_random))
-        cases.append(Case("rows", "vdk-random", n, _case_vdk_random))
-        if n == 4:
-            cases.append(Case("rows", "mn-universal", n, _case_mn_universal))
-    return cases
-
-
 # -- fold cases ----------------------------------------------------------------------
 
 
@@ -387,20 +333,6 @@ def _case_fold_tamper(n, cfg):
         raise CaseFailure("tampered certificate still verifies")
 
 
-def fold_cases(cfg: SuiteConfig):
-    cases = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        if n < 4:
-            reason = "certificate assembly requires n >= 4"
-            cases += _declined(cfg, "fold", ("fold-certificate",), n, reason)
-            continue
-        cases.append(Case("fold", "fold-row", n, _case_fold_row))
-        cases.append(Case("fold", "fold-witness", n, _case_fold_witness))
-        cases.append(Case("fold", "fold-certificate", n, _case_fold_certificate))
-        cases.append(Case("fold", "fold-tamper", n, _case_fold_tamper))
-    return cases
-
-
 # -- euler cases --------------------------------------------------------------------
 
 
@@ -414,10 +346,7 @@ def _case_delta_universal(d, cfg):
     point = universal_even_point(d, cfg.field)
     row, split = delta_map(point)
     alg = point.parent
-    total = alg.zero()
-    for a, b in zip(row.entries, split.entries):
-        total = total + a * b
-    if total != alg.one():
+    if alg.dot(row.entries, split.entries) != alg.one():
         raise CaseFailure("delta splitting identity fails")
 
 
@@ -456,35 +385,58 @@ def _case_phi_universal(d, cfg):
     phi_map(universal_split_row(d, cfg.field), check_height=True)
 
 
-def euler_cases(cfg: SuiteConfig):
-    cases = []
-    for d in range(cfg.n_min, cfg.n_max + 1):
-        cases.append(Case("euler", "delta-universal", d, _case_delta_universal))
-        cases.append(Case("euler", "mu-minus-one", d, _case_mu_minus_one))
-        if d >= 2:
-            cases.append(Case("euler", "degree-composite", d, _case_degree_composite))
-        if 2 <= d <= 3:
-            cases.append(Case("euler", "phi-universal", d, _case_phi_universal))
-    return cases
-
-
 # -- runner -------------------------------------------------------------------------
 
 
-# Each family and the builder of its cases; the suite "all" runs every family.
-FAMILIES = {
-    "identities": identities_cases,
-    "rows": rows_cases,
-    "fold": fold_cases,
-    "euler": euler_cases,
-}
+# One row per case: family, name, first n, last n, body, and the reason it
+# declines for an n below its range (None: no case there).  The suite "all"
+# runs every family; a declining case appears only when its family is
+# requested by name.
+CASES = (
+    ("identities", "eta-relation", 2, MAX_N, _case_eta_relation, None),
+    ("identities", "eta-ideal", 2, 3, _case_eta_ideal, None),
+    ("identities", "ab-identity", 1, MAX_N, _case_ab_identity, None),
+    ("identities", "e-welldef", 1, MAX_N, _case_e_welldef, None),
+    ("identities", "e-basepoint", 1, MAX_N, _case_e_basepoint, None),
+    ("identities", "mu-at-one", 1, MAX_N, _case_mu_at_one, None),
+    ("identities", "mu-prime-explicit", 1, MAX_N, _case_mu_prime_explicit, None),
+    ("identities", "mu-prime-basepoint", 1, MAX_N, _case_mu_prime_basepoint, None),
+    ("rows", "splitting-random", 2, MAX_N, _case_row_splitting, "row cases require n >= 2"),
+    ("rows", "splitting-sphere", 3, 3, _case_sphere_row, None),
+    ("rows", "mn-random", 2, MAX_N, _case_mn_random, "row cases require n >= 2"),
+    ("rows", "vdk-random", 2, MAX_N, _case_vdk_random, "row cases require n >= 2"),
+    ("rows", "mn-universal", 4, 4, _case_mn_universal, None),
+    ("fold", "fold-row", 4, MAX_N, _case_fold_row, None),
+    ("fold", "fold-witness", 4, MAX_N, _case_fold_witness, None),
+    ("fold", "fold-certificate", 4, MAX_N, _case_fold_certificate,
+     "certificate assembly requires n >= 4"),
+    ("fold", "fold-tamper", 4, MAX_N, _case_fold_tamper, None),
+    ("euler", "delta-universal", 1, MAX_N, _case_delta_universal, None),
+    ("euler", "mu-minus-one", 1, MAX_N, _case_mu_minus_one, None),
+    ("euler", "degree-composite", 2, MAX_N, _case_degree_composite, None),
+    ("euler", "phi-universal", 2, 3, _case_phi_universal, None),
+)
 
-SUITES = (*FAMILIES, "all")
+SUITES = (*dict.fromkeys(family for family, *_ in CASES), "all")
+
+
+def _declines(reason):
+    def run(n, cfg):
+        raise CaseDecline(reason)
+
+    return run
 
 
 def build_cases(cfg: SuiteConfig):
-    names = FAMILIES if cfg.suite == "all" else (cfg.suite,)
-    cases = [case for name in names for case in FAMILIES[name](cfg)]
+    cases = []
+    for family, name, first, last, body, reason in CASES:
+        if cfg.suite not in ("all", family):
+            continue
+        for n in range(cfg.n_min, min(last, cfg.n_max) + 1):
+            if n >= first:
+                cases.append(Case(family, name, n, body))
+            elif reason and cfg.suite == family:
+                cases.append(Case(family, name, n, _declines(reason)))
     return sorted(cases, key=lambda c: (c.suite, c.n, c.name))
 
 

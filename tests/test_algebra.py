@@ -40,6 +40,21 @@ def test_sums_of_normal_forms_are_not_reduced_again(monkeypatch):
     assert difference == alg.element(a.rep - b.rep)
 
 
+def test_dot_reduces_once_to_the_sum_of_reduced_products(monkeypatch):
+    alg = even_quadric_2()
+    xs = [alg.element("x1^2*y1 + z"), alg.element("z^2"), alg.zero(), alg.one()]
+    ys = [alg.element("y1 - 2*z"), alg.element("3*z - x1"), alg.element("y1^2"), alg.element("-z")]
+    expected = alg.zero()
+    for x, y in zip(xs, ys):
+        expected = expected + x * y
+    calls = []
+    normal_form = alg.gb.normal_form
+    monkeypatch.setattr(alg.gb, "normal_form", lambda f: calls.append(f) or normal_form(f))
+    assert alg.dot(xs, ys) == expected
+    assert len(calls) == 1
+    assert alg.dot([], []) == alg.zero()
+
+
 def test_element_equality_under_relations():
     alg = even_quadric_2()
     lhs = alg.var("x1") * alg.var("y1")

@@ -184,6 +184,17 @@ def test_add_subcommand(tmp_path, capsys):
     assert payload["word_u"]["n"] == 2
 
 
+def test_add_rejects_a_budget_below_one(tmp_path, capsys):
+    bundle = {
+        "algebra": {"field": "Q", "vars": ["x"], "relations": []},
+        "rows": {"u": ["1", "x"]},
+    }
+    path = write_json(tmp_path / "rows.json", bundle)
+    code = main(["add", "--rows", path, "--u", "u", "--v", "u", "--shrink-budget", "-1"])
+    assert code == 2
+    assert "shrink budget" in capsys.readouterr().err
+
+
 def test_add_unknown_row(tmp_path, capsys):
     bundle = {
         "algebra": {"field": "Q", "vars": [], "relations": []},

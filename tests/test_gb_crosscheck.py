@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umrow.fields import RATIONALS, prime_field
-from umrow.groebner import Ideal, _cofactor_update, buchberger, divide_with_remainder
+from umrow.groebner import Ideal, buchberger, divide_with_remainder
 from umrow.poly import (
     Grevlex,
     Lex,
@@ -303,12 +303,16 @@ def cofactor_updates(draw):
 
 
 @given(cofactor_updates())
-def test_cofactor_update_matches_plain_sum(update):
+def test_dot_matches_plain_sum(update):
+    # Each entry of row - sum(quots[t] * rows[t]), as buchberger updates a
+    # cofactor row, is one dot product.
     row, quots, rows = update
+    ring = row[0].ring
     expected = list(row)
     for q, r in zip(quots, rows):
         expected = [e - q * c for e, c in zip(expected, r)]
-    got = _cofactor_update(row, quots, rows)
+    mults = [ring.one(), *(-q for q in quots)]
+    got = [ring.dot(mults, [entry, *(r[k] for r in rows)]) for k, entry in enumerate(row)]
     assert got == expected
     assert all(c for entry in got for c in entry.terms.values())
 

@@ -1,17 +1,21 @@
 """The byte-stable report of the combined suite over n = 2..6 is pinned by
 its sha256, per field, and so are the printouts of every named morphism and
-of `gb` and `add` on the sphere; a refactor must leave all four digests
+of `gb` and `add` on the sphere, and the reduced bases, cofactor rows and
+lifts of a fixed set of ideals; a refactor must leave all five digests
 unchanged."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from umrow.cli import MORPHISMS, main
 from umrow.fields import RATIONALS, prime_field
+from umrow.groebner import Ideal, buchberger
+from umrow.poly import PolyRing
 from umrow.suites import SuiteConfig, run_suite
 
 
@@ -63,3 +67,71 @@ def test_gb_and_add_printouts_digest(tmp_path, capsys):
         assert main(["add", "--rows", str(bundle), "--u", "u", "--v", "v"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == "786a99ab11f1ebcd135eb816fd6c40c5ded2be24f2ec9c7c9c5f8e2a38a6add9"
+
+
+def _katsura4(field):
+    ring = PolyRing(field, ["u0", "u1", "u2", "u3", "u4"])
+    u = ring.gens()
+
+    def at(m):
+        return u[abs(m)] if abs(m) <= 4 else ring.zero()
+
+    gens = [sum((at(l) * at(m - l) for l in range(-4, 5)), -at(m)) for m in range(4)]
+    gens.append(u[0] + 2 * (u[1] + u[2] + u[3] + u[4]) - 1)
+    return ring, gens
+
+
+def _cyclic4(field):
+    ring = PolyRing(field, ["x0", "x1", "x2", "x3"])
+    x = ring.gens()
+    gens = []
+    for k in range(1, 4):
+        terms = []
+        for i in range(4):
+            t = ring.one()
+            for j in range(k):
+                t = t * x[(i + j) % 4]
+            terms.append(t)
+        gens.append(sum(terms, ring.zero()))
+    gens.append(x[0] * x[1] * x[2] * x[3] - 1)
+    return ring, gens
+
+
+def _random_ideal(rng, field, order):
+    ring = PolyRing(field, ["x", "y", "z"], order)
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            mono = tuple(rng.randint(0, 2) for _ in range(3))
+            terms[mono] = field.scalar(rng.randint(-3, 3)).value
+        gens.append(ring.from_terms(terms))
+    return ring, gens
+
+
+def test_bases_cofactors_and_lifts_digest():
+    # Reduced bases, cofactor rows and three lifts each of katsura-4 and
+    # cyclic-4 over Q and F_32003 (grevlex), and of 36 seeded random ideals
+    # in three variables over Q, F_32003 and F_5 under lex and grevlex.
+    def text(p):
+        return repr([(m, str(c)) for m, c in p.sorted_terms()])
+
+    digest = hashlib.sha256()
+    problems = []
+    for field in (RATIONALS, prime_field(32003)):
+        problems += [_katsura4(field), _cyclic4(field)]
+    rng = random.Random(7)
+    for field in (RATIONALS, prime_field(32003), prime_field(5)):
+        for order in ("lex", "grevlex"):
+            problems += [_random_ideal(rng, field, order) for _ in range(6)]
+    for ring, gens in problems:
+        gb = buchberger(Ideal.of(ring, gens))
+        for b, row in zip(gb.basis, gb.cofactors):
+            digest.update(text(b).encode())
+            for c in row:
+                digest.update(text(c).encode())
+        queries = [gens[0] * gens[-1], gens[0] * ring.var(0) + gens[1], gb.basis[-1]]
+        for f in queries:
+            for c in gb.lift(f):
+                digest.update(text(c).encode())
+    assert digest.hexdigest() == "e700b08425998a75b1836352310168a1ca4dd912d9ada321c4bd4f1426d0551b"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from umrow.algebra import make_algebra
 from umrow.errors import ParseError, RingMismatch
 from umrow.fields import RATIONALS, prime_field
 from umrow.poly import PolyRing, grevlex, lex
@@ -15,6 +16,23 @@ def poly_strategy(ring, maxdeg=3, maxterms=4):
     mono = st.tuples(*([st.integers(0, maxdeg)] * ring.nvars))
     coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
     return st.dictionaries(mono, coeff, max_size=maxterms).map(ring.from_terms)
+
+
+@pytest.mark.parametrize("bad", [3, -1, "w"])
+def test_var_outside_the_ring_raises(bad):
+    with pytest.raises(RingMismatch):
+        R3.var(bad)
+    with pytest.raises(RingMismatch):
+        make_algebra(RATIONALS, R3.vars, []).var(bad)
+
+
+def test_dot_is_the_sum_of_products():
+    ps = [R2.parse("x + y"), R2.parse("x"), R2.zero()]
+    qs = [R2.parse("x - y"), R2.parse("y^2"), R2.parse("y")]
+    assert R2.dot(ps, qs) == R2.parse("x^2 - y^2 + x*y^2")
+    assert R2.dot([R2.parse("x"), R2.parse("y")], [R2.parse("y"), R2.parse("-x")]).terms == {}
+    with pytest.raises(RingMismatch):
+        R2.dot([R2.one()], [R3.one()])
 
 
 def test_product_example():

@@ -6,6 +6,7 @@ import pytest
 
 from umrow.algebra import RingHom, hom_compose, make_algebra
 from umrow.errors import (
+    BadCertificate,
     CertificateAssemblyFailed,
     CharacteristicTwoUnsupported,
     DimensionOfZeroRing,
@@ -412,6 +413,25 @@ def test_fold_certificate_verifies(n):
 def test_fold_certificate_declines_small_n():
     vt = vtilde_ring(3, RATIONALS)
     with pytest.raises(CertificateAssemblyFailed):
+        fold_model_certificate(vt)
+
+
+def test_fold_certificate_reports_only_its_own_errors(monkeypatch):
+    # A failed stage is a failed certificate; a fault in the code is not.
+    vt = vtilde_ring(4, RATIONALS)
+
+    def broken(macro, row):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(quadrics, "macro_expand", broken)
+    with pytest.raises(TypeError):
+        fold_model_certificate(vt)
+
+    def refused(macro, row):
+        raise BadCertificate("refused")
+
+    monkeypatch.setattr(quadrics, "macro_expand", refused)
+    with pytest.raises(CertificateAssemblyFailed, match="stage 'whitehead' failed"):
         fold_model_certificate(vt)
 
 

@@ -5,13 +5,14 @@ import warnings
 import pytest
 
 from umrow.algebra import make_algebra
-from umrow.errors import NotUnimodular, ShapeError, ShrinkFailed
+from umrow.errors import ConfigError, NotUnimodular, ShapeError, ShrinkFailed
 from umrow.fields import RATIONALS
 from umrow.quadrics import scalar_algebra, vtilde_ring
 from umrow.rows import (
     ElementaryGen,
     ElementaryWord,
     OrbitCertificate,
+    SplittingRow,
     UnimodularRow,
     apply_word,
     check_unimodular,
@@ -80,6 +81,17 @@ def test_splitting_leading_one():
     row = check_unimodular(alg, [alg.one(), alg.var("x")])
     split = compute_splitting(row)
     assert [str(e) for e in split.entries] == ["1", "0"]
+
+
+def test_splitting_row_reduces_its_sum_once(monkeypatch):
+    alg = sphere()
+    x, y, z = alg.gens()
+    row = UnimodularRow(alg, (x, y, z))
+    calls = []
+    normal_form = alg.gb.normal_form
+    monkeypatch.setattr(alg.gb, "normal_form", lambda f: calls.append(f) or normal_form(f))
+    SplittingRow(row, (x, y, z))
+    assert len(calls) == 1
 
 
 def test_row_from_witness_rejects_bad_witness():
@@ -232,6 +244,14 @@ def test_mn_shrink_failure_with_bad_hints():
     zeros = [alg.zero()] * 2
     with pytest.raises(ShrinkFailed):
         mennicke_newman(u, u, shrink_hints=zeros)
+
+
+@pytest.mark.parametrize("budget", [0, -1, -3])
+def test_mn_rejects_a_budget_below_one(budget):
+    alg = make_algebra(RATIONALS, ["x"], [])
+    u = check_unimodular(alg, [1, "x"])
+    with pytest.raises(ConfigError):
+        mennicke_newman(u, u, shrink_budget=budget)
 
 
 def test_mn_rejects_unverified():
