@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Build a BENCH record from benchmark runs, and print the change it shows.
+
+A BENCH file holds, for each workload and end-to-end metric, the quartiles
+(q1, median, q3) of the runs at a parent commit and of the runs with a
+change, and how many seed-matched pairs the change won.  Its inputs are the
+records that ``benchmarks/run.py --trace 0`` writes under ``.bench_out/``
+(``<workload>-seed<N>-trace0.json``), one directory per side.
+
+    python3 scripts/bench_diff.py build PARENT_DIR CHANGE_DIR --parent SHA > BENCH_<n>.json
+    python3 scripts/bench_diff.py diff BENCH_<n>.json
+    python3 scripts/bench_diff.py diff BENCH_<m>.json BENCH_<n>.json
+
+``diff`` with one file prints its parent -> change medians; with two, the
+change medians of the first file -> those of the second, for the workloads
+and metrics both hold.  A metric is marked ``worse`` when it moved the wrong
+way by more than the bound ``BENCHMARK.json`` fixes for it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def metric_specs() -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m for m in spec["end_to_end"]}
+
+
+def load_runs(directory: Path) -> dict:
+    """{workload: {seed: record}} for the untraced records in ``directory``."""
+    runs: dict = {}
+    for path in sorted(directory.glob("*-seed*-trace0.json")):
+        workload, seed = path.name[: -len("-trace0.json")].rsplit("-seed", 1)
+        runs.setdefault(workload, {})[int(seed)] = json.loads(path.read_text())
+    return runs
+
+
+def quartiles(values: list) -> list:
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def build(parent_dir: Path, change_dir: Path, parent_sha: str) -> dict:
+    specs = metric_specs()
+    parent, change = load_runs(parent_dir), load_runs(change_dir)
+    workloads = {}
+    for workload in sorted(parent.keys() & change.keys()):
+        seeds = sorted(parent[workload].keys() & change[workload].keys())
+        if not seeds:
+            continue
+        sides = {"parent": [parent[workload][s] for s in seeds], "change": [change[workload][s] for s in seeds]}
+        metrics = {}
+        for name, spec in specs.items():
+            values = {side: [r["metrics"][name]["value"] for r in recs] for side, recs in sides.items()}
+            sign = 1 if spec["better"] == "lower" else -1
+            wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+            metrics[name] = {
+                "unit": spec["unit"],
+                "parent": quartiles(values["parent"]),
+                "change": quartiles(values["change"]),
+                "wins": wins,
+            }
+        workloads[workload] = {
+            "seeds": seeds,
+            "correct": all(r["correct"] for recs in sides.values() for r in recs),
+            "failed": {side: sum(r["failed"] for r in recs) for side, recs in sides.items()},
+            "metrics": metrics,
+        }
+    env = next(r for recs in change.values() for r in recs.values())["environment"]
+    return {
+        "parent": parent_sha,
+        "command": "python3 benchmarks/run.py --workload W --seed N --seconds 20 --trace 0",
+        "python": env["python"],
+        "cpus": env["cpus"],
+        "workloads": workloads,
+    }
+
+
+def diff(old: dict, new: dict | None) -> None:
+    """Print the median of each metric before -> after, its relative change,
+    and whether it got worse by more than its bound."""
+    specs = metric_specs()
+    own = new is None
+    before, new = ("parent", old) if own else ("change", new)
+    for workload, w_new in new["workloads"].items():
+        w_old = old["workloads"].get(workload)
+        if w_old is None:
+            continue
+        print(f"{workload} (seeds {w_new['seeds'][0]}-{w_new['seeds'][-1]}, {len(w_new['seeds'])} runs)")
+        for name, m_new in w_new["metrics"].items():
+            m_old = w_old["metrics"].get(name)
+            if m_old is None:
+                continue
+            a, b = m_old[before][1], m_new["change"][1]
+            rel = (b - a) / a if a else 0.0
+            spec = specs.get(name)
+            worse = spec is not None and (rel if spec["better"] == "lower" else -rel) > spec["bound"]
+            wins = f"  {m_new['wins']}/{len(w_new['seeds'])} won" if own else ""
+            print(f"  {name:12s} {a:10.4g} -> {b:10.4g} {m_new['unit']:5s} {rel:+7.1%}{wins}"
+                  f"{'  worse' if worse else ''}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    b = sub.add_parser("build", help="print a BENCH record built from two record directories")
+    b.add_argument("parent_dir", type=Path)
+    b.add_argument("change_dir", type=Path)
+    b.add_argument("--parent", required=True, help="git commit the parent runs were made at")
+    d = sub.add_parser("diff", help="print the change one BENCH file shows, or from one to the next")
+    d.add_argument("files", type=Path, nargs="+")
+    args = ap.parse_args()
+    if args.command == "build":
+        print(json.dumps(build(args.parent_dir, args.change_dir, args.parent), indent=1))
+        return 0
+    if len(args.files) > 2:
+        ap.error("diff takes one or two BENCH files")
+    old, *rest = (json.loads(f.read_text()) for f in args.files)
+    diff(old, rest[0] if rest else None)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,7 +52,7 @@ class Algebra:
         return self.ring.vars
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Algebra)
             and self.ring == other.ring
             and self.relations == other.relations

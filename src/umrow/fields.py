@@ -6,6 +6,11 @@ A field is an instance of one of two subclasses of :class:`FieldConfig`:
 :class:`PrimeField`, whose values are residues in ``[0, p)``.  Each class
 binds its arithmetic once, so no operation asks which field it is in.  Both
 representations are canonical, so equal values compare bit-identical.
+
+For sums of products each field also has an integral form: ``integral``
+writes a term dict as plain ints over one denominator, and ``normalize``
+turns an accumulated int sum over a denominator back into canonical values,
+once per sum.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .errors import ConfigError, DivisionByZero, FieldMismatch
@@ -58,8 +64,8 @@ def _is_prime(p: int) -> bool:
 class FieldConfig:
     """A coefficient field.  Each subclass binds ``characteristic``,
     ``from_int``, ``from_fraction``, ``add``, ``sub``, ``mul``, ``neg`` and
-    ``inv`` on raw values; the methods below are written once in terms of
-    those."""
+    ``inv`` on raw values, and ``integral``/``normalize`` on term dicts;
+    the methods below are written once in terms of those."""
 
     characteristic: int
 
@@ -120,6 +126,22 @@ class Rationals(FieldConfig):
             raise DivisionByZero("no inverse of zero")
         return Fraction(1) / a
 
+    @staticmethod
+    def integral(terms: dict) -> tuple:
+        """(numerators, den): the terms as ints over the lcm of their
+        denominators."""
+        den = lcm(*[c.denominator for c in terms.values()])
+        if den == 1:
+            return {m: c.numerator for m, c in terms.items()}, 1
+        return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+    @staticmethod
+    def normalize(acc: dict, den: int) -> dict:
+        """The reduced ``Fraction`` n/den of each nonzero n in ``acc``."""
+        if den == 1:
+            return {m: Fraction(n) for m, n in acc.items() if n}
+        return {m: Fraction(n, den) for m, n in acc.items() if n}
+
     def __str__(self) -> str:
         return "q"
 
@@ -165,6 +187,17 @@ class PrimeField(FieldConfig):
         if not a:
             raise DivisionByZero("no inverse of zero")
         return pow(a, self.modulus - 2, self.modulus)
+
+    @staticmethod
+    def integral(terms: dict) -> tuple:
+        """Residues are already ints: the terms themselves, over 1."""
+        return terms, 1
+
+    def normalize(self, acc: dict, den: int) -> dict:
+        """Each nonzero residue of ``acc`` mod p; ``den`` is always 1, since
+        ``integral`` never makes another."""
+        p = self.modulus
+        return {m: r for m, n in acc.items() if (r := n % p)}
 
     def __str__(self) -> str:
         return f"fp:{self.modulus}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 from operator import add as _add, le as _le, sub as _sub
 from typing import Sequence
 
@@ -22,23 +23,41 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(_add, a, b))
 
 
-def _mul_into(out: dict, p: dict, q: dict, field: FieldConfig) -> dict:
-    """Add the product of the term dicts ``p`` and ``q`` into ``out`` and
-    return it; a coefficient that cancels is deleted, so ``out`` keeps no
+def _sum_of_products(pairs, field: FieldConfig) -> dict:
+    """sum(p_i * q_i) over ``pairs`` of term dicts, as a term dict with no
     zero.  The one multiply-accumulate loop: products, sums of products and
-    cofactor rows all go through it."""
-    mul, add = field.mul, field.add
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(map(_add, m1, m2))
-            v = mul(c1, c2)
-            if m in out:
-                v = add(out[m], v)
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
+    cofactor rows all go through it.  ``field.integral`` writes each operand
+    as ints over one denominator; the products add up as plain ints over the
+    common denominator of all pairs, and ``field.normalize`` turns the sum
+    back into field elements once."""
+    integral = field.integral
+    acc: dict = {}
+    get = acc.get
+    den = 1
+    for p, q in pairs:
+        if not (p and q):
+            continue  # a zero operand adds nothing; cofactor rows hold many
+        p, dp = integral(p)
+        q, dq = integral(q)
+        d = dp * dq
+        if d != den:
+            # Bring the sum so far and this pair to one denominator.
+            common = lcm(den, d)
+            if common != den:
+                k = common // den
+                for m in acc:
+                    acc[m] *= k
+                den = common
+            if den != d:
+                k = den // d
+                if len(q) < len(p):
+                    p, q = q, p  # scale the smaller operand
+                p = {m: c * k for m, c in p.items()}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                m = tuple(map(_add, m1, m2))
+                acc[m] = get(m, 0) + c1 * c2
+    return field.normalize(acc, den)
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -120,7 +139,7 @@ class PolyRing:
         return len(self.vars)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.vars == other.vars
@@ -158,12 +177,12 @@ class PolyRing:
 
     def dot(self, ps, qs) -> "Polynomial":
         """sum(p_i * q_i), summed into one term dict."""
-        out: dict = {}
+        pairs = []
         for p, q in zip(ps, qs, strict=True):
             if p.ring != self or q.ring != self:
                 raise RingMismatch("dot product outside the ring")
-            _mul_into(out, p.terms, q.terms, self.field)
-        return Polynomial(self, out)
+            pairs.append((p.terms, q.terms))
+        return Polynomial(self, _sum_of_products(pairs, self.field))
 
     def from_terms(self, terms: dict) -> "Polynomial":
         clean = {}
@@ -264,7 +283,7 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial(self.ring, _mul_into({}, self.terms, other.terms, self.ring.field))
+        return Polynomial(self.ring, _sum_of_products(((self.terms, other.terms),), self.ring.field))
 
     __rmul__ = __mul__
 

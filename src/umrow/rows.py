@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .algebra import Algebra, AlgebraElement
 from .errors import ConfigError, NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
@@ -234,14 +235,15 @@ def _tail_is_unimodular(parent: Algebra, tail) -> bool:
     return gb.is_unit_ideal()
 
 
-def _shrink_pool(parent: Algebra, seed: int, budget: int):
+def _shrink_draws(parent: Algebra, seed: int):
     """Deterministic candidate coefficients: 1, -1, the algebra generators,
-    then seeded random polynomials of degree at most 2."""
-    pool = [parent.one(), -parent.one()]
-    pool.extend(parent.gens())
+    then seeded random polynomials of degree at most 2, without end."""
+    yield parent.one()
+    yield -parent.one()
+    yield from parent.gens()
     rng = random.Random(seed)
     nvars = parent.ring.nvars
-    while len(pool) < budget:
+    while True:
         terms = {}
         for _ in range(rng.randint(1, 3)):
             mono = [0] * nvars
@@ -252,9 +254,16 @@ def _shrink_pool(parent: Algebra, seed: int, budget: int):
             key = tuple(mono)
             terms[key] = terms.get(key, 0) + coeff
         raw = {m: parent.field.from_int(c) for m, c in terms.items() if c}
-        poly = parent.ring.from_terms(raw)
-        pool.append(parent.element(poly))
-    return pool[:budget]
+        yield parent.element(parent.ring.from_terms(raw))
+
+
+def _shrink_pool(parent: Algebra, seed: int, budget: int):
+    """The distinct candidates among the first ``budget`` draws, in the order
+    drawn: a repeat would only retry the same assignments."""
+    pool: dict = {}
+    for cand in islice(_shrink_draws(parent, seed), budget):
+        pool.setdefault(cand.rep, cand)
+    return list(pool.values())
 
 
 def _shrink_assignments(parent: Algebra, slots: int, seed: int, budget: int):

@@ -277,14 +277,43 @@ def test_basis_elements_equal_their_cofactor_expansions(problem):
                 assert c.is_zero()
 
 
+def plain_dot(ps, qs):
+    """sum(p_i * q_i) as a term dict, by one ``field.mul`` and one
+    ``field.add`` per term pair, deleting a coefficient that cancels."""
+    out = {}
+    for p, q in zip(ps, qs, strict=True):
+        field = p.ring.field
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q.terms.items():
+                m = mono_mul(m1, m2)
+                v = field.mul(c1, c2)
+                if m in out:
+                    v = field.add(out[m], v)
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+    return out
+
+
+def mixed_coefficients(field):
+    """Nonzero coefficients: n/d with d up to 12 over Q (integer-valued
+    ones included), any residue over F_p."""
+    p = field.characteristic
+    if p:
+        return st.integers(1, p - 1)
+    return st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 12)).map(lambda nd: Fraction(*nd))
+
+
 @st.composite
 def cofactor_updates(draw):
     """(row, quots, rows) with zero entries, zero quotients and zero rows,
     and sometimes a row that the update cancels exactly."""
-    field = draw(st.sampled_from([RATIONALS, prime_field(5)]))
+    field = draw(st.sampled_from([RATIONALS, prime_field(2), prime_field(5), prime_field(32003),
+                                  prime_field(2**61 - 1)]))
     ring = PolyRing(field, ["x", "y"])
     monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    polys = st.dictionaries(monos, fractions_in(field), max_size=3).map(ring.from_terms)
+    polys = st.dictionaries(monos, mixed_coefficients(field), max_size=3).map(ring.from_terms)
     width = draw(st.integers(1, 3))
     count = draw(st.integers(0, 3))
     quots = draw(st.lists(polys, min_size=count, max_size=count))
@@ -296,25 +325,28 @@ def cofactor_updates(draw):
         )
     )
     if draw(st.booleans()):
-        row = [sum((q * r[k] for q, r in zip(quots, rows)), ring.zero()) for k in range(width)]
+        row = [ring.from_terms(plain_dot(quots, [r[k] for r in rows])) for k in range(width)]
     else:
         row = draw(st.lists(polys, min_size=width, max_size=width))
     return row, quots, rows
 
 
+@settings(max_examples=100)
 @given(cofactor_updates())
 def test_dot_matches_plain_sum(update):
     # Each entry of row - sum(quots[t] * rows[t]), as buchberger updates a
-    # cofactor row, is one dot product.
+    # cofactor row, is one dot product of 1 to 4 pairs, whose denominators
+    # differ over Q; it must equal the plain per-pair sum term for term.
     row, quots, rows = update
     ring = row[0].ring
-    expected = list(row)
-    for q, r in zip(quots, rows):
-        expected = [e - q * c for e, c in zip(expected, r)]
+    p = ring.field.characteristic
     mults = [ring.one(), *(-q for q in quots)]
-    got = [ring.dot(mults, [entry, *(r[k] for r in rows)]) for k, entry in enumerate(row)]
-    assert got == expected
-    assert all(c for entry in got for c in entry.terms.values())
+    for k, entry in enumerate(row):
+        column = [entry, *(r[k] for r in rows)]
+        got = ring.dot(mults, column)
+        assert got.terms == plain_dot(mults, column)
+        for c in got.terms.values():
+            assert (type(c) is int and 0 < c < p) if p else (type(c) is Fraction and c)
 
 
 @settings(max_examples=40)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,12 +29,47 @@ def test_var_outside_the_ring_raises(bad):
 
 
 def test_dot_is_the_sum_of_products():
-    ps = [R2.parse("x + y"), R2.parse("x"), R2.zero()]
-    qs = [R2.parse("x - y"), R2.parse("y^2"), R2.parse("y")]
-    assert R2.dot(ps, qs) == R2.parse("x^2 - y^2 + x*y^2")
-    assert R2.dot([R2.parse("x"), R2.parse("y")], [R2.parse("y"), R2.parse("-x")]).terms == {}
+    for field in [RATIONALS, prime_field(2), prime_field(5), prime_field(32003), prime_field(2**61 - 1)]:
+        check_dot_in(field)
     with pytest.raises(RingMismatch):
         R2.dot([R2.one()], [R3.one()])
+
+
+def check_dot_in(field):
+    # Denominators are coprime to every p tested, so each rational answer
+    # maps to F_p; a coefficient that vanishes there must not be stored.
+    ring = PolyRing(field, ["x", "y"])
+    x, y, one = ring.var("x"), ring.var("y"), ring.one()
+
+    def c(value):
+        return ring.const(Fraction(value))
+
+    def expect(poly, rational_terms):
+        expected = {m: field.scalar(Fraction(v)).value for m, v in rational_terms.items()}
+        assert poly.terms == {m: v for m, v in expected.items() if v}
+        for coeff in poly.terms.values():
+            if field.characteristic:
+                assert type(coeff) is int and 0 < coeff < field.characteristic
+            else:
+                assert type(coeff) is Fraction and coeff
+
+    ps = [x + y, x, ring.zero()]
+    qs = [x - y, y * y, y]
+    expect(ring.dot(ps, qs), {(2, 0): 1, (0, 2): -1, (1, 2): 1})
+    expect(ring.dot([], []), {})
+    expect(ring.dot([x - 1], [x + 1]), {(2, 0): 1, (0, 0): -1})
+    expect(-x * -y, {(1, 1): 1})
+    # Integer-valued coefficients, and denominators that cancel exactly.
+    expect(ring.dot([c(3) * x, c(2) * y], [c(2) * y, c(-3) * x]), {})
+    expect(ring.dot([c("1/3") * x, c("1/7") * y], [c("1/7") * y, c("-1/3") * x]), {})
+    # Each pair has its own denominator (3, 91, 9, 33), so the sum is
+    # brought to a new common denominator three times.
+    ps = [c("1/3") * x, c("1/7") * y, c("2/9") * x, c("1/11") * one]
+    qs = [y, c("1/13") * x + 1, -x, c("1/3") * y]
+    expect(ring.dot(ps, qs), {(1, 1): "94/273", (0, 1): "40/231", (2, 0): "-2/9"})
+    # A fraction pair, then an integer pair on the same monomial.
+    expect(ring.dot([c("1/3") * x, c(3) * x], [one, c(2) * one]), {(1, 0): "19/3"})
+    expect(ring.dot([c("1/3") * x + y, -y], [c("1/7") * x, c("1/7") * x - 1]), {(2, 0): "1/21", (0, 1): 1})
 
 
 def test_product_example():

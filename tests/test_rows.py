@@ -14,6 +14,7 @@ from umrow.rows import (
     OrbitCertificate,
     SplittingRow,
     UnimodularRow,
+    _shrink_pool,
     apply_word,
     check_unimodular,
     compute_splitting,
@@ -244,6 +245,17 @@ def test_mn_shrink_failure_with_bad_hints():
     zeros = [alg.zero()] * 2
     with pytest.raises(ShrinkFailed):
         mennicke_newman(u, u, shrink_hints=zeros)
+
+
+def test_shrink_pool_has_no_repeats():
+    # Over k every draw is a constant from -6 to 6, so 200 draws hold 13
+    # distinct candidates; a repeat would only retry the same assignments.
+    pool = _shrink_pool(scalars(), 0, 200)
+    assert len(pool) == 13
+    assert len({c.rep for c in pool}) == len(pool)
+    pool = _shrink_pool(vtilde_ring(2, RATIONALS).algebra, 0, 200)
+    assert len({c.rep for c in pool}) == len(pool) == 169
+    assert pool[:2] == [pool[0].parent.one(), -pool[0].parent.one()]
 
 
 @pytest.mark.parametrize("budget", [0, -1, -3])
