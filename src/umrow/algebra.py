@@ -38,6 +38,8 @@ class Algebra:
             if not poly.is_zero():
                 rels.append(poly)
         self.relations = tuple(rels)
+        # Immutable, and hashed by every element hash: hash the relations once.
+        self._hash = hash((self.ring, self.relations))
         self.relations_ideal = Ideal(self.ring, self.relations)
         self.gb = groebner_basis(self.relations_ideal)
         if self.gb.is_unit_ideal():
@@ -59,7 +61,7 @@ class Algebra:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.relations))
+        return self._hash
 
     def __repr__(self):
         return f"Algebra({self.field}, vars={list(self.variables)}, rels={len(self.relations)})"

@@ -7,10 +7,13 @@ A field is an instance of one of two subclasses of :class:`FieldConfig`:
 binds its arithmetic once, so no operation asks which field it is in.  Both
 representations are canonical, so equal values compare bit-identical.
 
-For sums of products each field also has an integral form: ``integral``
-writes a term dict as plain ints over one denominator, and ``normalize``
-turns an accumulated int sum over a denominator back into canonical values,
-once per sum.
+For sums of products and reductions each field also has an integral form:
+``integral`` writes a term dict as plain ints over one denominator,
+``normalize`` turns an accumulated int sum over a denominator back into
+canonical values, once per sum, and ``value`` does the same for one int.
+Both raw value types are rationals in Python's sense, so ``c.numerator`` and
+``c.denominator`` read any single value as an int over a denominator (a
+residue over 1).
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ def _is_prime(p: int) -> bool:
 class FieldConfig:
     """A coefficient field.  Each subclass binds ``characteristic``,
     ``from_int``, ``from_fraction``, ``add``, ``sub``, ``mul``, ``neg`` and
-    ``inv`` on raw values, and ``integral``/``normalize`` on term dicts;
-    the methods below are written once in terms of those."""
+    ``inv`` on raw values, ``integral``/``normalize`` on term dicts and
+    ``value`` on one int over a denominator; the methods below are written
+    once in terms of those."""
 
     characteristic: int
 
@@ -142,6 +146,11 @@ class Rationals(FieldConfig):
             return {m: Fraction(n) for m, n in acc.items() if n}
         return {m: Fraction(n, den) for m, n in acc.items() if n}
 
+    @staticmethod
+    def value(n: int, den: int) -> Fraction:
+        """The reduced ``Fraction`` n/den."""
+        return Fraction(n, den) if den != 1 else Fraction(n)
+
     def __str__(self) -> str:
         return "q"
 
@@ -198,6 +207,10 @@ class PrimeField(FieldConfig):
         ``integral`` never makes another."""
         p = self.modulus
         return {m: r for m, n in acc.items() if (r := n % p)}
+
+    def value(self, n: int, den: int) -> int:
+        """The residue of n; ``den`` is always 1, as in ``normalize``."""
+        return n % self.modulus
 
     def __str__(self) -> str:
         return f"fp:{self.modulus}"

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from math import lcm
+from operator import add as _add, le as _le, sub as _sub
 
 from .errors import (
     DimensionOfZeroRing,
@@ -62,63 +64,70 @@ def divide_with_remainder(f: Polynomial, divisors, order: MonomialOrder | None =
 
 
 def _split_lead(d: Polynomial, order: MonomialOrder):
-    """(lead monomial, inverse of the lead coefficient, other terms negated)
-    of a divisor, the form ``_reduce`` takes; a basis computes this once, not
-    per reduction, so no reduction step inverts or negates a coefficient."""
+    """(lead monomial, inverse of the lead coefficient, other terms negated
+    as ints, their denominator) of a divisor, the form ``_reduce`` takes; a
+    basis computes this once, not per reduction, so no reduction step
+    inverts, negates or converts a divisor coefficient."""
     lm, lc = d.lead(order)
     field = d.ring.field
-    return lm, field.inv(lc), tuple((m, field.neg(c)) for m, c in d.terms.items() if m != lm)
+    tail, dt = field.integral({m: c for m, c in d.terms.items() if m != lm})
+    return lm, field.inv(lc), tuple((m, -n) for m, n in tail.items()), dt
 
 
 def _reduce(f: Polynomial, leads, order: MonomialOrder):
     """Core reduction loop shared by division, Buchberger and normal forms.
 
-    ``leads`` are the divisors split by ``_split_lead``, so a step's quotient
-    term is the popped coefficient times the stored lead inverse, and each
-    other divisor term is added times that quotient.  The remainder-to-be
-    lives in a dict ``p`` and its monomials in a min-heap of
-    ``order.desc_key``, so each step pops the leading term instead of
-    rescanning ``p``, and each monomial is keyed once, when it first enters.
-    A monomial that cancels stays in the heap and is skipped when popped;
-    ``queued`` keeps a monomial that reappears before then from being pushed
-    twice.  Every new term is below the popped one, so popped monomials never
-    return, and a divisor never gets the same quotient monomial twice.  Terms
-    leave in descending order and the first divisor in list order whose lead
-    divides is used, so quotients and remainder are those of plain
-    multivariate division."""
+    ``leads`` are the divisors split by ``_split_lead``.  The remainder-to-be
+    ``p`` holds plain ints over one common denominator ``D`` (from
+    ``field.integral``; over F_p, unreduced residues over 1), and its
+    monomials sit in a min-heap of ``order.desc_key``, so each step pops the
+    leading term instead of rescanning ``p``, and each monomial is keyed
+    once, when it first enters.  A step makes one field value of the popped
+    int over ``D`` and skips it if zero (cancelled, or over F_p a multiple
+    of p).  The quotient term is that value times the stored lead inverse.
+    Each negated tail term is then added times the quotient's numerator as
+    a plain int, with no field call; first, if the quotient's denominator
+    times the tail's does not divide ``D``, all of ``p`` is rescaled to the
+    lcm.  A cancelled monomial keeps its zero entry until popped, so a
+    monomial not in ``p`` has never entered it: every new term is below the
+    popped one, so popped monomials never return, and a divisor never gets
+    the same quotient monomial twice.  Terms leave in descending order and
+    the first divisor in list order whose lead divides is used, so quotients
+    and remainder are those of plain multivariate division."""
     ring = f.ring
     field = ring.field
     dkey = order.desc_key
-    add, mul = field.add, field.mul
+    mul, value = field.mul, field.value
 
-    p = dict(f.terms)
+    p, D = field.integral(f.terms)
+    p = dict(p)  # over F_p, integral hands back f's own terms
     heap = [(dkey(m), m) for m in p]
     heapify(heap)
-    queued = set(p)
     rem: dict = {}
     quots = [dict() for _ in leads]
     while heap:
         m = heappop(heap)[1]
-        c = p.pop(m, None)
-        if c is None:
+        c = value(p.pop(m), D)
+        if not c:
             continue
-        for idx, (dm, inv_lc, tail) in enumerate(leads):
-            if mono_divides(dm, m):
-                t = mono_div(m, dm)
+        for idx, (dm, inv_lc, tail, dt) in enumerate(leads):
+            if all(map(_le, dm, m)):
+                t = tuple(map(_sub, m, dm))
                 q = quots[idx][t] = mul(c, inv_lc)
+                d = q.denominator * dt
+                if D % d:
+                    k = lcm(D, d) // D
+                    for mm in p:
+                        p[mm] *= k
+                    D *= k
+                s = q.numerator * (D // d)
                 for m2, c2 in tail:
-                    mm = mono_mul(m2, t)
+                    mm = tuple(map(_add, m2, t))
                     if mm in p:
-                        v = add(p[mm], mul(q, c2))
-                        if v:
-                            p[mm] = v
-                        else:
-                            del p[mm]
+                        p[mm] += s * c2
                     else:
-                        p[mm] = mul(q, c2)
-                        if mm not in queued:
-                            queued.add(mm)
-                            heappush(heap, (dkey(mm), mm))
+                        p[mm] = s * c2
+                        heappush(heap, (dkey(mm), mm))
                 break
         else:
             rem[m] = c
@@ -217,7 +226,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         cofs.append(cof)
 
     leads = [_split_lead(g, order) for g in basis]
-    lead_monos = [lm for lm, _, _ in leads]
+    lead_monos = [lead[0] for lead in leads]
     # Pending pairs: a heap pops them in (lcm degree, i, j) order, and the
     # set answers the chain criterion's membership test.
     queue: list = []

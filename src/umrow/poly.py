@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import lcm
-from operator import add as _add, le as _le, sub as _sub
+from operator import add as _add, itemgetter, le as _le, sub as _sub
 from typing import Sequence
 
 from .errors import DuplicateVariable, ParseError, RingMismatch
@@ -93,8 +93,15 @@ class Lex(MonomialOrder):
 
 
 class Grevlex(MonomialOrder):
+    def __post_init__(self):
+        super().__post_init__()
+        # itemgetter needs an index and returns a bare value for one; below
+        # two variables the reversed precedence is the identity anyway.
+        rev = self.precedence[::-1]
+        object.__setattr__(self, "_ranked", itemgetter(*rev) if len(rev) > 1 else tuple)
+
     def desc_key(self, m: Monomial):
-        return (-sum(m), *(m[i] for i in reversed(self.precedence)))
+        return (-sum(m),) + self._ranked(m)
 
 
 def lex(nvars: int, precedence: Sequence[int] | None = None) -> Lex:

@@ -72,6 +72,21 @@ def test_element_equal_requires_same_parent():
         a + b
 
 
+def test_equal_algebras_built_apart_hash_alike():
+    # The hash is computed once per algebra, so two equal algebras built
+    # separately, one from text and one from parsed relations, must still
+    # agree on it, and their elements must too.
+    first = even_quadric_2()
+    ring = first.ring
+    second = make_algebra(RATIONALS, ["x1", "y1", "z"], [ring.parse("x1*y1 - z + z^2"), ring.zero()])
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert hash(first) == hash(first) == hash((ring, first.relations))
+    x, y = first.element("x1*y1 + z^3"), second.element("x1*y1 + z^3")
+    assert x == y and hash(x) == hash(y)
+    assert len({first, second, laurent()}) == 2
+
+
 def test_canonical_normal_forms():
     alg = even_quadric_2()
     a = alg.element("x1*y1")

@@ -189,17 +189,35 @@ def test_engine_agrees_on_structured_ideals():
                 assert rem.is_zero()
 
 
+def mixed_coefficients(field):
+    """Nonzero coefficients: n/d with d up to 12 over Q (integer-valued
+    ones included), any residue over F_p."""
+    p = field.characteristic
+    if p:
+        return st.integers(1, p - 1)
+    return st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 12)).map(lambda nd: Fraction(*nd))
+
+
+def is_canonical(c, p) -> bool:
+    """A stored coefficient: a residue in (0, p) over F_p, a nonzero
+    ``Fraction`` over Q."""
+    return (type(c) is int and 0 < c < p) if p else (type(c) is Fraction and c != 0)
+
+
 @st.composite
 def division_problems(draw):
-    field = draw(st.sampled_from([RATIONALS, prime_field(32003)]))
+    """Division over Q with denominators up to 12, so the reducer's common
+    denominator must grow within one reduction, or over F_p for small and
+    large p, where its unreduced int sums cancel to a multiple of p rather
+    than to 0.  Divisor coefficients are random, so leads are rarely 1."""
+    field = draw(st.sampled_from([RATIONALS, prime_field(2), prime_field(5), prime_field(32003),
+                                  prime_field(2**61 - 1)]))
     nvars = draw(st.integers(2, 3))
     ring = PolyRing(field, ["x", "y", "z"][:nvars])
     precedence = draw(st.permutations(range(nvars)))
     order = draw(st.sampled_from([lex, grevlex]))(nvars, precedence)
     monos = st.tuples(*[st.integers(0, 3)] * nvars)
-    coeffs = st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 4)).map(
-        lambda nd: field.div(field.from_int(nd[0]), field.from_int(nd[1]))
-    )
+    coeffs = mixed_coefficients(field)
 
     def polys(max_terms):
         return st.dictionaries(monos, coeffs, min_size=1, max_size=max_terms).map(
@@ -228,6 +246,9 @@ def test_reducer_matches_naive_division(problem):
     naive_quots, naive_rem = naive_division(f, divisors, order)
     assert [q.terms for q in quots] == naive_quots
     assert rem.terms == naive_rem
+    p = f.ring.field.characteristic
+    for terms in [*(q.terms for q in quots), rem.terms]:
+        assert all(is_canonical(c, p) for c in terms.values())
     total = rem
     for q, d in zip(quots, divisors):
         total = total + q * d
@@ -296,15 +317,6 @@ def plain_dot(ps, qs):
     return out
 
 
-def mixed_coefficients(field):
-    """Nonzero coefficients: n/d with d up to 12 over Q (integer-valued
-    ones included), any residue over F_p."""
-    p = field.characteristic
-    if p:
-        return st.integers(1, p - 1)
-    return st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 12)).map(lambda nd: Fraction(*nd))
-
-
 @st.composite
 def cofactor_updates(draw):
     """(row, quots, rows) with zero entries, zero quotients and zero rows,
@@ -345,8 +357,7 @@ def test_dot_matches_plain_sum(update):
         column = [entry, *(r[k] for r in rows)]
         got = ring.dot(mults, column)
         assert got.terms == plain_dot(mults, column)
-        for c in got.terms.values():
-            assert (type(c) is int and 0 < c < p) if p else (type(c) is Fraction and c)
+        assert all(is_canonical(c, p) for c in got.terms.values())
 
 
 @settings(max_examples=40)
