@@ -258,22 +258,21 @@ class RingHom:
         return cached
 
     def _apply_poly(self, poly: Polynomial) -> AlgebraElement:
-        # Every term below is already a normal form: a scaled normal form, or a
-        # constant, which no leading monomial of a proper ideal divides.  So is
-        # their sum, and no further reduction is needed.
+        # Each monomial's image is a normal form (a reduced product of cached
+        # powers, or 1, which no lead of a proper ideal divides), and so is
+        # any linear combination of them: the sum needs no reduction.
         ring = self.target.ring
-        acc = ring.zero()
+        constant = (0,) * ring.nvars
+        coeffs, images = [], []
         for mono, coeff in poly.terms.items():
-            term = None
+            image = None
             for var, exp in enumerate(mono):
                 if exp:
                     power = self._power(var, exp)
-                    term = power if term is None else term * power
-            if term is None:
-                acc = acc + ring.from_terms({(0,) * ring.nvars: coeff})
-            else:
-                acc = acc + term.rep.scale(coeff)
-        return AlgebraElement(self.target, acc)
+                    image = power if image is None else image * power
+            coeffs.append(Polynomial(ring, {constant: coeff}))
+            images.append(ring.one() if image is None else image.rep)
+        return AlgebraElement(self.target, ring.dot(coeffs, images))
 
     def __call__(self, elt) -> AlgebraElement:
         if isinstance(elt, AlgebraElement):

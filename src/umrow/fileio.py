@@ -31,13 +31,22 @@ def field_from_json(spec) -> FieldConfig:
     raise ConfigError(f"bad field spec {spec!r} (expected \"Q\" or {{\"Fp\": p}})")
 
 
+def _strings(value, where: str) -> list:
+    """``value``, if it is a JSON list of strings."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{where}: expected a list of strings, got {value!r}")
+    return value
+
+
 def algebra_from_dict(data: dict, where: str = "<inline>") -> Algebra:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object, got {data!r}")
     for key in ("field", "vars", "relations"):
         if key not in data:
             raise ConfigError(f"{where}: missing key {key!r}")
     field = field_from_json(data["field"])
-    variables = list(data["vars"])
-    relations = list(data["relations"])
+    variables = _strings(data["vars"], f"{where}: vars")
+    relations = _strings(data["relations"], f"{where}: relations")
     try:
         return Algebra(field, variables, relations)
     except ParseError as exc:
@@ -62,8 +71,10 @@ def load_rows_bundle(path):
     """Parse a bundle into (algebra, {name: verified UnimodularRow})."""
     path = Path(path)
     data = _read_json(path)
-    if "algebra" not in data or "rows" not in data:
+    if not isinstance(data, dict) or "algebra" not in data or "rows" not in data:
         raise ConfigError(f"{path}: bundle needs 'algebra' and 'rows' keys")
+    if not isinstance(data["rows"], dict):
+        raise ConfigError(f"{path}: 'rows' must map each name to a list of strings")
     spec = data["algebra"]
     if isinstance(spec, str):
         algebra = load_algebra(path.parent / spec)
@@ -71,6 +82,7 @@ def load_rows_bundle(path):
         algebra = algebra_from_dict(spec, f"{path}:algebra")
     rows = {}
     for name, entry_strs in data["rows"].items():
+        entry_strs = _strings(entry_strs, f"{path}: row {name!r}")
         try:
             entries = [algebra.ring.parse(s) for s in entry_strs]
         except ParseError as exc:

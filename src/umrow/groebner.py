@@ -147,32 +147,30 @@ class GroebnerBasis:
     """A reduced Groebner basis together with its cofactor matrix.
 
     ``cofactors[k][i]`` is the coefficient of ``generators[i]`` in the exact
-    expansion of ``basis[k]``.
+    expansion of ``basis[k]``.  Queries reduce by the split leads that
+    ``buchberger`` hands over, so no lead is split again here.
     """
 
-    def __init__(self, ring, order, generators, basis, cofactors):
+    def __init__(self, ring, order, generators, basis, cofactors, leads):
         self.ring = ring
         self.order = order
         self.generators = tuple(generators)
         self.basis = tuple(basis)
         self.cofactors = tuple(tuple(row) for row in cofactors)
-        self._leads = [_split_lead(g, order) for g in self.basis]
+        self._leads = tuple(leads)
 
     def is_unit_ideal(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].constant_value() is not None
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        if f.ring != self.ring:
-            raise RingMismatch("element outside the basis ring")
-        if not self.basis:
-            return f
-        _, rem = _reduce(f, self._leads, self.order)
-        return rem
+        return self.normal_form_with_quotients(f)[1]
 
     def normal_form_with_quotients(self, f: Polynomial):
         if f.ring != self.ring:
             raise RingMismatch("element outside the basis ring")
         if not self.basis:
+            # Nothing divides f; ``_reduce`` would still rebuild every
+            # coefficient, and algebras without relations hit this often.
             return [], f
         return _reduce(f, self._leads, self.order)
 
@@ -205,62 +203,57 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     gens = ideal.generators
     ngen = len(gens)
 
-    def unit_row(i, raw):
-        row = [ring.zero()] * ngen
-        row[i] = ring.from_terms({(0,) * ring.nvars: raw})
-        return row
-
     basis: list[Polynomial] = []
     cofs: list[list[Polynomial]] = []
-
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        lc = g.lead(order)[1]
-        inv = field.inv(lc)
-        poly = g.scale(inv)
-        cof = unit_row(i, inv)
-        if poly.constant_value() is not None:
-            return GroebnerBasis(ring, order, gens, [poly], [cof])
-        basis.append(poly)
-        cofs.append(cof)
-
-    leads = [_split_lead(g, order) for g in basis]
-    lead_monos = [lead[0] for lead in leads]
+    leads: list = []  # basis[k] split by ``_split_lead``
     # Pending pairs: a heap pops them in (lcm degree, i, j) order, and the
     # set answers the chain criterion's membership test.
     queue: list = []
     pending: set = set()
 
-    def add_pairs(j):
+    def enter(poly, row, inv):
+        """The one way into the basis: ``poly`` scaled by ``inv`` to be
+        monic, with its cofactor row already scaled alike, and its lead split
+        once.  A constant returns the unit ideal's basis; anything else joins
+        the basis and queues its pairs."""
+        poly = poly.scale(inv)
+        lead = _split_lead(poly, order)
+        if poly.constant_value() is not None:
+            return GroebnerBasis(ring, order, gens, [poly], [row], [lead])
+        j = len(basis)
+        basis.append(poly)
+        cofs.append(row)
+        leads.append(lead)
         for i in range(j):
-            heappush(queue, (sum(mono_lcm(lead_monos[i], lead_monos[j])), i, j))
+            heappush(queue, (sum(mono_lcm(leads[i][0], lead[0])), i, j))
             pending.add((i, j))
 
-    for j in range(len(basis)):
-        add_pairs(j)
+    for i, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        inv = field.inv(g.lead(order)[1])
+        row = [ring.zero()] * ngen
+        row[i] = ring.const(inv)
+        if unit := enter(g, row, inv):
+            return unit
 
     one = field.one()
     while queue:
         _, i, j = heappop(queue)
         pending.remove((i, j))
-        lmi, lmj = lead_monos[i], lead_monos[j]
+        lmi, lmj = leads[i][0], leads[j][0]
         lcm = mono_lcm(lmi, lmj)
         if lcm == mono_mul(lmi, lmj):
             continue  # coprime leading monomials: S-polynomial reduces to 0
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (
-                mono_divides(lead_monos[k], lcm)
-                and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
-            ):
-                skip = True  # chain criterion
-                break
-        if skip:
-            continue
+        if any(
+            k != i
+            and k != j
+            and mono_divides(leads[k][0], lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        ):
+            continue  # chain criterion
         ti = mono_div(lcm, lmi)
         tj = mono_div(lcm, lmj)
         s = basis[i].mul_term(ti, one) - basis[j].mul_term(tj, one)
@@ -272,35 +265,29 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         # same combination of cofactor rows, scaled alike.
         inv = field.inv(rem.lead(order)[1])
         neg_inv = field.neg(inv)
-        rem = rem.scale(inv)
-        cof_s = _combine_rows(
+        row = _combine_rows(
             ring,
-            [ring.from_terms({ti: inv}), ring.from_terms({tj: neg_inv}),
+            [Polynomial(ring, {ti: inv}), Polynomial(ring, {tj: neg_inv}),
              *(q.scale(neg_inv) for q in quots)],
             [cofs[i], cofs[j], *cofs],
             ngen,
         )
-        if rem.constant_value() is not None:
-            return GroebnerBasis(ring, order, gens, [rem], [cof_s])
-        basis.append(rem)
-        cofs.append(cof_s)
-        leads.append(_split_lead(rem, order))
-        lead_monos.append(leads[-1][0])
-        add_pairs(len(basis) - 1)
+        if unit := enter(rem, row, inv):
+            return unit
 
     # Minimalize: keep only elements whose leading monomial no kept element
     # divides; ascending processing makes the kept set deterministic.
     # The sort is stable, so elements with equal leads keep their order.
     ascending = sorted(
-        range(len(basis)), key=lambda t: order.desc_key(lead_monos[t]), reverse=True
+        range(len(basis)), key=lambda t: order.desc_key(leads[t][0]), reverse=True
     )
     kept: list[int] = []
     for idx in ascending:
-        if not any(mono_divides(lead_monos[k], lead_monos[idx]) for k in kept):
+        if not any(mono_divides(leads[k][0], leads[idx][0]) for k in kept):
             kept.append(idx)
 
     final_polys = [basis[t] for t in kept]
-    final_cofs = [list(cofs[t]) for t in kept]
+    final_cofs = [cofs[t] for t in kept]
 
     # Tail-reduce each element against the others; leading terms are fixed.
     final_leads = [leads[t] for t in kept]
@@ -317,13 +304,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         final_leads[pos] = _split_lead(rem, order)
 
     ranked = sorted(range(len(final_polys)), key=lambda t: order.desc_key(final_leads[t][0]))
-    return GroebnerBasis(
-        ring,
-        order,
-        gens,
-        [final_polys[t] for t in ranked],
-        [final_cofs[t] for t in ranked],
-    )
+    columns = (final_polys, final_cofs, final_leads)
+    return GroebnerBasis(ring, order, gens, *([col[t] for t in ranked] for col in columns))
 
 
 # Bases kept by ``groebner_basis``.  Two golden ``umrow verify --suite all
@@ -343,28 +325,24 @@ def groebner_basis(ideal: Ideal, order: MonomialOrder | None = None) -> Groebner
     return _cached_basis(ideal, order or ideal.ring.order)
 
 
-def ideal_equal(a: Ideal, b: Ideal, order: MonomialOrder | None = None) -> bool:
+def ideal_equal(a: Ideal, b: Ideal) -> bool:
     if a.ring != b.ring:
         raise RingMismatch("ideals live in different rings")
-    gb_a = groebner_basis(a, order)
-    gb_b = groebner_basis(b, order)
+    gb_a = groebner_basis(a)
+    gb_b = groebner_basis(b)
     return all(gb_b.contains(g) for g in a.generators) and all(
         gb_a.contains(g) for g in b.generators
     )
 
 
-def krull_dimension(ideal: Ideal, order: MonomialOrder | None = None) -> int:
+def krull_dimension(ideal: Ideal) -> int:
     """Krull dimension of ring/ideal via the leading-term ideal: the largest
     set of variables meeting no leading-monomial support is independent."""
-    gb = groebner_basis(ideal, order)
+    gb = groebner_basis(ideal)
     if gb.is_unit_ideal():
         raise DimensionOfZeroRing("the quotient is the zero ring")
     nvars = ideal.ring.nvars
-    ord_ = order or ideal.ring.order
-    supports = set()
-    for g in gb.basis:
-        lm = g.lead(ord_)[0]
-        supports.add(frozenset(i for i, e in enumerate(lm) if e))
+    supports = {frozenset(i for i, e in enumerate(lead[0]) if e) for lead in gb._leads}
     # Drop supersets; they are hit whenever the smaller support is hit.
     minimal = {
         s for s in supports if not any(t < s for t in supports)

@@ -192,14 +192,19 @@ class PolyRing:
         return Polynomial(self, _sum_of_products(pairs, self.field))
 
     def from_terms(self, terms: dict) -> "Polynomial":
+        """The polynomial with these terms.  Each coefficient goes through
+        ``field.scalar``, so it is stored canonically, a zero is dropped and
+        a value outside the field raises ``ConfigError``."""
         clean = {}
         width = self.nvars
+        scalar = self.field.scalar
         for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != width:
                 raise RingMismatch(f"monomial width {len(mono)} != {width}")
-            if coeff:
-                clean[mono] = coeff
+            raw = scalar(coeff).value
+            if raw:
+                clean[mono] = raw
         return Polynomial(self, clean)
 
     def parse(self, text: str) -> "Polynomial":
@@ -342,8 +347,8 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def sorted_terms(self, order: MonomialOrder | None = None):
-        key = (order or self.ring.order).desc_key
+    def sorted_terms(self):
+        key = self.ring.order.desc_key
         return sorted(self.terms.items(), key=lambda mc: key(mc[0]))
 
     def __str__(self):

@@ -477,8 +477,8 @@ def phi_map(row: UnimodularRow, check_height: bool = False):
     even-quadric point realizing it.
 
     J_0 = <a_1, ..., a_d> carries the orientation lift
-    (a_1, ..., a_{d-1}, a_d a_{d+1}); the point comes from ``segre_point``
-    and its vanishing ideal <x_1, ..., x_d, z> is checked to equal J_0.
+    (a_1, ..., a_{d-1}, a_d a_{d+1}); the point comes from ``segre_point``,
+    which checks that its vanishing ideal <x_1, ..., x_d, z> equals J_0.
     The height check compares Krull dimensions and is advisory.
     """
     parent = row.parent
@@ -490,9 +490,6 @@ def phi_map(row: UnimodularRow, check_height: bool = False):
     lift = tuple(list(a[: d - 1]) + [a[d - 1] * a[d]])
     j0 = parent.ideal_with(a[:d])
     point = segre_point(row, splitting)
-    point_ideal = parent.ideal_with(list(point.x) + [point.z])
-    if not ideal_equal(point_ideal, j0):
-        raise ShapeError("the point's ideal differs from J_0")
     height_checked = False
     if check_height:
         ambient_dim = parent.dimension

@@ -253,8 +253,7 @@ def _shrink_draws(parent: Algebra, seed: int):
             coeff = rng.choice([-2, -1, 1, 2])
             key = tuple(mono)
             terms[key] = terms.get(key, 0) + coeff
-        raw = {m: parent.field.from_int(c) for m, c in terms.items() if c}
-        yield parent.element(parent.ring.from_terms(raw))
+        yield parent.element(parent.ring.from_terms(terms))
 
 
 def _shrink_pool(parent: Algebra, seed: int, budget: int):

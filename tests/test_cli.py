@@ -51,6 +51,30 @@ def test_malformed_prime_modulus_is_a_config_error(tmp_path, capsys, modulus):
     assert captured.err.startswith("error: modulus must be a positive prime")
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("add", {"algebra": SPHERE, "rows": ["u"]}),
+        ("add", {"algebra": SPHERE, "rows": {"u": [1, "x"]}}),
+        ("add", {"algebra": ["Q"], "rows": {"u": ["x"]}}),
+        ("gb", dict(SPHERE, vars="xyz")),
+        ("gb", dict(SPHERE, relations=[1])),
+    ],
+    ids=["rows-list", "row-entry-int", "algebra-list", "vars-string", "relation-int"],
+)
+def test_malformed_json_shape_is_a_config_error(tmp_path, capsys, command, payload):
+    # vars, relations and row entries are lists of strings, rows a dict.
+    path = write_json(tmp_path / "bad.json", payload)
+    if command == "add":
+        args = ["add", "--rows", path, "--u", "u", "--v", "u"]
+    else:
+        args = ["gb", "--input", path]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_load_algebra(tmp_path):
     path = write_json(tmp_path / "sphere.json", SPHERE)
     algebra = load_algebra(path)

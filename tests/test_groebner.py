@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from umrow import groebner
 from umrow.errors import DimensionOfZeroRing, InvalidDivisor, NotInIdeal, RingMismatch
-from umrow.fields import RATIONALS
+from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import (
     BASIS_CACHE_SIZE,
     Ideal,
@@ -175,6 +176,53 @@ def test_twisted_cubic_by_substitution_oracle():
     for g in gb.basis:
         assert substitute(g).is_zero()
     assert gb.contains(R3.parse("y^3 - z^2"))
+
+
+def _katsura4_fp():
+    ring = PolyRing(prime_field(32003), ["u0", "u1", "u2", "u3", "u4"])
+    u = ring.gens()
+
+    def at(m):
+        return u[abs(m)] if abs(m) <= 4 else ring.zero()
+
+    gens = [sum((at(l) * at(m - l) for l in range(-4, 5)), -at(m)) for m in range(4)]
+    return Ideal.of(ring, gens + [u[0] + 2 * (u[1] + u[2] + u[3] + u[4]) - 1])
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [_katsura4_fp(), ideal_of(R2, "x^2*y - 1", "x*y^2 - x", "0"), ideal_of(R2, "x", "2")],
+    ids=["katsura-4", "unit-by-s-pair", "unit-generator"],
+)
+def test_each_lead_is_split_once(monkeypatch, ideal):
+    # Each element is split when it enters the basis and once more after its
+    # tail reduction; building the GroebnerBasis splits nothing.
+    split, nonzero_remainders = [], []
+
+    def split_lead(d, order):
+        split.append(d)
+        return real_split(d, order)
+
+    def reduce(f, leads, order):
+        quots, rem = real_reduce(f, leads, order)
+        if not rem.is_zero():
+            nonzero_remainders.append(rem)
+        return quots, rem
+
+    real_split, real_reduce = groebner._split_lead, groebner._reduce
+    monkeypatch.setattr(groebner, "_split_lead", split_lead)
+    monkeypatch.setattr(groebner, "_reduce", reduce)
+    gb = buchberger(ideal)
+    # Elements enter as the nonzero generators (the constant 2 comes last, so
+    # all of them enter) and as the nonzero remainders of S-pairs; each tail
+    # reduction leaves a nonzero remainder too.  Each is split once, and
+    # nothing else is.
+    generators = [g for g in ideal.generators if not g.is_zero()]
+    assert len(split) == len(generators) + len(nonzero_remainders)
+    assert len({id(d) for d in split}) == len(split)
+    # The last splits are of the basis itself: the tail-reduced elements, or
+    # the constant of the unit ideal.
+    assert {id(d) for d in split[-len(gb.basis):]} == {id(g) for g in gb.basis}
 
 
 def test_empty_ideal_conventions():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from umrow.algebra import make_algebra
-from umrow.errors import ParseError, RingMismatch
+from umrow.errors import ConfigError, ParseError, RingMismatch
 from umrow.fields import RATIONALS, prime_field
 from umrow.poly import PolyRing, grevlex, lex
 
@@ -142,6 +142,19 @@ def test_powers():
 def test_parse_rational_coefficients():
     f = R2.parse("1/2*x - 3/4")
     assert f.coeff((1, 0)) == RATIONALS.scalar("1/2").value
+
+
+def test_from_terms_stores_canonical_coefficients():
+    f5 = PolyRing(prime_field(5), ["x"])
+    assert f5.from_terms({(1,): 5}).is_zero()
+    assert f5.from_terms({(1,): 7}) == f5.parse("7*x")
+    assert str(f5.from_terms({(1,): 7})) == "2*x"
+    assert f5.from_terms({(1,): Fraction(1, 2)}) == f5.parse("3*x")
+    (c,) = R2.from_terms({(1, 0): 2}).terms.values()
+    assert type(c) is Fraction
+    for bad in (0.5, None, [1]):
+        with pytest.raises(ConfigError):
+            R2.from_terms({(1, 0): bad})
 
 
 def test_parse_error_offsets():
