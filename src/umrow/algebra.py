@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import (
+    ConfigError,
     DuplicateVariable,
     NotWellDefined,
     RingMismatch,
@@ -29,9 +30,9 @@ class Algebra:
     elements are normal forms under graded reverse lex."""
 
     def __init__(self, field: FieldConfig, variables, relations):
-        self.ring = PolyRing(field, variables)
+        self.ring = PolyRing(field, _listed(variables, str, "variable names"))
         rels = []
-        for r in relations:
+        for r in _listed(relations, (str, Polynomial), "relations (texts or polynomials)"):
             poly = self.ring.parse(r) if isinstance(r, str) else r
             if poly.ring != self.ring:
                 raise RingMismatch("relation outside the declared ring")
@@ -117,6 +118,14 @@ class Algebra:
     @cached_property
     def dimension(self) -> int:
         return krull_dimension(self.relations_ideal)
+
+
+def _listed(value, kinds, what: str):
+    """``value``, if it is a list or tuple of ``kinds``; a string would pass
+    as a sequence of strings, and ``"xy"`` is not the variables x and y."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, kinds) for v in value)):
+        raise ConfigError(f"expected a list of {what}, got {value!r}")
+    return value
 
 
 def make_algebra(field: FieldConfig, variables, relations) -> Algebra:
@@ -262,7 +271,6 @@ class RingHom:
         # powers, or 1, which no lead of a proper ideal divides), and so is
         # any linear combination of them: the sum needs no reduction.
         ring = self.target.ring
-        constant = (0,) * ring.nvars
         coeffs, images = [], []
         for mono, coeff in poly.terms.items():
             image = None
@@ -270,7 +278,7 @@ class RingHom:
                 if exp:
                     power = self._power(var, exp)
                     image = power if image is None else image * power
-            coeffs.append(Polynomial(ring, {constant: coeff}))
+            coeffs.append(ring.const(coeff))
             images.append(ring.one() if image is None else image.rep)
         return AlgebraElement(self.target, ring.dot(coeffs, images))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from contextlib import nullcontext
 
 from .errors import ConfigError, UmrowError
@@ -124,11 +123,7 @@ def _cmd_add(args) -> int:
     for name in (args.u, args.v):
         if name not in rows:
             raise UmrowError(f"bundle has no row named {name!r}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = vdk_add(
-            rows[args.u], rows[args.v], seed=args.seed, shrink_budget=args.shrink_budget
-        )
+    result = vdk_add(rows[args.u], rows[args.v], seed=args.seed, shrink_budget=args.shrink_budget)
     _emit(
         {
             "u": args.u,

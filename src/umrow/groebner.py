@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
-from math import lcm
-from operator import add as _add, le as _le, sub as _sub
+from heapq import heappop, heappush
 
 from .errors import (
     DimensionOfZeroRing,
@@ -24,10 +22,14 @@ from .poly import (
     MonomialOrder,
     PolyRing,
     Polynomial,
+    _reduce,
+    _split_lead,
+    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
+    mono_support,
 )
 
 
@@ -61,77 +63,6 @@ def divide_with_remainder(f: Polynomial, divisors, order: MonomialOrder | None =
         if d.is_zero():
             raise InvalidDivisor("zero divisor")
     return _reduce(f, [_split_lead(d, order) for d in divisors], order)
-
-
-def _split_lead(d: Polynomial, order: MonomialOrder):
-    """(lead monomial, inverse of the lead coefficient, other terms negated
-    as ints, their denominator) of a divisor, the form ``_reduce`` takes; a
-    basis computes this once, not per reduction, so no reduction step
-    inverts, negates or converts a divisor coefficient."""
-    lm, lc = d.lead(order)
-    field = d.ring.field
-    tail, dt = field.integral({m: c for m, c in d.terms.items() if m != lm})
-    return lm, field.inv(lc), tuple((m, -n) for m, n in tail.items()), dt
-
-
-def _reduce(f: Polynomial, leads, order: MonomialOrder):
-    """Core reduction loop shared by division, Buchberger and normal forms.
-
-    ``leads`` are the divisors split by ``_split_lead``.  The remainder-to-be
-    ``p`` holds plain ints over one common denominator ``D`` (from
-    ``field.integral``; over F_p, unreduced residues over 1), and its
-    monomials sit in a min-heap of ``order.desc_key``, so each step pops the
-    leading term instead of rescanning ``p``, and each monomial is keyed
-    once, when it first enters.  A step makes one field value of the popped
-    int over ``D`` and skips it if zero (cancelled, or over F_p a multiple
-    of p).  The quotient term is that value times the stored lead inverse.
-    Each negated tail term is then added times the quotient's numerator as
-    a plain int, with no field call; first, if the quotient's denominator
-    times the tail's does not divide ``D``, all of ``p`` is rescaled to the
-    lcm.  A cancelled monomial keeps its zero entry until popped, so a
-    monomial not in ``p`` has never entered it: every new term is below the
-    popped one, so popped monomials never return, and a divisor never gets
-    the same quotient monomial twice.  Terms leave in descending order and
-    the first divisor in list order whose lead divides is used, so quotients
-    and remainder are those of plain multivariate division."""
-    ring = f.ring
-    field = ring.field
-    dkey = order.desc_key
-    mul, value = field.mul, field.value
-
-    p, D = field.integral(f.terms)
-    p = dict(p)  # over F_p, integral hands back f's own terms
-    heap = [(dkey(m), m) for m in p]
-    heapify(heap)
-    rem: dict = {}
-    quots = [dict() for _ in leads]
-    while heap:
-        m = heappop(heap)[1]
-        c = value(p.pop(m), D)
-        if not c:
-            continue
-        for idx, (dm, inv_lc, tail, dt) in enumerate(leads):
-            if all(map(_le, dm, m)):
-                t = tuple(map(_sub, m, dm))
-                q = quots[idx][t] = mul(c, inv_lc)
-                d = q.denominator * dt
-                if D % d:
-                    k = lcm(D, d) // D
-                    for mm in p:
-                        p[mm] *= k
-                    D *= k
-                s = q.numerator * (D // d)
-                for m2, c2 in tail:
-                    mm = tuple(map(_add, m2, t))
-                    if mm in p:
-                        p[mm] += s * c2
-                    else:
-                        p[mm] = s * c2
-                        heappush(heap, (dkey(mm), mm))
-                break
-        else:
-            rem[m] = c
-    return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
 def _combine_rows(ring: PolyRing, mults, rows, width: int):
@@ -225,7 +156,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         cofs.append(row)
         leads.append(lead)
         for i in range(j):
-            heappush(queue, (sum(mono_lcm(leads[i][0], lead[0])), i, j))
+            heappush(queue, (mono_degree(mono_lcm(leads[i][0], lead[0])), i, j))
             pending.add((i, j))
 
     for i, g in enumerate(gens):
@@ -238,6 +169,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             return unit
 
     one = field.one()
+    neg_one = field.neg(one)
     while queue:
         _, i, j = heappop(queue)
         pending.remove((i, j))
@@ -256,7 +188,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             continue  # chain criterion
         ti = mono_div(lcm, lmi)
         tj = mono_div(lcm, lmj)
-        s = basis[i].mul_term(ti, one) - basis[j].mul_term(tj, one)
+        s = ring.dot((ring.term(ti, one), ring.term(tj, neg_one)), (basis[i], basis[j]))
         quots, rem = _reduce(s, leads, order)
         if rem.is_zero():
             continue
@@ -267,8 +199,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         neg_inv = field.neg(inv)
         row = _combine_rows(
             ring,
-            [Polynomial(ring, {ti: inv}), Polynomial(ring, {tj: neg_inv}),
-             *(q.scale(neg_inv) for q in quots)],
+            [ring.term(ti, inv), ring.term(tj, neg_inv), *(q.scale(neg_inv) for q in quots)],
             [cofs[i], cofs[j], *cofs],
             ngen,
         )
@@ -296,10 +227,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         if not others:
             continue
         quots, rem = _reduce(final_polys[pos], [final_leads[s] for s in others], order)
-        # Adding the update to the old row shares its terms with that row,
-        # which ``cofs`` still holds, where a product by 1 would copy them.
-        update = _combine_rows(ring, [-q for q in quots], [final_cofs[s] for s in others], ngen)
-        final_cofs[pos] = [c + u for c, u in zip(final_cofs[pos], update)]
+        rows = [final_cofs[pos], *(final_cofs[s] for s in others)]
+        final_cofs[pos] = _combine_rows(ring, [ring.one(), *(-q for q in quots)], rows, ngen)
         final_polys[pos] = rem
         final_leads[pos] = _split_lead(rem, order)
 
@@ -342,7 +271,7 @@ def krull_dimension(ideal: Ideal) -> int:
     if gb.is_unit_ideal():
         raise DimensionOfZeroRing("the quotient is the zero ring")
     nvars = ideal.ring.nvars
-    supports = {frozenset(i for i, e in enumerate(lead[0]) if e) for lead in gb._leads}
+    supports = {mono_support(lead[0]) for lead in gb._leads}
     # Drop supersets; they are hit whenever the smaller support is hit.
     minimal = {
         s for s in supports if not any(t < s for t in supports)

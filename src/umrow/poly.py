@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import add as _add, itemgetter, le as _le, sub as _sub
 from typing import Sequence
@@ -23,13 +24,34 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(_add, a, b))
 
 
+def mono_degree(m: Monomial) -> int:
+    return sum(m)
+
+
+def mono_support(m: Monomial) -> frozenset:
+    """The indices of the variables that occur in ``m``."""
+    return frozenset(i for i, e in enumerate(m) if e)
+
+
+def _rescale(acc: dict, den: int, d: int) -> int:
+    """Bring the int sum ``acc`` over ``den`` to the lcm of ``den`` and
+    ``d``, in place, and return that lcm; both integral loops call this when
+    a new denominator ``d`` does not divide the running one."""
+    k = lcm(den, d) // den
+    for m in acc:
+        acc[m] *= k
+    return den * k
+
+
 def _sum_of_products(pairs, field: FieldConfig) -> dict:
     """sum(p_i * q_i) over ``pairs`` of term dicts, as a term dict with no
-    zero.  The one multiply-accumulate loop: products, sums of products and
-    cofactor rows all go through it.  ``field.integral`` writes each operand
-    as ints over one denominator; the products add up as plain ints over the
-    common denominator of all pairs, and ``field.normalize`` turns the sum
-    back into field elements once."""
+    zero.  The one multiply-accumulate loop: products, scaling, sums of
+    products and cofactor rows all go through it.  ``field.integral`` writes
+    each operand as ints over one denominator; the products add up as plain
+    ints over the common denominator of all pairs, and ``field.normalize``
+    turns the sum back into field elements once.  A constant factor adds
+    the other factor's terms under their own monomial tuples, so a scaled
+    polynomial shares its monomials with the original."""
     integral = field.integral
     acc: dict = {}
     get = acc.get
@@ -42,22 +64,93 @@ def _sum_of_products(pairs, field: FieldConfig) -> dict:
         d = dp * dq
         if d != den:
             # Bring the sum so far and this pair to one denominator.
-            common = lcm(den, d)
-            if common != den:
-                k = common // den
-                for m in acc:
-                    acc[m] *= k
-                den = common
+            if den % d:
+                den = _rescale(acc, den, d)
             if den != d:
                 k = den // d
                 if len(q) < len(p):
                     p, q = q, p  # scale the smaller operand
                 p = {m: c * k for m, c in p.items()}
+        if len(p) == 1 and not any(next(iter(p))):
+            p, q = q, p  # the constant goes last, where the branch below finds it
+        if len(q) == 1 and not any(next(iter(q))):
+            (c2,) = q.values()
+            for m, c1 in p.items():
+                acc[m] = get(m, 0) + c1 * c2
+            continue
         for m1, c1 in p.items():
             for m2, c2 in q.items():
                 m = tuple(map(_add, m1, m2))
                 acc[m] = get(m, 0) + c1 * c2
     return field.normalize(acc, den)
+
+
+def _split_lead(d: Polynomial, order: MonomialOrder):
+    """(lead monomial, inverse of the lead coefficient, other terms negated
+    as ints, their denominator) of a divisor, the form ``_reduce`` takes; a
+    basis computes this once, not per reduction, so no reduction step
+    inverts, negates or converts a divisor coefficient."""
+    lm, lc = d.lead(order)
+    field = d.ring.field
+    tail, dt = field.integral({m: c for m, c in d.terms.items() if m != lm})
+    return lm, field.inv(lc), tuple((m, -n) for m, n in tail.items()), dt
+
+
+def _reduce(f: Polynomial, leads, order: MonomialOrder):
+    """Core reduction loop shared by division, Buchberger and normal forms.
+
+    ``leads`` are the divisors split by ``_split_lead``.  The remainder-to-be
+    ``p`` holds plain ints over one common denominator ``D`` (from
+    ``field.integral``; over F_p, unreduced residues over 1), and its
+    monomials sit in a min-heap of ``order.desc_key``, so each step pops the
+    leading term instead of rescanning ``p``, and each monomial is keyed
+    once, when it first enters.  A step makes one field value of the popped
+    int over ``D`` and skips it if zero (cancelled, or over F_p a multiple
+    of p).  The quotient term is that value times the stored lead inverse.
+    Each negated tail term is then added times the quotient's numerator as
+    a plain int, with no field call; first, if the quotient's denominator
+    times the tail's does not divide ``D``, all of ``p`` is rescaled to the
+    lcm.  A cancelled monomial keeps its zero entry until popped, so a
+    monomial not in ``p`` has never entered it: every new term is below the
+    popped one, so popped monomials never return, and a divisor never gets
+    the same quotient monomial twice.  Terms leave in descending order and
+    the first divisor in list order whose lead divides is used, so quotients
+    and remainder are those of plain multivariate division."""
+    ring = f.ring
+    field = ring.field
+    dkey = order.desc_key
+    mul, value = field.mul, field.value
+
+    p, D = field.integral(f.terms)
+    p = dict(p)  # over F_p, integral hands back f's own terms
+    heap = [(dkey(m), m) for m in p]
+    heapify(heap)
+    rem: dict = {}
+    quots = [dict() for _ in leads]
+    while heap:
+        m = heappop(heap)[1]
+        c = value(p.pop(m), D)
+        if not c:
+            continue
+        for idx, (dm, inv_lc, tail, dt) in enumerate(leads):
+            if all(map(_le, dm, m)):
+                t = tuple(map(_sub, m, dm))
+                q = quots[idx][t] = mul(c, inv_lc)
+                d = q.denominator * dt
+                if D % d:
+                    D = _rescale(p, D, d)
+                s = q.numerator * (D // d)
+                for m2, c2 in tail:
+                    mm = tuple(map(_add, m2, t))
+                    if mm in p:
+                        p[mm] += s * c2
+                    else:
+                        p[mm] = s * c2
+                        heappush(heap, (dkey(mm), mm))
+                break
+        else:
+            rem[m] = c
+    return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -164,20 +257,21 @@ class PolyRing:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: self.field.one()})
+        return self.term((0,) * self.nvars, self.field.one())
 
     def const(self, value) -> "Polynomial":
-        raw = self.field.scalar(value).value
-        if not raw:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: raw})
+        return self.term((0,) * self.nvars, self.field.scalar(value).value)
+
+    def term(self, mono: Monomial, raw) -> "Polynomial":
+        """The polynomial ``raw * x^mono`` for a raw field element."""
+        return Polynomial(self, {mono: raw} if raw else {})
 
     def var(self, name_or_index) -> "Polynomial":
         i = self._index.get(name_or_index) if isinstance(name_or_index, str) else name_or_index
         if i not in range(self.nvars):
             raise RingMismatch(f"no variable {name_or_index!r} in {self.vars}")
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {mono: self.field.one()})
+        return self.term(mono, self.field.one())
 
     def gens(self) -> tuple:
         return tuple(self.var(i) for i in range(self.nvars))
@@ -313,20 +407,11 @@ class Polynomial:
 
     def scale(self, raw) -> "Polynomial":
         """Multiply by a raw field element."""
-        if not raw:
-            return self.ring.zero()
-        mul = self.ring.field.mul
-        return Polynomial(self.ring, {m: mul(c, raw) for m, c in self.terms.items()})
+        return self * self.ring.term((0,) * self.ring.nvars, raw)
 
     def mul_term(self, mono: Monomial, raw) -> "Polynomial":
         """Multiply by ``raw * x^mono``."""
-        if not raw:
-            return self.ring.zero()
-        mul = self.ring.field.mul
-        return Polynomial(
-            self.ring,
-            {tuple(map(_add, m, mono)): mul(c, raw) for m, c in self.terms.items()},
-        )
+        return self * self.ring.term(mono, raw)
 
     def extend(self, new_ring: PolyRing) -> "Polynomial":
         """Reinterpret in a ring whose variables extend this ring's list."""

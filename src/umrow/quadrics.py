@@ -9,7 +9,6 @@ identity is verified as an exact polynomial identity at construction time.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -598,9 +597,7 @@ def fold_model_row(vt: VTildeRing) -> FoldModel:
     outcome is pinned to its closed form."""
     alg = vt.algebra
     n = vt.n
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = vdk_add(vt.x_row(), vt.basepoint_row())
+    result = vdk_add(vt.x_row(), vt.basepoint_row())
     one = alg.one()
     x1 = alg.var("x1")
     xn = alg.var(f"x{n}")

@@ -9,7 +9,6 @@ of row vectors and the generator e(i, j, lam) adds lam * (entry i) to entry j.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -313,21 +312,16 @@ def mennicke_newman(
     # u1*v1, which is an elementary move on each row separately.
     if not _tail_is_unimodular(parent, ue[1:] + ve[1:]):
         slots = 2 * (n - 1)
-        found = False
-        candidates = []
         if shrink_hints is not None:
             hint = [parent.element(h) for h in shrink_hints]
             if len(hint) != slots:
                 raise ShapeError(f"expected {slots} hint coefficients, got {len(hint)}")
-            candidates.append(hint)
-
-        def assignments():
-            yield from candidates
-            if shrink_hints is None:
-                yield from _shrink_assignments(parent, slots, seed, shrink_budget)
+            assignments = [hint]
+        else:
+            assignments = _shrink_assignments(parent, slots, seed, shrink_budget)
 
         p = ue[0] * ve[0]
-        for assignment in assignments():
+        for assignment in assignments:
             lams = assignment[: n - 1]
             mus = assignment[n - 1 :]
             new_u_tail = [ue[i] + lams[i - 1] * p for i in range(1, n)]
@@ -340,9 +334,8 @@ def mennicke_newman(
                         gens_v.append(ElementaryGen(0, i, mus[i - 1] * ue[0]))
                 ue[1:] = new_u_tail
                 ve[1:] = new_v_tail
-                found = True
                 break
-        if not found:
+        else:
             raise ShrinkFailed(
                 f"no shrink coefficients found within budget {shrink_budget}; "
                 "supply shrink_hints"
@@ -402,7 +395,9 @@ def mennicke_newman(
 
 @dataclass(frozen=True)
 class VdkSum:
-    """Sum row (x(1-x), a_2, ..., a_n) with the words that produced it."""
+    """Sum row (x(1-x), a_2, ..., a_n) with the words that produced it.
+    ``dimension_ok`` records van der Kallen's hypothesis dim A <= 2n - 4;
+    the addition may succeed without it, and the row is verified either way."""
 
     row: UnimodularRow
     splitting: SplittingRow
@@ -410,6 +405,7 @@ class VdkSum:
     word_v: ElementaryWord
     x: AlgebraElement
     tail: tuple
+    dimension_ok: bool
 
 
 def vdk_add(
@@ -427,14 +423,7 @@ def vdk_add(
     the product row is needed.
     """
     parent = u.parent
-    n = len(u.entries)
-    dim = parent.dimension
-    if dim > 2 * n - 4:
-        warnings.warn(
-            f"dimension hypothesis violated: dim {dim} > 2n-4 = {2 * n - 4}; "
-            "the procedure may still succeed"
-        )
-
+    dimension_ok = parent.dimension <= 2 * len(u.entries) - 4
     mn = mennicke_newman(u, v, shrink_hints, seed=seed, shrink_budget=shrink_budget)
     x = mn.x
     one = parent.one()
@@ -450,4 +439,4 @@ def vdk_add(
     x_c0 = x * c0
     witness = [c0 * d0] + [x_c0 * d_i + c_i for c_i, d_i in zip(cs, ds)]
     row, split = row_from_witness(parent, sum_entries, witness)
-    return VdkSum(row, split, mn.word_u, mn.word_v, x, mn.tail)
+    return VdkSum(row, split, mn.word_u, mn.word_v, x, mn.tail, dimension_ok)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, RingHom, hom_compose
@@ -283,9 +282,7 @@ def _case_vdk_random(n, cfg):
     rng = random.Random(cfg.seed + 1)
     u = check_unimodular(alg, random_scalar_row(alg, n, rng))
     v = check_unimodular(alg, random_scalar_row(alg, n, rng))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = vdk_add(u, v, seed=cfg.seed, shrink_budget=cfg.shrink_budget)
+    result = vdk_add(u, v, seed=cfg.seed, shrink_budget=cfg.shrink_budget)
     if not result.row.verified:
         raise CaseFailure("sum row failed verification")
 

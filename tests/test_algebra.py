@@ -4,12 +4,14 @@ import pytest
 
 from umrow.algebra import RingHom, adjoin_unit_variable, hom_compose, make_algebra
 from umrow.errors import (
+    ConfigError,
     DuplicateVariable,
     NotWellDefined,
     RingMismatch,
     ZeroRing,
 )
 from umrow.fields import RATIONALS, prime_field
+from umrow.poly import PolyRing
 
 
 def laurent():
@@ -25,6 +27,25 @@ def test_make_algebra_examples():
     even_quadric_2()
     with pytest.raises(ZeroRing):
         make_algebra(RATIONALS, ["x"], ["x", "1 - x"])
+
+
+@pytest.mark.parametrize(
+    "variables, relations, error",
+    [
+        (["x"], [1], ConfigError),
+        ("xy", [], ConfigError),
+        (["x"], "x^2", ConfigError),
+        (["x", 2], [], ConfigError),
+        (["x"], None, ConfigError),
+        (("x",), ("x^2", None), ConfigError),
+        (["x"], [PolyRing(RATIONALS, ["y"]).var("y")], RingMismatch),
+    ],
+    ids=["int-relation", "string-variables", "string-relations", "int-variable",
+         "no-relations", "none-relation", "foreign-polynomial"],
+)
+def test_argument_shapes_are_checked(variables, relations, error):
+    with pytest.raises(error):
+        make_algebra(RATIONALS, variables, relations)
 
 
 def test_sums_of_normal_forms_are_not_reduced_again(monkeypatch):

@@ -1,0 +1,61 @@
+"""The term format of polynomials stays private to ``poly``: only
+``poly.py`` calls the ``Polynomial`` constructor on a term dict, and only
+``poly.py`` and ``fields.py`` import ``operator`` or ``math``, the tools of
+per-term loops.  A change to how terms are stored then touches ``poly``
+and ``fields`` alone."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "umrow"
+TERM_TOOLS = {"operator", "math"}
+
+
+def polynomial_calls(source: str) -> list:
+    """Lines that call ``Polynomial`` by name or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Polynomial":
+                lines.append(node.lineno)
+    return lines
+
+
+def term_tool_imports(source: str) -> list:
+    """Lines that import ``operator`` or ``math``, or a name from them."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] in TERM_TOOLS for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def offenders(scan, allowed) -> dict:
+    found = {p.name: scan(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name not in allowed}
+    return {name: lines for name, lines in found.items() if lines}
+
+
+def test_scanners_see_what_they_guard():
+    assert polynomial_calls("Polynomial(ring, {})\npoly.Polynomial(ring, t)\nring.zero()") == [1, 2]
+    assert polynomial_calls("isinstance(p, Polynomial)") == []
+    source = "import math\nfrom operator import add\nimport os.path as math2\nfrom .math import x"
+    assert term_tool_imports(source) == [1, 2]
+
+
+def test_only_poly_builds_polynomials():
+    assert SRC.joinpath("poly.py").exists()
+    assert offenders(polynomial_calls, {"poly.py"}) == {}
+
+
+def test_only_poly_and_fields_import_term_tools():
+    assert offenders(term_tool_imports, {"poly.py", "fields.py"}) == {}

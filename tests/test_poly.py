@@ -72,6 +72,23 @@ def check_dot_in(field):
     expect(ring.dot([c("1/3") * x + y, -y], [c("1/7") * x, c("1/7") * x - 1]), {(2, 0): "1/21", (0, 1): 1})
 
 
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(32003)], ids=["q", "fp"])
+def test_constant_factor_keeps_the_monomials(field):
+    # A product by a constant, however it is asked for, is the per-term
+    # product and keys its terms by the polynomial's own monomial tuples.
+    ring = PolyRing(field, ["x", "y", "z"])
+    p = ring.parse("3*x^2*y - 1/5*y*z^3 + 7*z - 2/3")
+    own = {m: m for m in p.terms}
+    for value in [Fraction(-3, 4), Fraction(5), 1]:
+        c = ring.const(value)
+        raw = c.terms[(0, 0, 0)]
+        expected = {m: field.mul(coeff, raw) for m, coeff in p.terms.items()}
+        for product in [p * c, c * p, p.scale(raw), ring.dot([c], [p]), ring.dot([p], [c])]:
+            assert product.terms == expected
+            assert all(m is own[m] for m in product.terms)
+    assert (p * ring.const(0)).is_zero() and p.scale(field.zero()).is_zero()
+
+
 def test_product_example():
     f = R2.parse("x + y") * R2.parse("x - y")
     assert f == R2.parse("x^2 - y^2")

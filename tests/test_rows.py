@@ -304,9 +304,13 @@ def test_vdk_universal_pair_vtilde3():
 
 
 def test_vdk_dimension_warning():
+    # The hypothesis dim A <= 2n - 4 is recorded on the sum, not warned about.
     vt = vtilde_ring(4, RATIONALS)
-    with pytest.warns(UserWarning):
-        vdk_add(vt.x_row(), vt.basepoint_row())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not vdk_add(vt.x_row(), vt.basepoint_row()).dimension_ok
+        alg = scalars()
+        assert vdk_add(check_unimodular(alg, [2, 3]), check_unimodular(alg, [5, 7])).dimension_ok
 
 
 def test_vdk_words_certify_orbit_moves():
