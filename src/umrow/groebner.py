@@ -122,8 +122,13 @@ class GroebnerBasis:
 
 def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Buchberger's algorithm with both pruning criteria and full cofactor
-    tracking.  Pair selection is by (lcm degree, i, j), so the output is
-    deterministic for a fixed input and order.
+    tracking.  Pair selection is by the sugar strategy (Giovini, Mora, Niesi,
+    Robbiano and Traverso, ISSAC 1991): pairs pop by (sugar, lcm degree, i,
+    j), so the output is deterministic for a fixed input and order.  The
+    sugar of a generator is its total degree, that of a pair the larger of
+    sugar_k + deg(lcm) - deg(lead_k) over its two elements, and an S-pair
+    remainder inherits its pair's sugar: on inhomogeneous input this keeps
+    the degrees, and with them the cofactor rows, from drifting upward.
 
     As soon as a constant enters the basis the unit ideal is recognized and
     {1} is returned immediately; {1} is the reduced basis in that case and
@@ -137,16 +142,17 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     basis: list[Polynomial] = []
     cofs: list[list[Polynomial]] = []
     leads: list = []  # basis[k] split by ``_split_lead``
-    # Pending pairs: a heap pops them in (lcm degree, i, j) order, and the
-    # set answers the chain criterion's membership test.
+    sugars: list[int] = []  # the sugar of basis[k]
+    # Pending pairs: a heap pops them in (sugar, lcm degree, i, j) order,
+    # and the set answers the chain criterion's membership test.
     queue: list = []
     pending: set = set()
 
-    def enter(poly, row, inv):
+    def enter(poly, row, inv, sugar):
         """The one way into the basis: ``poly`` scaled by ``inv`` to be
-        monic, with its cofactor row already scaled alike, and its lead split
-        once.  A constant returns the unit ideal's basis; anything else joins
-        the basis and queues its pairs."""
+        monic, with its cofactor row already scaled alike, its lead split
+        once, and its sugar.  A constant returns the unit ideal's basis;
+        anything else joins the basis and queues its pairs."""
         poly = poly.scale(inv)
         lead = _split_lead(poly, order)
         if poly.constant_value() is not None:
@@ -155,8 +161,11 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         basis.append(poly)
         cofs.append(row)
         leads.append(lead)
+        sugars.append(sugar)
         for i in range(j):
-            heappush(queue, (mono_degree(mono_lcm(leads[i][0], lead[0])), i, j))
+            lcm_deg = mono_degree(mono_lcm(leads[i][0], lead[0]))
+            pair_sugar = lcm_deg + max(sugars[k] - mono_degree(leads[k][0]) for k in (i, j))
+            heappush(queue, (pair_sugar, lcm_deg, i, j))
             pending.add((i, j))
 
     for i, g in enumerate(gens):
@@ -165,13 +174,13 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         inv = field.inv(g.lead(order)[1])
         row = [ring.zero()] * ngen
         row[i] = ring.const(inv)
-        if unit := enter(g, row, inv):
+        if unit := enter(g, row, inv, g.total_degree()):
             return unit
 
     one = field.one()
     neg_one = field.neg(one)
     while queue:
-        _, i, j = heappop(queue)
+        sugar, _, i, j = heappop(queue)
         pending.remove((i, j))
         lmi, lmj = leads[i][0], leads[j][0]
         lcm = mono_lcm(lmi, lmj)
@@ -203,7 +212,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             [cofs[i], cofs[j], *cofs],
             ngen,
         )
-        if unit := enter(rem, row, inv):
+        if unit := enter(rem, row, inv, sugar):
             return unit
 
     # Minimalize: keep only elements whose leading monomial no kept element

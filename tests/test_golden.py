@@ -1,8 +1,11 @@
 """The byte-stable report of the combined suite over n = 2..6 is pinned by
 its sha256, per field, and so are the printouts of every named morphism and
-of `gb` and `add` on the sphere, and the reduced bases, cofactor rows and
-lifts of a fixed set of ideals; a refactor must leave all five digests
-unchanged."""
+of `gb` and `add` on the sphere, the reduced bases of a fixed set of ideals,
+and those bases with their cofactor rows and lifts.  A refactor must
+leave all six digests unchanged.  A change of pair selection may move the
+cofactor rows, the lifts and the splitting that `add` prints, which are
+exact but not canonical; it must leave the other digests unchanged, the
+reduced-bases digest among them, since a reduced basis is unique."""
 
 from __future__ import annotations
 
@@ -66,7 +69,7 @@ def test_gb_and_add_printouts_digest(tmp_path, capsys):
         bundle.write_text(json.dumps({"algebra": sphere, "rows": rows}))
         assert main(["add", "--rows", str(bundle), "--u", "u", "--v", "v"]) == 0
         digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == "786a99ab11f1ebcd135eb816fd6c40c5ded2be24f2ec9c7c9c5f8e2a38a6add9"
+    assert digest.hexdigest() == "9751ab17090798460b3ab5de9a58da8966dc34c99bd8840bfa95d904ca34ee37"
 
 
 def _katsura4(field):
@@ -109,14 +112,14 @@ def _random_ideal(rng, field, order):
     return ring, gens
 
 
-def test_bases_cofactors_and_lifts_digest():
-    # Reduced bases, cofactor rows and three lifts each of katsura-4 and
-    # cyclic-4 over Q and F_32003 (grevlex), and of 36 seeded random ideals
-    # in three variables over Q, F_32003 and F_5 under lex and grevlex.
-    def text(p):
-        return repr([(m, str(c)) for m, c in p.sorted_terms()])
+def _text(p):
+    return repr([(m, str(c)) for m, c in p.sorted_terms()])
 
-    digest = hashlib.sha256()
+
+def _problems():
+    # katsura-4 and cyclic-4 over Q and F_32003 (grevlex), and 36 seeded
+    # random ideals in three variables over Q, F_32003 and F_5 under lex and
+    # grevlex.
     problems = []
     for field in (RATIONALS, prime_field(32003)):
         problems += [_katsura4(field), _cyclic4(field)]
@@ -124,14 +127,28 @@ def test_bases_cofactors_and_lifts_digest():
     for field in (RATIONALS, prime_field(32003), prime_field(5)):
         for order in ("lex", "grevlex"):
             problems += [_random_ideal(rng, field, order) for _ in range(6)]
-    for ring, gens in problems:
+    return problems
+
+
+def test_reduced_bases_digest():
+    digest = hashlib.sha256()
+    for ring, gens in _problems():
+        for b in buchberger(Ideal.of(ring, gens)).basis:
+            digest.update(_text(b).encode())
+    assert digest.hexdigest() == "8c96779b31dafd810fe43f92f0c878dfc3e99067965a4bc0ba2bb5c1787c3ad4"
+
+
+def test_bases_cofactors_and_lifts_digest():
+    # Reduced bases, cofactor rows and three lifts each of the problems above.
+    digest = hashlib.sha256()
+    for ring, gens in _problems():
         gb = buchberger(Ideal.of(ring, gens))
         for b, row in zip(gb.basis, gb.cofactors):
-            digest.update(text(b).encode())
+            digest.update(_text(b).encode())
             for c in row:
-                digest.update(text(c).encode())
+                digest.update(_text(c).encode())
         queries = [gens[0] * gens[-1], gens[0] * ring.var(0) + gens[1], gb.basis[-1]]
         for f in queries:
             for c in gb.lift(f):
-                digest.update(text(c).encode())
-    assert digest.hexdigest() == "e700b08425998a75b1836352310168a1ca4dd912d9ada321c4bd4f1426d0551b"
+                digest.update(_text(c).encode())
+    assert digest.hexdigest() == "ce87f3c14cba4fd77943635fa92f43fd1382a7a62aad575fb7050fab97959a88"
