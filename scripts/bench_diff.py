@@ -3,9 +3,10 @@
 
 A BENCH file holds, for each workload and end-to-end metric, the quartiles
 (q1, median, q3) of the runs at a parent commit and of the runs with a
-change, and how many seed-matched pairs the change won.  Its inputs are the
-records that ``benchmarks/run.py --trace 0`` writes under ``.bench_out/``
-(``<workload>-seed<N>-trace0.json``), one directory per side.
+change, and how many seed-matched pairs the change won; and, for each reach
+op, how many runs of each side ended in each status (ok, timeout, failed).
+Its inputs are the records that ``benchmarks/run.py --trace 0`` writes under
+``.bench_out/`` (``<workload>-seed<N>-trace0.json``), one directory per side.
 
     python3 scripts/bench_diff.py build PARENT_DIR CHANGE_DIR --parent SHA > BENCH_<n>.json
     python3 scripts/bench_diff.py diff BENCH_<n>.json
@@ -48,6 +49,16 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def reach_counts(records: list) -> dict:
+    """{reach op: {status: runs}} over the ``reach`` fields of ``records``."""
+    counts: dict = {}
+    for record in records:
+        for op in record["reach"]:
+            statuses = counts.setdefault(op["name"], {})
+            statuses[op["status"]] = statuses.get(op["status"], 0) + 1
+    return counts
+
+
 def build(parent_dir: Path, change_dir: Path, parent_sha: str) -> dict:
     specs = metric_specs()
     parent, change = load_runs(parent_dir), load_runs(change_dir)
@@ -73,6 +84,7 @@ def build(parent_dir: Path, change_dir: Path, parent_sha: str) -> dict:
             "correct": all(r["correct"] for recs in sides.values() for r in recs),
             "failed": {side: sum(r["failed"] for r in recs) for side, recs in sides.items()},
             "metrics": metrics,
+            "reach": {side: reach_counts(recs) for side, recs in sides.items()},
         }
     env = next(r for recs in change.values() for r in recs.values())["environment"]
     return {
@@ -106,6 +118,15 @@ def diff(old: dict, new: dict | None) -> None:
             wins = f"  {m_new['wins']}/{len(w_new['seeds'])} won" if own else ""
             print(f"  {name:12s} {a:10.4g} -> {b:10.4g} {m_new['unit']:5s} {rel:+7.1%}{wins}"
                   f"{'  worse' if worse else ''}")
+        # BENCH files written before reach counts were kept have none.
+        reach_old = w_old.get("reach", {}).get(before, {})
+        for name, counts in w_new.get("reach", {}).get("change", {}).items():
+            print(f"  reach {name:16s} {statuses(reach_old.get(name))} -> {statuses(counts)}")
+
+
+def statuses(counts: dict | None) -> str:
+    """'ok 3, timeout 2' for {status: runs}; '-' when there is no count."""
+    return ", ".join(f"{status} {n}" for status, n in sorted(counts.items())) if counts else "-"
 
 
 def main() -> int:

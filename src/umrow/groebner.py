@@ -1,15 +1,18 @@
 """Multivariate division, Buchberger's algorithm with cofactor tracking,
 and the ideal-level queries built on top of them.
 
-Every Groebner basis carries an exact cofactor matrix expressing each basis
+Every Groebner basis has an exact cofactor matrix expressing each basis
 element as a polynomial combination of the original generators; this is what
 makes Bezout lifts and splittings exact rather than merely decidable.
+``buchberger`` records how each element entered, and the rows are expanded
+from those records on first read, so a basis that is only reduced against
+never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 
 from .errors import (
@@ -78,17 +81,48 @@ class GroebnerBasis:
     """A reduced Groebner basis together with its cofactor matrix.
 
     ``cofactors[k][i]`` is the coefficient of ``generators[i]`` in the exact
-    expansion of ``basis[k]``.  Queries reduce by the split leads that
-    ``buchberger`` hands over, so no lead is split again here.
+    expansion of ``basis[k]``.  The rows are expanded on first read, from
+    the steps ``buchberger`` recorded, and only for the steps the basis
+    descends from.  Queries reduce by the split leads that ``buchberger``
+    hands over, so no lead is split again here.
     """
 
-    def __init__(self, ring, order, generators, basis, cofactors, leads):
+    def __init__(self, ring, order, generators, steps, basis, leads, final):
         self.ring = ring
         self.order = order
         self.generators = tuple(generators)
         self.basis = tuple(basis)
-        self.cofactors = tuple(tuple(row) for row in cofactors)
         self._leads = tuple(leads)
+        # steps[s] says how row s is made from earlier rows: (index, inv) is
+        # generator ``index`` times inv, and (shifts, quots, inv) is inv times
+        # sum(m * row[t] for t, m in shifts) - sum(q * row[t] for t, q in quots).
+        # basis[k] is row final[k].
+        self._steps = steps
+        self._final = tuple(final)
+
+    @cached_property
+    def cofactors(self):
+        """The rows of the basis.  Only the steps the basis descends from
+        are expanded, oldest first, each from the rows of its sources; the
+        steps are then dropped."""
+        ring, steps, ngen = self.ring, self._steps, len(self.generators)
+        wanted = set(self._final)
+        for s in reversed(range(len(steps))):  # a step's sources precede it
+            if s in wanted and len(steps[s]) == 3:
+                wanted.update(t for t, _ in steps[s][0] + steps[s][1])
+        rows: dict = {}
+        for s in sorted(wanted):
+            if len(steps[s]) == 2:
+                index, inv = steps[s]
+                rows[s] = [ring.zero()] * ngen
+                rows[s][index] = ring.const(inv)
+                continue
+            shifts, quots, inv = steps[s]
+            neg_inv = ring.field.neg(inv)
+            mults = [m.scale(inv) for _, m in shifts] + [q.scale(neg_inv) for _, q in quots]
+            rows[s] = _combine_rows(ring, mults, [rows[t] for t, _ in shifts + quots], ngen)
+        self._steps = None
+        return tuple(tuple(rows[s]) for s in self._final)
 
     def is_unit_ideal(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].constant_value() is not None
@@ -130,6 +164,11 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     remainder inherits its pair's sugar: on inhomogeneous input this keeps
     the degrees, and with them the cofactor rows, from drifting upward.
 
+    No cofactor row is built here.  Each element's entry, and each tail
+    reduction, records how its row is made from earlier rows (the extended
+    basis of Becker and Weispfenning, GTM 141, computed lazily), and
+    ``GroebnerBasis.cofactors`` expands the rows on first read.
+
     As soon as a constant enters the basis the unit ideal is recognized and
     {1} is returned immediately; {1} is the reduced basis in that case and
     its cofactor row is an exact Bezout certificate for 1."""
@@ -137,29 +176,30 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     order = ring.check_order(order or ring.order)
     field = ring.field
     gens = ideal.generators
-    ngen = len(gens)
 
     basis: list[Polynomial] = []
-    cofs: list[list[Polynomial]] = []
     leads: list = []  # basis[k] split by ``_split_lead``
     sugars: list[int] = []  # the sugar of basis[k]
+    # How each row is made, as ``GroebnerBasis`` reads it; until the tail
+    # reduction, steps[k] is the step of basis[k].
+    steps: list[tuple] = []
     # Pending pairs: a heap pops them in (sugar, lcm degree, i, j) order,
     # and the set answers the chain criterion's membership test.
     queue: list = []
     pending: set = set()
 
-    def enter(poly, row, inv, sugar):
-        """The one way into the basis: ``poly`` scaled by ``inv`` to be
-        monic, with its cofactor row already scaled alike, its lead split
+    def enter(poly, step, sugar):
+        """The one way into the basis: ``poly`` scaled by the inverse its
+        ``step`` ends with to be monic, the step recorded, its lead split
         once, and its sugar.  A constant returns the unit ideal's basis;
         anything else joins the basis and queues its pairs."""
-        poly = poly.scale(inv)
+        poly = poly.scale(step[-1])
         lead = _split_lead(poly, order)
+        steps.append(step)
         if poly.constant_value() is not None:
-            return GroebnerBasis(ring, order, gens, [poly], [row], [lead])
+            return GroebnerBasis(ring, order, gens, steps, [poly], [lead], [len(steps) - 1])
         j = len(basis)
         basis.append(poly)
-        cofs.append(row)
         leads.append(lead)
         sugars.append(sugar)
         for i in range(j):
@@ -171,10 +211,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        inv = field.inv(g.lead(order)[1])
-        row = [ring.zero()] * ngen
-        row[i] = ring.const(inv)
-        if unit := enter(g, row, inv, g.total_degree()):
+        if unit := enter(g, (i, field.inv(g.lead(order)[1])), g.total_degree()):
             return unit
 
     one = field.one()
@@ -195,24 +232,16 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             for k in range(len(basis))
         ):
             continue  # chain criterion
-        ti = mono_div(lcm, lmi)
-        tj = mono_div(lcm, lmj)
-        s = ring.dot((ring.term(ti, one), ring.term(tj, neg_one)), (basis[i], basis[j]))
+        xti, xtj = ring.term(mono_div(lcm, lmi), one), ring.term(mono_div(lcm, lmj), neg_one)
+        s = ring.dot((xti, xtj), (basis[i], basis[j]))
         quots, rem = _reduce(s, leads, order)
         if rem.is_zero():
             continue
         # rem = x^ti*basis[i] - x^tj*basis[j] - sum(quots[t]*basis[t]), and
-        # the new element is rem scaled to be monic: its cofactor row is the
-        # same combination of cofactor rows, scaled alike.
-        inv = field.inv(rem.lead(order)[1])
-        neg_inv = field.neg(inv)
-        row = _combine_rows(
-            ring,
-            [ring.term(ti, inv), ring.term(tj, neg_inv), *(q.scale(neg_inv) for q in quots)],
-            [cofs[i], cofs[j], *cofs],
-            ngen,
-        )
-        if unit := enter(rem, row, inv, sugar):
+        # the new element is rem scaled to be monic.
+        nonzero = tuple((t, q) for t, q in enumerate(quots) if not q.is_zero())
+        step = (((i, xti), (j, xtj)), nonzero, field.inv(rem.lead(order)[1]))
+        if unit := enter(rem, step, sugar):
             return unit
 
     # Minimalize: keep only elements whose leading monomial no kept element
@@ -227,23 +256,26 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             kept.append(idx)
 
     final_polys = [basis[t] for t in kept]
-    final_cofs = [cofs[t] for t in kept]
+    final_steps = list(kept)  # the step of each element's current row
 
-    # Tail-reduce each element against the others; leading terms are fixed.
+    # Tail-reduce each element against the current versions of the others;
+    # leading terms are fixed.
     final_leads = [leads[t] for t in kept]
     for pos in range(len(final_polys)):
         others = [s for s in range(len(final_polys)) if s != pos]
         if not others:
             continue
         quots, rem = _reduce(final_polys[pos], [final_leads[s] for s in others], order)
-        rows = [final_cofs[pos], *(final_cofs[s] for s in others)]
-        final_cofs[pos] = _combine_rows(ring, [ring.one(), *(-q for q in quots)], rows, ngen)
+        nonzero = tuple((final_steps[s], q) for s, q in zip(others, quots) if not q.is_zero())
+        if nonzero:
+            steps.append((((final_steps[pos], ring.one()),), nonzero, one))
+            final_steps[pos] = len(steps) - 1
         final_polys[pos] = rem
         final_leads[pos] = _split_lead(rem, order)
 
     ranked = sorted(range(len(final_polys)), key=lambda t: order.desc_key(final_leads[t][0]))
-    columns = (final_polys, final_cofs, final_leads)
-    return GroebnerBasis(ring, order, gens, *([col[t] for t in ranked] for col in columns))
+    columns = (final_polys, final_leads, final_steps)
+    return GroebnerBasis(ring, order, gens, steps, *([col[t] for t in ranked] for col in columns))
 
 
 # Bases kept by ``groebner_basis``.  Two golden ``umrow verify --suite all

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from umrow import groebner
-from umrow.errors import DimensionOfZeroRing, InvalidDivisor, NotInIdeal, RingMismatch
+from umrow.algebra import make_algebra
+from umrow.errors import DimensionOfZeroRing, InvalidDivisor, NotInIdeal, NotUnimodular, RingMismatch
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import (
     BASIS_CACHE_SIZE,
@@ -21,6 +22,7 @@ from umrow.groebner import (
 )
 from umrow.poly import Grevlex, PolyRing, grevlex, lex, mono_divides, mono_lcm, mono_mul
 from umrow.quadrics import vtilde_ring
+from umrow.rows import check_unimodular
 
 R2 = PolyRing(RATIONALS, ["x", "y"])
 R3 = PolyRing(RATIONALS, ["x", "y", "z"], "lex")
@@ -293,6 +295,76 @@ def test_sugar_keeps_cyclic5_rows_small():
     assert sum(len(c.terms) for row in gb.cofactors for c in row) <= 7000
     for b, row in zip(gb.basis, gb.cofactors):
         assert ring.dot(row, gens) == b
+
+
+def _count_combine_rows(monkeypatch):
+    calls = []
+    real = groebner._combine_rows
+
+    def combine_rows(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_combine_rows", combine_rows)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [_katsura4_fp(), Ideal.of(*_cyclic(5, prime_field(32003))), ideal_of(R2, "x^2*y - 1", "x*y^2 - x", "0")],
+    ids=["katsura-4", "cyclic-5", "unit-by-s-pair"],
+)
+def test_cofactor_rows_are_expanded_on_first_read(monkeypatch, ideal):
+    calls = _count_combine_rows(monkeypatch)
+    gb = buchberger(ideal)
+    assert not calls
+    rows = gb.cofactors
+    assert calls
+    assert len(rows) == len(gb.basis)
+    for b, row in zip(gb.basis, rows):
+        assert ideal.ring.dot(row, ideal.generators) == b
+    expanded = len(calls)
+    assert gb.cofactors is rows
+    assert len(calls) == expanded
+
+
+def test_queries_that_read_no_rows_expand_none(monkeypatch):
+    _cached_basis.cache_clear()
+    calls = _count_combine_rows(monkeypatch)
+    alg = make_algebra(RATIONALS, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
+    x, y, z = alg.gens()
+    check_unimodular(alg, [x, y, z])
+    with pytest.raises(NotUnimodular):
+        check_unimodular(alg, [x, y])
+    assert krull_dimension(alg.relations_ideal) == 2
+    assert ideal_equal(ideal_of(R2, "x^2 - y", "x*y"), ideal_of(R2, "x^2 - y", "x^3"))
+    assert groebner_basis(ideal_of(R3, "x^2 - y", "x^3 - z")).contains(R3.parse("y^3 - z^2"))
+    assert not calls
+
+
+def test_lift_expands_only_the_ancestors_of_the_constant(monkeypatch):
+    # The pair (y^2 - z, y*z - 1) pops first and its remainder enters; the
+    # pair (x^3 + 1, x^3) then gives the constant, which descends from
+    # neither of the first two generators nor from that remainder.
+    ring = PolyRing(RATIONALS, ["x", "y", "z"])
+    ideal = ideal_of(ring, "y^2 - z", "y*z - 1", "x^3 + 1", "x^3")
+    remainders = []
+    real_reduce = groebner._reduce
+
+    def reduce(f, leads, order):
+        quots, rem = real_reduce(f, leads, order)
+        if not rem.is_zero():
+            remainders.append(rem)
+        return quots, rem
+
+    monkeypatch.setattr(groebner, "_reduce", reduce)
+    gb = buchberger(ideal)
+    assert gb.is_unit_ideal() and len(remainders) == 2
+    calls = _count_combine_rows(monkeypatch)
+    coeffs = gb.lift(ring.one())
+    assert ring.dot(coeffs, ideal.generators) == ring.one()
+    # One call expands the constant's row and one is the lift's own.
+    assert len(calls) == 2
 
 
 def test_normal_form_idempotent():
