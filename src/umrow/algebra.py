@@ -272,12 +272,11 @@ class RingHom:
         # any linear combination of them: the sum needs no reduction.
         ring = self.target.ring
         coeffs, images = [], []
-        for mono, coeff in poly.terms.items():
+        for coeff, factors in poly.factored_terms():
             image = None
-            for var, exp in enumerate(mono):
-                if exp:
-                    power = self._power(var, exp)
-                    image = power if image is None else image * power
+            for var, exp in factors:
+                power = self._power(var, exp)
+                image = power if image is None else image * power
             coeffs.append(ring.const(coeff))
             images.append(ring.one() if image is None else image.rep)
         return AlgebraElement(self.target, ring.dot(coeffs, images))

@@ -82,6 +82,11 @@ class NotWellDefined(UmrowError):
         self.residue = residue
 
 
+class ExponentOverflow(UmrowError):
+    """A monomial's total degree would exceed ``poly.MAX_DEGREE`` (32767),
+    the most the packed monomial form holds."""
+
+
 class ParseError(UmrowError):
     """Syntax error in textual input; ``offset`` is a byte offset."""
 

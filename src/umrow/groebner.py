@@ -27,12 +27,6 @@ from .poly import (
     Polynomial,
     _reduce,
     _split_lead,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    mono_support,
 )
 
 
@@ -175,6 +169,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     ring = ideal.ring
     order = ring.check_order(order or ring.order)
     field = ring.field
+    packing = ring.packing
     gens = ideal.generators
 
     basis: list[Polynomial] = []
@@ -203,8 +198,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         leads.append(lead)
         sugars.append(sugar)
         for i in range(j):
-            lcm_deg = mono_degree(mono_lcm(leads[i][0], lead[0]))
-            pair_sugar = lcm_deg + max(sugars[k] - mono_degree(leads[k][0]) for k in (i, j))
+            lcm_deg = packing.degree(packing.lcm(leads[i][0], lead[0]))
+            pair_sugar = lcm_deg + max(sugars[k] - packing.degree(leads[k][0]) for k in (i, j))
             heappush(queue, (pair_sugar, lcm_deg, i, j))
             pending.add((i, j))
 
@@ -220,19 +215,20 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         sugar, _, i, j = heappop(queue)
         pending.remove((i, j))
         lmi, lmj = leads[i][0], leads[j][0]
-        lcm = mono_lcm(lmi, lmj)
-        if lcm == mono_mul(lmi, lmj):
+        lcm = packing.lcm(lmi, lmj)
+        if lcm == packing.mul(lmi, lmj):
             continue  # coprime leading monomials: S-polynomial reduces to 0
         if any(
             k != i
             and k != j
-            and mono_divides(leads[k][0], lcm)
+            and packing.divides(leads[k][0], lcm)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k in range(len(basis))
         ):
             continue  # chain criterion
-        xti, xtj = ring.term(mono_div(lcm, lmi), one), ring.term(mono_div(lcm, lmj), neg_one)
+        xti = ring.term(packing.div(lcm, lmi), one)
+        xtj = ring.term(packing.div(lcm, lmj), neg_one)
         s = ring.dot((xti, xtj), (basis[i], basis[j]))
         quots, rem = _reduce(s, leads, order)
         if rem.is_zero():
@@ -252,7 +248,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     )
     kept: list[int] = []
     for idx in ascending:
-        if not any(mono_divides(leads[k][0], leads[idx][0]) for k in kept):
+        if not any(packing.divides(leads[k][0], leads[idx][0]) for k in kept):
             kept.append(idx)
 
     final_polys = [basis[t] for t in kept]
@@ -312,7 +308,7 @@ def krull_dimension(ideal: Ideal) -> int:
     if gb.is_unit_ideal():
         raise DimensionOfZeroRing("the quotient is the zero ring")
     nvars = ideal.ring.nvars
-    supports = {mono_support(lead[0]) for lead in gb._leads}
+    supports = {ideal.ring.packing.support(lead[0]) for lead in gb._leads}
     # Drop supersets; they are hit whenever the smaller support is hit.
     minimal = {
         s for s in supports if not any(t < s for t in supports)

@@ -1,36 +1,96 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-A monomial is an exponent tuple whose length equals the ambient ring's
-variable count.  Term maps never store zero coefficients, so structural
-equality of the term dictionaries is semantic equality.
+A polynomial stores each monomial as one packed int, as in Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors" (CASC 2007).  In a ring of n variables, the exponent of
+variable i fills bits [16i, 16i + 16) and the total degree fills the field
+above them.  The top bit of each field is a guard bit, clear in every
+stored monomial.  So a product of monomials is one ``+``, a quotient one
+``-``, and ``d`` divides ``m`` exactly when ``(m - d) & guards`` is zero: a
+field that would go negative borrows into its guard bit.  The degree sits
+on top, so packed ints compare by degree first, and ``m ^ low`` (the
+variable fields complemented) ranks monomials in graded reverse lex with
+declaration precedence.  A stored monomial has total degree at most
+``MAX_DEGREE``; an operation whose result would go beyond it raises
+``ExponentOverflow``, so no field ever carries into the next.  The layout
+depends only on the variable count.
+
+Exponent tuples appear only at the edges: ``from_terms``, parsing,
+printing, and the ``terms``, ``lead``, ``coeff``, ``mul_term`` and
+``sorted_terms`` of a polynomial.  Term maps never store zero coefficients,
+so structural equality of the term dictionaries is semantic equality.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import lcm
-from operator import add as _add, itemgetter, le as _le, sub as _sub
 from typing import Sequence
 
-from .errors import DuplicateVariable, ParseError, RingMismatch
+from .errors import ConfigError, DuplicateVariable, ExponentOverflow, ParseError, RingMismatch
 from .fields import FieldConfig, Scalar
 
-Monomial = tuple  # tuple[int, ...]
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest total degree a monomial may have
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(_add, a, b))
+class Packing:
+    """The packed monomials of rings with ``nvars`` variables, and the
+    operations ``groebner`` needs on them."""
+
+    __slots__ = ("top", "low", "guards", "limit", "_fields")
+
+    def __init__(self, nvars: int):
+        self.top = nvars * FIELD_BITS  # the lowest bit of the degree field
+        self.low = (1 << self.top) - 1  # the variable fields
+        self.guards = sum(1 << (FIELD_BITS * (i + 1) - 1) for i in range(nvars))
+        self.limit = (MAX_DEGREE + 1) << self.top  # every stored monomial is below it
+        self._fields = struct.Struct(f"<{nvars + 1}H")
+
+    def pack(self, exps) -> int:
+        """The packed form of a tuple of non-negative int exponents."""
+        degree = sum(exps)
+        if degree > MAX_DEGREE:
+            raise ExponentOverflow(f"total degree {degree} exceeds {MAX_DEGREE}")
+        return int.from_bytes(self._fields.pack(*exps, degree), "little")
+
+    def unpack(self, m: int) -> tuple:
+        return self._fields.unpack(m.to_bytes(self._fields.size, "little"))[:-1]
+
+    def degree(self, m: int) -> int:
+        return m >> self.top
+
+    @staticmethod
+    def mul(a: int, b: int) -> int:
+        return a + b
+
+    @staticmethod
+    def div(a: int, b: int) -> int:
+        """a / b, for a ``b`` that divides ``a``."""
+        return a - b
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether ``a`` divides ``b``."""
+        return not (b - a) & self.guards
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm, whose degree may exceed ``MAX_DEGREE``: it is compared,
+        divided and measured, never stored."""
+        exps = tuple(map(max, self.unpack(a), self.unpack(b)))
+        return int.from_bytes(self._fields.pack(*exps, sum(exps)), "little")
+
+    def support(self, m: int) -> frozenset:
+        """The indices of the variables that occur in ``m``."""
+        return frozenset(i for i, e in enumerate(self.unpack(m)) if e)
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def mono_support(m: Monomial) -> frozenset:
-    """The indices of the variables that occur in ``m``."""
-    return frozenset(i for i, e in enumerate(m) if e)
+@lru_cache(maxsize=128)
+def _packing(nvars: int) -> Packing:
+    return Packing(nvars)
 
 
 def _rescale(acc: dict, den: int, d: int) -> int:
@@ -43,15 +103,18 @@ def _rescale(acc: dict, den: int, d: int) -> int:
     return den * k
 
 
-def _sum_of_products(pairs, field: FieldConfig) -> dict:
-    """sum(p_i * q_i) over ``pairs`` of term dicts, as a term dict with no
-    zero.  The one multiply-accumulate loop: products, scaling, sums of
-    products and cofactor rows all go through it.  ``field.integral`` writes
-    each operand as ints over one denominator; the products add up as plain
-    ints over the common denominator of all pairs, and ``field.normalize``
-    turns the sum back into field elements once.  A constant factor adds
-    the other factor's terms under their own monomial tuples, so a scaled
-    polynomial shares its monomials with the original."""
+def _sum_of_products(pairs, ring: PolyRing) -> dict:
+    """sum(p_i * q_i) over ``pairs`` of packed term dicts of ``ring``, as a
+    term dict with no zero.  The one multiply-accumulate loop: products,
+    scaling, sums of products and cofactor rows all go through it.
+    ``field.integral`` writes each operand as ints over one denominator; the
+    products add up as plain ints over the common denominator of all pairs,
+    and ``field.normalize`` turns the sum back into field elements once.  A
+    constant factor adds the other factor's terms under their own monomial
+    ints, so a scaled polynomial shares its monomials with the original.
+    Two stored monomials sum without a carry between fields, so a product
+    beyond ``MAX_DEGREE`` is still exact; it is caught once, on the result."""
+    field = ring.field
     integral = field.integral
     acc: dict = {}
     get = acc.get
@@ -71,29 +134,39 @@ def _sum_of_products(pairs, field: FieldConfig) -> dict:
                 if len(q) < len(p):
                     p, q = q, p  # scale the smaller operand
                 p = {m: c * k for m, c in p.items()}
-        if len(p) == 1 and not any(next(iter(p))):
+        if len(p) == 1 and 0 in p:
             p, q = q, p  # the constant goes last, where the branch below finds it
-        if len(q) == 1 and not any(next(iter(q))):
-            (c2,) = q.values()
+        if len(q) == 1 and 0 in q:
+            c2 = q[0]
             for m, c1 in p.items():
                 acc[m] = get(m, 0) + c1 * c2
             continue
         for m1, c1 in p.items():
             for m2, c2 in q.items():
-                m = tuple(map(_add, m1, m2))
+                m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
-    return field.normalize(acc, den)
+    out = field.normalize(acc, den)
+    if out and max(out) >= ring.packing.limit:
+        raise ExponentOverflow(f"a product has total degree above {MAX_DEGREE}")
+    return out
 
 
 def _split_lead(d: Polynomial, order: MonomialOrder):
     """(lead monomial, inverse of the lead coefficient, other terms negated
-    as ints, their denominator) of a divisor, the form ``_reduce`` takes; a
-    basis computes this once, not per reduction, so no reduction step
-    inverts, negates or converts a divisor coefficient."""
-    lm, lc = d.lead(order)
+    as ints, their denominator, overflow bound) of a divisor, the form
+    ``_reduce`` takes; a basis computes this once, not per reduction, so no
+    reduction step inverts, negates or converts a divisor coefficient.  A
+    step by this divisor on a monomial at or above the bound would make a
+    term of degree above ``MAX_DEGREE``; under a graded order no tail term
+    outweighs the lead and the bound is above every stored monomial."""
+    terms = d._terms
+    lm = order.largest(terms)
     field = d.ring.field
-    tail, dt = field.integral({m: c for m, c in d.terms.items() if m != lm})
-    return lm, field.inv(lc), tuple((m, -n) for m, n in tail.items()), dt
+    packing = d.ring.packing
+    tail, dt = field.integral({m: c for m, c in terms.items() if m != lm})
+    excess = packing.degree(max(tail)) - packing.degree(lm) if tail else 0
+    bound = (MAX_DEGREE + 1 - max(excess, 0)) << packing.top
+    return lm, field.inv(terms[lm]), tuple((m, -n) for m, n in tail.items()), dt, bound
 
 
 def _reduce(f: Polynomial, leads, order: MonomialOrder):
@@ -102,99 +175,125 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder):
     ``leads`` are the divisors split by ``_split_lead``.  The remainder-to-be
     ``p`` holds plain ints over one common denominator ``D`` (from
     ``field.integral``; over F_p, unreduced residues over 1), and its
-    monomials sit in a min-heap of ``order.desc_key``, so each step pops the
-    leading term instead of rescanning ``p``, and each monomial is keyed
-    once, when it first enters.  A step makes one field value of the popped
-    int over ``D`` and skips it if zero (cancelled, or over F_p a multiple
-    of p).  The quotient term is that value times the stored lead inverse.
-    Each negated tail term is then added times the quotient's numerator as
-    a plain int, with no field call; first, if the quotient's denominator
-    times the tail's does not divide ``D``, all of ``p`` is rescaled to the
-    lcm.  A cancelled monomial keeps its zero entry until popped, so a
-    monomial not in ``p`` has never entered it: every new term is below the
-    popped one, so popped monomials never return, and a divisor never gets
-    the same quotient monomial twice.  Terms leave in descending order and
-    the first divisor in list order whose lead divides is used, so quotients
-    and remainder are those of plain multivariate division."""
+    monomials sit in a min-heap of bare ints, so each step pops the leading
+    term instead of rescanning ``p``, and each monomial is keyed once, when
+    it first enters.  Under the ring's native order (graded reverse lex with
+    declaration precedence) the entry is ``-(m ^ low)`` itself; under any
+    other order it is ``order.desc_key(m)`` shifted above the same bits, and
+    one mask recovers ``m`` either way.  A step makes one field value of the
+    popped int over ``D`` and skips it if zero (cancelled, or over F_p a
+    multiple of p).  The quotient term is that value times the stored lead
+    inverse.  Each negated tail term is then added times the quotient's
+    numerator as a plain int, with no field call; first, if the quotient's
+    denominator times the tail's does not divide ``D``, all of ``p`` is
+    rescaled to the lcm.  A cancelled monomial keeps its zero entry until
+    popped, so a monomial not in ``p`` has never entered it: every new term
+    is below the popped one, so popped monomials never return, and a divisor
+    never gets the same quotient monomial twice.  Terms leave in descending
+    order and the first divisor in list order whose lead divides is used,
+    so quotients and remainder are those of plain multivariate division."""
     ring = f.ring
     field = ring.field
-    dkey = order.desc_key
+    packing = ring.packing
+    low, guards = packing.low, packing.guards
+    bits = packing.limit - 1  # every stored monomial, complemented or not, fits in these
+    shift = bits.bit_length()
+    dkey = None if order.native else order.desc_key
     mul, value = field.mul, field.value
 
-    p, D = field.integral(f.terms)
+    p, D = field.integral(f._terms)
     p = dict(p)  # over F_p, integral hands back f's own terms
-    heap = [(dkey(m), m) for m in p]
+    if dkey is None:
+        heap = [-(m ^ low) for m in p]
+    else:
+        heap = [(dkey(m) << shift) - (m ^ low) for m in p]
     heapify(heap)
     rem: dict = {}
     quots = [dict() for _ in leads]
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap) & bits ^ low
         c = value(p.pop(m), D)
         if not c:
             continue
-        for idx, (dm, inv_lc, tail, dt) in enumerate(leads):
-            if all(map(_le, dm, m)):
-                t = tuple(map(_sub, m, dm))
+        for idx, (dm, inv_lc, tail, dt, bound) in enumerate(leads):
+            t = m - dm
+            if not t & guards:
+                if m >= bound:
+                    raise ExponentOverflow(f"a reduction step makes total degree above {MAX_DEGREE}")
                 q = quots[idx][t] = mul(c, inv_lc)
                 d = q.denominator * dt
                 if D % d:
                     D = _rescale(p, D, d)
                 s = q.numerator * (D // d)
                 for m2, c2 in tail:
-                    mm = tuple(map(_add, m2, t))
+                    mm = m2 + t
                     if mm in p:
                         p[mm] += s * c2
                     else:
                         p[mm] = s * c2
-                        heappush(heap, (dkey(mm), mm))
+                        heappush(heap, -(mm ^ low) if dkey is None else (dkey(mm) << shift) - (mm ^ low))
                 break
         else:
             rem[m] = c
     return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(_le, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(_sub, a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order, with a precedence permutation listing variable
-    indices from most to least significant.  Each subclass defines one sort
-    key, ``desc_key``: a smaller key means a larger monomial, so sorting by
-    it lists monomials in descending order and a min-heap of these keys
-    pops the largest first."""
+    """A monomial order on packed monomials, with a precedence permutation
+    listing variable indices from most to least significant.  Each subclass
+    defines one int sort key, ``desc_key``: a smaller key means a larger
+    monomial, so sorting by it lists monomials in descending order and a
+    min-heap of these keys pops the largest first.  An order is ``native``
+    when ``m ^ packing.low`` already ranks packed monomials its way; then
+    ``largest``, ``descending`` and ``_reduce`` call no key."""
 
     precedence: tuple
+
+    native = False
 
     def __post_init__(self):
         if sorted(self.precedence) != list(range(len(self.precedence))):
             raise ValueError("precedence must be a permutation of variable indices")
+        object.__setattr__(self, "packing", _packing(len(self.precedence)))
+
+    def largest(self, monos: dict | list) -> int:
+        if self.native:
+            return max(monos, key=self.packing.low.__xor__)
+        return min(monos, key=self.desc_key)
+
+    def descending(self, monos) -> list:
+        if self.native:
+            return sorted(monos, key=self.packing.low.__xor__, reverse=True)
+        return sorted(monos, key=self.desc_key)
 
 
 class Lex(MonomialOrder):
-    def desc_key(self, m: Monomial):
-        return tuple(-m[i] for i in self.precedence)
+    def __post_init__(self):
+        super().__post_init__()
+        # The exponents in precedence order, most significant first, each in
+        # a 16-bit field: a larger int is a larger monomial.
+        object.__setattr__(self, "_ranked", struct.Struct(f">{len(self.precedence)}H"))
+
+    def desc_key(self, m: int) -> int:
+        exps = self.packing.unpack(m)
+        return -int.from_bytes(self._ranked.pack(*[exps[i] for i in self.precedence]), "big")
 
 
 class Grevlex(MonomialOrder):
     def __post_init__(self):
         super().__post_init__()
-        # itemgetter needs an index and returns a bare value for one; below
-        # two variables the reversed precedence is the identity anyway.
-        rev = self.precedence[::-1]
-        object.__setattr__(self, "_ranked", itemgetter(*rev) if len(rev) > 1 else tuple)
+        declared = self.precedence == tuple(range(len(self.precedence)))
+        object.__setattr__(self, "_declared", declared)
+        # A subclass may key differently, so only Grevlex itself is native.
+        object.__setattr__(self, "native", declared and type(self) is Grevlex)
 
-    def desc_key(self, m: Monomial):
-        return (-sum(m),) + self._ranked(m)
+    def desc_key(self, m: int) -> int:
+        packing = self.packing
+        if not self._declared:
+            exps = packing.unpack(m)
+            m = packing.pack([exps[i] for i in self.precedence])
+        return -(m ^ packing.low)
 
 
 def lex(nvars: int, precedence: Sequence[int] | None = None) -> Lex:
@@ -210,9 +309,10 @@ ORDERS = {"lex": lex, "grevlex": grevlex}
 
 
 class PolyRing:
-    """A polynomial ring: coefficient field, named variables, default order."""
+    """A polynomial ring: coefficient field, named variables, default order,
+    and the packing of its monomials."""
 
-    __slots__ = ("field", "vars", "order", "_index")
+    __slots__ = ("field", "vars", "order", "packing", "_index")
 
     def __init__(self, field: FieldConfig, variables: Sequence[str], order="grevlex"):
         names = tuple(variables)
@@ -221,6 +321,7 @@ class PolyRing:
         self.field = field
         self.vars = names
         self.order = ORDERS[order](len(names)) if isinstance(order, str) else order
+        self.packing = _packing(len(names))
         self._index = {name: i for i, name in enumerate(names)}
         self.check_order(self.order)
 
@@ -251,26 +352,43 @@ class PolyRing:
     def __repr__(self):
         return f"PolyRing({self.field}, {list(self.vars)})"
 
+    def pack(self, exps) -> int:
+        """The packed monomial of an exponent tuple.  An exponent that is not
+        a non-negative int raises ``ConfigError``, a tuple of another width
+        ``RingMismatch``, and a total degree above ``MAX_DEGREE``
+        ``ExponentOverflow``."""
+        try:
+            exps = tuple(exps)
+        except TypeError:
+            raise ConfigError(f"monomial {exps!r} is not a tuple of exponents") from None
+        if len(exps) != self.nvars:
+            raise RingMismatch(f"monomial width {len(exps)} != {self.nvars}")
+        for e in exps:
+            if not isinstance(e, int) or e < 0:
+                raise ConfigError(f"exponent {e!r} in {exps} is not a non-negative integer")
+        return self.packing.pack(exps)
+
     # -- constructors --------------------------------------------------
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return self.term((0,) * self.nvars, self.field.one())
+        return self.term(0, self.field.one())
 
     def const(self, value) -> "Polynomial":
-        return self.term((0,) * self.nvars, self.field.scalar(value).value)
+        return self.term(0, self.field.scalar(value).value)
 
-    def term(self, mono: Monomial, raw) -> "Polynomial":
-        """The polynomial ``raw * x^mono`` for a raw field element."""
+    def term(self, mono: int, raw) -> "Polynomial":
+        """The polynomial ``raw * x^mono`` for a packed monomial (0 is the
+        monomial 1) and a raw field element."""
         return Polynomial(self, {mono: raw} if raw else {})
 
     def var(self, name_or_index) -> "Polynomial":
         i = self._index.get(name_or_index) if isinstance(name_or_index, str) else name_or_index
         if i not in range(self.nvars):
             raise RingMismatch(f"no variable {name_or_index!r} in {self.vars}")
-        mono = tuple(1 if j == i else 0 for j in range(self.nvars))
+        mono = self.packing.pack(tuple(1 if j == i else 0 for j in range(self.nvars)))
         return self.term(mono, self.field.one())
 
     def gens(self) -> tuple:
@@ -282,20 +400,19 @@ class PolyRing:
         for p, q in zip(ps, qs, strict=True):
             if p.ring != self or q.ring != self:
                 raise RingMismatch("dot product outside the ring")
-            pairs.append((p.terms, q.terms))
-        return Polynomial(self, _sum_of_products(pairs, self.field))
+            pairs.append((p._terms, q._terms))
+        return Polynomial(self, _sum_of_products(pairs, self))
 
     def from_terms(self, terms: dict) -> "Polynomial":
-        """The polynomial with these terms.  Each coefficient goes through
+        """The polynomial with these terms, keyed by exponent tuples.  Each
+        monomial goes through ``pack`` and each coefficient through
         ``field.scalar``, so it is stored canonically, a zero is dropped and
         a value outside the field raises ``ConfigError``."""
         clean = {}
-        width = self.nvars
+        pack = self.pack
         scalar = self.field.scalar
         for mono, coeff in terms.items():
-            mono = tuple(mono)
-            if len(mono) != width:
-                raise RingMismatch(f"monomial width {len(mono)} != {width}")
+            mono = pack(mono)
             raw = scalar(coeff).value
             if raw:
                 clean[mono] = raw
@@ -306,44 +423,63 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; ``terms`` maps monomials to nonzero
-    raw coefficients and must never be mutated after construction."""
+    """Immutable sparse polynomial.  ``_terms`` maps packed monomials to
+    nonzero raw coefficients and must never be mutated after construction;
+    ``terms`` is the same map keyed by exponent tuples, built on each read."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = terms
+        self._terms = terms
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        unpack = self.ring.packing.unpack
+        return {unpack(m): c for m, c in self._terms.items()}
+
+    def factored_terms(self):
+        """(coefficient, ((variable index, exponent), ...)) per term, with
+        the variables of nonzero exponent in index order."""
+        unpack = self.ring.packing.unpack
+        for m, c in self._terms.items():
+            yield c, tuple((i, e) for i, e in enumerate(unpack(m)) if e)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return self.ring.packing.degree(max(self._terms))
 
     def constant_value(self):
         """Raw coefficient if the polynomial is a constant, else None."""
-        if not self.terms:
+        terms = self._terms
+        if not terms:
             return self.ring.field.zero()
-        if len(self.terms) == 1:
-            (mono, coeff), = self.terms.items()
-            if not any(mono):
-                return coeff
+        if len(terms) == 1 and 0 in terms:
+            return terms[0]
         return None
 
     def lead(self, order: MonomialOrder | None = None):
-        """Leading (monomial, coefficient) under ``order``; None when zero."""
-        if not self.terms:
+        """Leading (exponent tuple, coefficient) under ``order``; None when
+        zero."""
+        if not self._terms:
             return None
-        m = min(self.terms, key=(order or self.ring.order).desc_key)
-        return m, self.terms[m]
+        m = (order or self.ring.order).largest(self._terms)
+        return self.ring.packing.unpack(m), self._terms[m]
 
-    def coeff(self, mono: Monomial):
-        return self.terms.get(tuple(mono), self.ring.field.zero())
+    def coeff(self, mono):
+        """The coefficient of an exponent tuple, checked as ``PolyRing.pack``
+        checks it; zero for a degree no stored monomial reaches."""
+        zero = self.ring.field.zero()
+        try:
+            return self._terms.get(self.ring.pack(mono), zero)
+        except ExponentOverflow:
+            return zero
 
     # -- arithmetic --------------------------------------------------------
 
@@ -361,8 +497,8 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         add = self.ring.field.add
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self._terms)
+        for m, c in other._terms.items():
             v = add(out[m], c) if m in out else c
             if v:
                 out[m] = v
@@ -383,13 +519,13 @@ class Polynomial:
 
     def __neg__(self):
         neg = self.ring.field.neg
-        return Polynomial(self.ring, {m: neg(c) for m, c in self.terms.items()})
+        return Polynomial(self.ring, {m: neg(c) for m, c in self._terms.items()})
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial(self.ring, _sum_of_products(((self.terms, other.terms),), self.ring.field))
+        return Polynomial(self.ring, _sum_of_products(((self._terms, other._terms),), self.ring))
 
     __rmul__ = __mul__
 
@@ -407,18 +543,21 @@ class Polynomial:
 
     def scale(self, raw) -> "Polynomial":
         """Multiply by a raw field element."""
-        return self * self.ring.term((0,) * self.ring.nvars, raw)
+        return self * self.ring.term(0, raw)
 
-    def mul_term(self, mono: Monomial, raw) -> "Polynomial":
-        """Multiply by ``raw * x^mono``."""
-        return self * self.ring.term(mono, raw)
+    def mul_term(self, mono, raw) -> "Polynomial":
+        """Multiply by ``raw * x^mono`` for an exponent tuple ``mono``."""
+        return self * self.ring.term(self.ring.pack(mono), raw)
 
     def extend(self, new_ring: PolyRing) -> "Polynomial":
         """Reinterpret in a ring whose variables extend this ring's list."""
         if new_ring.field != self.ring.field or new_ring.vars[: self.ring.nvars] != self.ring.vars:
             raise RingMismatch("target ring does not extend the source ring")
-        pad = (0,) * (new_ring.nvars - self.ring.nvars)
-        return Polynomial(new_ring, {m + pad: c for m, c in self.terms.items()})
+        # The variable fields keep their bits; the degree field moves up.
+        old, new = self.ring.packing, new_ring.packing
+        low = old.low
+        terms = {(m & low) | (old.degree(m) << new.top): c for m, c in self._terms.items()}
+        return Polynomial(new_ring, terms)
 
     # -- equality & text ---------------------------------------------------
 
@@ -427,17 +566,20 @@ class Polynomial:
             if isinstance(other, (int, Scalar)):
                 return self == self.ring.const(other)
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self._terms.items())))
 
     def sorted_terms(self):
-        key = self.ring.order.desc_key
-        return sorted(self.terms.items(), key=lambda mc: key(mc[0]))
+        """(exponent tuple, coefficient) pairs, largest monomial first under
+        the ring's order."""
+        unpack = self.ring.packing.unpack
+        terms = self._terms
+        return [(unpack(m), terms[m]) for m in self.ring.order.descending(terms)]
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         field = self.ring.field
         names = self.ring.vars

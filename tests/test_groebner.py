@@ -20,12 +20,25 @@ from umrow.groebner import (
     ideal_equal,
     krull_dimension,
 )
-from umrow.poly import Grevlex, PolyRing, grevlex, lex, mono_divides, mono_lcm, mono_mul
+from umrow.poly import Grevlex, PolyRing, grevlex, lex
 from umrow.quadrics import vtilde_ring
 from umrow.rows import check_unimodular
 
 R2 = PolyRing(RATIONALS, ["x", "y"])
 R3 = PolyRing(RATIONALS, ["x", "y", "z"], "lex")
+
+
+# Monomial arithmetic on the exponent tuples of the public ``terms`` and ``lead``.
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b, strict=True))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b, strict=True))
 
 
 def ideal_of(ring, *gens):

@@ -1,8 +1,8 @@
 """The term format of polynomials stays private to ``poly``: only
-``poly.py`` calls the ``Polynomial`` constructor on a term dict, and only
-``poly.py`` and ``fields.py`` import ``operator`` or ``math``, the tools of
-per-term loops.  A change to how terms are stored then touches ``poly``
-and ``fields`` alone."""
+``poly.py`` calls the ``Polynomial`` constructor on a term dict or reads the
+``terms`` of a polynomial, and only ``poly.py`` and ``fields.py`` import
+``operator`` or ``math``, the tools of per-term loops.  A change to how
+terms are stored then touches ``poly`` and ``fields`` alone."""
 
 from __future__ import annotations
 
@@ -40,6 +40,15 @@ def term_tool_imports(source: str) -> list:
     return lines
 
 
+def terms_reads(source: str) -> list:
+    """Lines that read an attribute named ``terms``."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    })
+
+
 def offenders(scan, allowed) -> dict:
     found = {p.name: scan(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name not in allowed}
     return {name: lines for name, lines in found.items() if lines}
@@ -50,6 +59,8 @@ def test_scanners_see_what_they_guard():
     assert polynomial_calls("isinstance(p, Polynomial)") == []
     source = "import math\nfrom operator import add\nimport os.path as math2\nfrom .math import x"
     assert term_tool_imports(source) == [1, 2]
+    source = "p.terms.items()\nlen(e.rep.terms)\nring.term(m, c)\nterms = p.from_terms(t)\nq.terms_of"
+    assert terms_reads(source) == [1, 2]
 
 
 def test_only_poly_builds_polynomials():
@@ -59,3 +70,7 @@ def test_only_poly_builds_polynomials():
 
 def test_only_poly_and_fields_import_term_tools():
     assert offenders(term_tool_imports, {"poly.py", "fields.py"}) == {}
+
+
+def test_only_poly_reads_terms():
+    assert offenders(terms_reads, {"poly.py"}) == {}

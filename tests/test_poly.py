@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from umrow.algebra import make_algebra
-from umrow.errors import ConfigError, ParseError, RingMismatch
+from umrow.errors import ConfigError, ExponentOverflow, ParseError, RingMismatch
 from umrow.fields import RATIONALS, prime_field
-from umrow.poly import PolyRing, grevlex, lex
+from umrow.groebner import Ideal, buchberger, divide_with_remainder
+from umrow.poly import FIELD_BITS, MAX_DEGREE, PolyRing, grevlex, lex
 
 R2 = PolyRing(RATIONALS, ["x", "y"])
 R3 = PolyRing(RATIONALS, ["x", "y", "z"])
@@ -75,17 +77,17 @@ def check_dot_in(field):
 @pytest.mark.parametrize("field", [RATIONALS, prime_field(32003)], ids=["q", "fp"])
 def test_constant_factor_keeps_the_monomials(field):
     # A product by a constant, however it is asked for, is the per-term
-    # product and keys its terms by the polynomial's own monomial tuples.
+    # product and keys its terms by the polynomial's own packed monomials.
     ring = PolyRing(field, ["x", "y", "z"])
     p = ring.parse("3*x^2*y - 1/5*y*z^3 + 7*z - 2/3")
-    own = {m: m for m in p.terms}
+    own = {m: m for m in p._terms}
     for value in [Fraction(-3, 4), Fraction(5), 1]:
         c = ring.const(value)
         raw = c.terms[(0, 0, 0)]
         expected = {m: field.mul(coeff, raw) for m, coeff in p.terms.items()}
         for product in [p * c, c * p, p.scale(raw), ring.dot([c], [p]), ring.dot([p], [c])]:
             assert product.terms == expected
-            assert all(m is own[m] for m in product.terms)
+            assert all(m is own[m] for m in product._terms)
     assert (p * ring.const(0)).is_zero() and p.scale(field.zero()).is_zero()
 
 
@@ -126,15 +128,18 @@ def test_order_leading_terms():
     shift=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
 )
 def test_orders_are_multiplicative_total_orders(m1, m2, shift):
-    # A smaller desc_key means a larger monomial.
-    for order in (lex(3), grevlex(3)):
-        k1, k2 = order.desc_key(m1), order.desc_key(m2)
+    # A smaller desc_key means a larger monomial; keys take packed monomials.
+    def key(order, m):
+        return order.desc_key(R3.pack(m))
+
+    for order in (lex(3), grevlex(3), lex(3, (2, 0, 1)), grevlex(3, (1, 2, 0))):
+        k1, k2 = key(order, m1), key(order, m2)
         assert (k1 == k2) == (m1 == m2)
         if k1 < k2:
             shifted1 = tuple(a + s for a, s in zip(m1, shift))
             shifted2 = tuple(a + s for a, s in zip(m2, shift))
-            assert order.desc_key(shifted1) < order.desc_key(shifted2)
-        assert order.desc_key(m1) <= order.desc_key((0, 0, 0))
+            assert key(order, shifted1) < key(order, shifted2)
+        assert key(order, m1) <= key(order, (0, 0, 0))
 
 
 @given(f=poly_strategy(R2), g=poly_strategy(R2), h=poly_strategy(R2))
@@ -198,3 +203,206 @@ def test_extend():
     assert f == big.parse("x*y + 1")
     with pytest.raises(RingMismatch):
         R3.parse("z").extend(PolyRing(RATIONALS, ["x", "y", "w"]))
+
+
+# -- packed monomials: input checks, the degree limit, and a tuple reference --
+
+
+@pytest.mark.parametrize("mono", [(1, -1), (1.5, 0), ("a", 0), 5])
+def test_from_terms_rejects_bad_exponents(mono):
+    # A negative exponent would borrow from the next field of the packed
+    # form; a float or a string is no exponent at all.
+    with pytest.raises(ConfigError):
+        R2.from_terms({mono: 2})
+
+
+def test_coeff_checks_its_monomial():
+    f = R2.parse("x + 3")
+    assert f.coeff((1, 0)) == 1 and f.coeff((0, 0)) == 3 and f.coeff((0, 1)) == 0
+    with pytest.raises(RingMismatch):
+        f.coeff((1,))
+    with pytest.raises(ConfigError):
+        f.coeff((1, -1))
+    assert f.coeff((MAX_DEGREE + 1, 0)) == 0  # beyond the limit, so never stored
+
+
+def test_product_at_the_field_limit():
+    top = 2 ** (FIELD_BITS - 1) - 1
+    assert top == MAX_DEGREE
+    x, y = R2.var("x"), R2.var("y")
+    # x^(2^15 - 2) * x fills the field exactly and leaves y alone.
+    assert (R2.from_terms({(top - 1, 0): 1}) * x).terms == {(top, 0): 1}
+    assert (R2.from_terms({(top - 1, 0): 2}) * (x - y)).terms == {(top, 0): 2, (top - 1, 1): -2}
+    # One more x, and the packed sum would set the guard bit of x's field.
+    for lhs, rhs in [(x**top, x), (y**top, x), (x, x**top), (R2.from_terms({(top - 3, 3): 1}), y)]:
+        with pytest.raises(ExponentOverflow):
+            lhs * rhs
+        with pytest.raises(ExponentOverflow):
+            R2.dot([R2.one(), lhs], [R2.one(), rhs])
+    # A product whose top term cancels is exact.
+    assert (x**top + 1) * 1 == x**top + 1
+
+
+def test_parsed_exponent_at_the_limit():
+    assert R2.parse(f"x^{MAX_DEGREE}").terms == {(MAX_DEGREE, 0): 1}
+    assert R2.parse(f"3*y^{MAX_DEGREE} + x").lead() == ((0, MAX_DEGREE), 3)
+    assert str(R2.parse(f"y^{MAX_DEGREE}")) == f"y^{MAX_DEGREE}"
+    assert R2.from_terms({(MAX_DEGREE - 1, 1): 1}).total_degree() == MAX_DEGREE
+    with pytest.raises(ExponentOverflow):
+        R2.parse(f"x^{MAX_DEGREE + 1}")
+    with pytest.raises(ExponentOverflow):
+        R2.parse(f"x*y^{MAX_DEGREE}")
+    with pytest.raises(ExponentOverflow):
+        R2.from_terms({(MAX_DEGREE, 1): 1})
+    with pytest.raises(ExponentOverflow):
+        R2.from_terms({(2**FIELD_BITS, 0): 1})
+
+
+def test_lex_reduction_past_the_field():
+    # Under lex, x leads x - y^MAX_DEGREE although its tail has the larger
+    # degree, so each step by it raises the degree by MAX_DEGREE - 1.
+    ring = PolyRing(RATIONALS, ["x", "y"], "lex")
+    d = ring.parse(f"x - y^{MAX_DEGREE}")
+    quots, rem = divide_with_remainder(ring.parse("x + y"), [d])
+    assert quots == [ring.one()] and rem == ring.parse(f"y^{MAX_DEGREE} + y")
+    with pytest.raises(ExponentOverflow):
+        divide_with_remainder(ring.parse("x^2"), [d])
+    with pytest.raises(ExponentOverflow):
+        divide_with_remainder(ring.parse("x*y"), [d])
+    # Under grevlex the same polynomial leads with y^MAX_DEGREE, and nothing
+    # overflows: no tail term outweighs its lead.
+    graded = PolyRing(RATIONALS, ["x", "y"])
+    quots, rem = divide_with_remainder(graded.parse(f"x^2 - y^{MAX_DEGREE}"), [graded.parse(f"x - y^{MAX_DEGREE}")])
+    assert rem == graded.parse("x^2 - x") and quots == [graded.one()]
+
+
+def test_ring_without_variables():
+    ring = PolyRing(RATIONALS, [])
+    c = ring.parse("3/4")
+    assert c.terms == {(): Fraction(3, 4)} and c.lead() == ((), Fraction(3, 4))
+    assert c.constant_value() == Fraction(3, 4) and c.total_degree() == 0
+    assert (c * c).terms == {(): Fraction(9, 16)} and str(c * c - c) == "-3/16"
+    assert ring.from_terms({(): 2}) == ring.const(2) and ring.one().coeff(()) == 1
+    assert (c**5).coeff(()) == Fraction(243, 1024)
+    quots, rem = divide_with_remainder(ring.const(5), [c])
+    assert quots == [ring.const(Fraction(20, 3))] and rem.is_zero()
+    assert buchberger(Ideal.of(ring, [ring.zero(), c])).is_unit_ideal()
+    with pytest.raises(RingMismatch):
+        ring.from_terms({(1,): 1})
+
+
+def test_ring_with_one_variable():
+    ring = PolyRing(prime_field(32003), ["t"])
+    t = ring.var("t")
+    assert t.terms == {(1,): 1} and (t**MAX_DEGREE).total_degree() == MAX_DEGREE
+    with pytest.raises(ExponentOverflow):
+        t**MAX_DEGREE * t
+    gb = buchberger(Ideal.of(ring, [t**3 - 1, t**2 - 1]))
+    assert [str(g) for g in gb.basis] == ["t + 32002"]
+    assert gb.normal_form(t**MAX_DEGREE + 5) == ring.const(6)
+    assert str(t**4 - 2 * t) == "t^4 + 32001*t"
+
+
+def ref_mul(p: dict, q: dict, field) -> dict:
+    """The product of two tuple-keyed term dicts, one field operation at a
+    time."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2, strict=True))
+            out[m] = field.add(out.get(m, field.zero()), field.mul(c1, c2))
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_add(p: dict, q: dict, field) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = field.add(out.get(m, field.zero()), c)
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_key(order, m):
+    """Larger for the larger monomial, from the order's class and precedence."""
+    ranked = [m[i] for i in order.precedence]
+    if type(order).__name__ == "Lex":
+        return ranked
+    return sum(m), [-e for e in reversed(ranked)]
+
+
+def ref_divide(f: dict, divisors: list, order, field):
+    """Multivariate division on tuple-keyed term dicts: the largest term of
+    what is left goes to the first divisor whose lead divides it, else to
+    the remainder."""
+    leads = [max(d, key=lambda m: ref_key(order, m)) for d in divisors]
+    p, rem, quots = dict(f), {}, [{} for _ in divisors]
+    while p:
+        m = max(p, key=lambda m: ref_key(order, m))
+        for q, d, lm in zip(quots, divisors, leads):
+            if all(a <= b for a, b in zip(lm, m)):
+                t = tuple(b - a for a, b in zip(lm, m))
+                q[t] = field.div(p[m], d[lm])
+                p = ref_add(p, ref_mul({t: field.neg(q[t])}, d, field), field)
+                break
+        else:
+            rem[m] = p.pop(m)
+    return quots, rem
+
+
+def random_terms(rng, nvars, field, count, degree):
+    terms = {}
+    for _ in range(count):
+        mono = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = field.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4))).value
+    return {m: c for m, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("nvars", range(1, 8))
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(32003)], ids=["q", "fp"])
+@pytest.mark.parametrize("order_of", [lex, grevlex])
+def test_packed_kernels_match_a_tuple_reference(nvars, field, order_of):
+    rng = random.Random(f"{nvars} {field} {order_of.__name__}")
+    names = [f"v{i}" for i in range(nvars)]
+    steps = 0  # quotient terms, so that the divisions are seen to divide
+    for trial in range(8):
+        precedence = list(range(nvars))
+        if trial % 2:
+            rng.shuffle(precedence)
+        order = order_of(nvars, precedence)
+        ring = PolyRing(field, names, order)
+
+        def draw(count, degree):
+            terms = random_terms(rng, nvars, field, count, degree)
+            return terms, ring.from_terms(terms)
+
+        (pt, p), (qt, q) = draw(6, 3), draw(5, 3)
+        assert (p * q).terms == ref_mul(pt, qt, field)
+        assert (p + q).terms == ref_add(pt, qt, field)
+        pairs = [draw(rng.randint(0, 4), 2) for _ in range(6)]
+        expected: dict = {}
+        for (at, _), (bt, _) in zip(pairs[::2], pairs[1::2]):
+            expected = ref_add(expected, ref_mul(at, bt, field), field)
+        assert ring.dot([a for _, a in pairs[::2]], [b for _, b in pairs[1::2]]).terms == expected
+
+        divisors = [draw(3, 2) for _ in range(rng.randint(1, 3))]
+        divisors = [(t, d) for t, d in divisors if t]
+        if not divisors:
+            continue
+        ft, f = draw(8, 4)
+        quots, rem = divide_with_remainder(f, [d for _, d in divisors])
+        ref_quots, ref_rem = ref_divide(ft, [t for t, _ in divisors], order, field)
+        assert [qq.terms for qq in quots] == ref_quots
+        assert rem.terms == ref_rem
+        descending = sorted(ft, key=lambda m: ref_key(order, m), reverse=True)
+        assert f.sorted_terms() == [(m, ft[m]) for m in descending]
+        assert f.lead() == ((descending[0], ft[descending[0]]) if ft else None)
+
+        # A normal form reduces by the basis elements in basis order.
+        gb = buchberger(Ideal.of(ring, [d for _, d in divisors[:2]]))
+        quots, nf = gb.normal_form_with_quotients(f)
+        ref_quots, ref_nf = ref_divide(ft, [b.terms for b in gb.basis], order, field)
+        assert [qq.terms for qq in quots] == ref_quots
+        assert nf.terms == ref_nf
+        steps += sum(map(len, ref_quots))
+    assert steps > 8
