@@ -188,7 +188,7 @@ class AlgebraElement:
         result = self.parent.one()
         base = self
         if exp < 0:
-            raise ValueError("negative exponent")
+            raise ConfigError(f"negative exponent {exp}")
         while exp:
             if exp & 1:
                 result = result * base

@@ -7,13 +7,18 @@ A field is an instance of one of two subclasses of :class:`FieldConfig`:
 binds its arithmetic once, so no operation asks which field it is in.  Both
 representations are canonical, so equal values compare bit-identical.
 
-For sums of products and reductions each field also has an integral form:
-``integral`` writes a term dict as plain ints over one denominator,
-``normalize`` turns an accumulated int sum over a denominator back into
-canonical values, once per sum, and ``value`` does the same for one int.
-Both raw value types are rationals in Python's sense, so ``c.numerator`` and
-``c.denominator`` read any single value as an int over a denominator (a
-residue over 1).
+Polynomials store no field values: ``poly`` keeps each polynomial's
+coefficients as ints over one positive denominator, the integral form, and
+each field supplies what that form needs.  ``normalize`` turns an int sum
+over a denominator into the canonical form: over Q the numerators and the
+denominator divided by their gcd, over F_p the residues over 1.
+``residue`` reads one int as a stored numerator (over F_p, mod p), and
+``ratio`` writes a/b as the canonical pair; ``value`` makes the field value
+of n/den, for the edges where a caller reads a coefficient.  ``add`` and
+``neg`` act on stored ints too: over Q they are the int operations, over
+F_p the residue ones.  Both raw value types are rationals in Python's
+sense, so ``c.numerator`` and ``c.denominator`` read any single value as an
+int over a denominator (a residue over 1).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Union
 
 from .errors import ConfigError, DivisionByZero, FieldMismatch
@@ -67,9 +72,10 @@ def _is_prime(p: int) -> bool:
 class FieldConfig:
     """A coefficient field.  Each subclass binds ``characteristic``,
     ``from_int``, ``from_fraction``, ``add``, ``sub``, ``mul``, ``neg`` and
-    ``inv`` on raw values, ``integral``/``normalize`` on term dicts and
-    ``value`` on one int over a denominator; the methods below are written
-    once in terms of those."""
+    ``inv`` on raw values, ``normalize`` on int term dicts over a
+    denominator, and ``residue``, ``ratio`` and ``value`` on single ints;
+    the methods below, ``raw`` among them, are written once in terms of
+    those."""
 
     characteristic: int
 
@@ -96,18 +102,25 @@ class FieldConfig:
             value = self.div(value, self.from_int(int(den)))
         return self.neg(value) if sign == "-" else value
 
-    def scalar(self, value) -> "Scalar":
+    def raw(self, value) -> RawScalar:
+        """The raw value of an int, a ``Fraction``, a scalar literal or a
+        ``Scalar`` of this field, with no ``Scalar`` made."""
+        if isinstance(value, int):
+            return self.from_int(value)
+        if isinstance(value, Fraction):
+            return self.from_fraction(value)
+        if isinstance(value, str):
+            return self.parse_raw(value)
         if isinstance(value, Scalar):
             if value.config != self:
                 raise FieldMismatch(f"scalar belongs to {value.config}, not {self}")
-            return value
-        if isinstance(value, str):
-            return Scalar(self, self.parse_raw(value))
-        if isinstance(value, int):
-            return Scalar(self, self.from_int(value))
-        if isinstance(value, Fraction):
-            return Scalar(self, self.from_fraction(value))
+            return value.value
         raise ConfigError(f"cannot coerce {value!r} into {self}")
+
+    def scalar(self, value) -> "Scalar":
+        if isinstance(value, Scalar) and value.config == self:
+            return value
+        return Scalar(self, self.raw(value))
 
 
 @dataclass(frozen=True)
@@ -130,21 +143,28 @@ class Rationals(FieldConfig):
             raise DivisionByZero("no inverse of zero")
         return Fraction(1) / a
 
-    @staticmethod
-    def integral(terms: dict) -> tuple:
-        """(numerators, den): the terms as ints over the lcm of their
-        denominators."""
-        den = lcm(*[c.denominator for c in terms.values()])
-        if den == 1:
-            return {m: c.numerator for m, c in terms.items()}, 1
-        return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+    # A stored numerator is the int itself; only F_p reduces it.
+    residue = operator.pos
 
     @staticmethod
-    def normalize(acc: dict, den: int) -> dict:
-        """The reduced ``Fraction`` n/den of each nonzero n in ``acc``."""
+    def normalize(acc: dict, den: int) -> tuple:
+        """(terms, den): the nonzero ints of ``acc`` over ``den`` > 0, both
+        divided by their gcd."""
+        terms = {m: n for m, n in acc.items() if n}
         if den == 1:
-            return {m: Fraction(n) for m, n in acc.items() if n}
-        return {m: Fraction(n, den) for m, n in acc.items() if n}
+            return terms, 1
+        g = gcd(den, *terms.values())
+        if g == 1:
+            return terms, den
+        return {m: n // g for m, n in terms.items()}, den // g
+
+    @staticmethod
+    def ratio(a: int, b: int) -> tuple:
+        """a/b for b > 0, as a reduced (numerator, denominator)."""
+        if b == 1:
+            return a, 1
+        g = gcd(a, b)
+        return a // g, b // g
 
     @staticmethod
     def value(n: int, den: int) -> Fraction:
@@ -197,16 +217,18 @@ class PrimeField(FieldConfig):
             raise DivisionByZero("no inverse of zero")
         return pow(a, self.modulus - 2, self.modulus)
 
-    @staticmethod
-    def integral(terms: dict) -> tuple:
-        """Residues are already ints: the terms themselves, over 1."""
-        return terms, 1
+    def residue(self, n: int) -> int:
+        return n % self.modulus
 
-    def normalize(self, acc: dict, den: int) -> dict:
-        """Each nonzero residue of ``acc`` mod p; ``den`` is always 1, since
-        ``integral`` never makes another."""
+    def normalize(self, acc: dict, den: int) -> tuple:
+        """(terms, 1): each nonzero residue of ``acc`` mod p; ``den`` is
+        always 1, since a residue is its own numerator."""
         p = self.modulus
-        return {m: r for m, n in acc.items() if (r := n % p)}
+        return {m: r for m, n in acc.items() if (r := n % p)}, 1
+
+    def ratio(self, a: int, b: int) -> tuple:
+        """(a mod p, 1); ``b`` is a denominator of the integral form, so 1."""
+        return a % self.modulus, 1
 
     def value(self, n: int, den: int) -> int:
         """The residue of n; ``den`` is always 1, as in ``normalize``."""
@@ -245,6 +267,8 @@ class Scalar:
     value: RawScalar
 
     def _coerce(self, other) -> "Scalar":
+        if type(other) is Scalar and other.config is self.config:
+            return other
         if isinstance(other, (Scalar, int)):
             return self.config.scalar(other)
         return NotImplemented

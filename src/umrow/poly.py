@@ -15,10 +15,20 @@ declaration precedence.  A stored monomial has total degree at most
 ``ExponentOverflow``, so no field ever carries into the next.  The layout
 depends only on the variable count.
 
-Exponent tuples appear only at the edges: ``from_terms``, parsing,
-printing, and the ``terms``, ``lead``, ``coeff``, ``mul_term`` and
-``sorted_terms`` of a polynomial.  Term maps never store zero coefficients,
-so structural equality of the term dictionaries is semantic equality.
+The coefficients are stored in integral form: plain ints over one positive
+denominator per polynomial, with the gcd of the denominator and every
+numerator 1 (over F_p the denominator is 1 and the ints are residues in
+[0, p)).  So the two loops, ``_sum_of_products`` and ``_reduce``, read their
+operands as stored and hand back the same form: a sum of products is
+normalized once, by one gcd, and a reduction step forms its quotient with
+one int gcd and makes no field value.  Term maps never store zero, and the
+form is canonical, so structural equality of (terms, denominator) is
+semantic equality.
+
+Exponent tuples and field values appear only at the edges: ``from_terms``,
+parsing, printing, ``PolyRing.term`` and ``const``, and the ``terms``,
+``lead``, ``coeff``, ``constant_value``, ``mul_term``, ``sorted_terms`` and
+``factored_terms`` of a polynomial.
 """
 
 from __future__ import annotations
@@ -93,42 +103,40 @@ def _packing(nvars: int) -> Packing:
     return Packing(nvars)
 
 
-def _rescale(acc: dict, den: int, d: int) -> int:
-    """Bring the int sum ``acc`` over ``den`` to the lcm of ``den`` and
+def _rescale(den: int, d: int, *accs) -> int:
+    """Bring each int sum in ``accs`` over ``den`` to the lcm of ``den`` and
     ``d``, in place, and return that lcm; both integral loops call this when
     a new denominator ``d`` does not divide the running one."""
     k = lcm(den, d) // den
-    for m in acc:
-        acc[m] *= k
+    for acc in accs:
+        for m in acc:
+            acc[m] *= k
     return den * k
 
 
-def _sum_of_products(pairs, ring: PolyRing) -> dict:
-    """sum(p_i * q_i) over ``pairs`` of packed term dicts of ``ring``, as a
-    term dict with no zero.  The one multiply-accumulate loop: products,
-    scaling, sums of products and cofactor rows all go through it.
-    ``field.integral`` writes each operand as ints over one denominator; the
-    products add up as plain ints over the common denominator of all pairs,
-    and ``field.normalize`` turns the sum back into field elements once.  A
-    constant factor adds the other factor's terms under their own monomial
-    ints, so a scaled polynomial shares its monomials with the original.
-    Two stored monomials sum without a carry between fields, so a product
-    beyond ``MAX_DEGREE`` is still exact; it is caught once, on the result."""
-    field = ring.field
-    integral = field.integral
+def _sum_of_products(pairs, ring: PolyRing) -> Polynomial:
+    """sum(p_i * q_i) over ``pairs`` of polynomials of ``ring``.  The one
+    multiply-accumulate loop: products, scaling, sums of products and
+    cofactor rows all go through it.  Each operand is already ints over its
+    own denominator; the products add up as plain ints over the common
+    denominator of all pairs, and ``field.normalize`` brings the sum to the
+    canonical form once.  A constant factor adds the other factor's terms
+    under their own monomial ints, so a scaled polynomial shares its
+    monomials with the original.  Two stored monomials sum without a carry
+    between fields, so a product beyond ``MAX_DEGREE`` is still exact; it is
+    caught once, on the result."""
     acc: dict = {}
     get = acc.get
     den = 1
     for p, q in pairs:
+        d = p._den * q._den
+        p, q = p._terms, q._terms
         if not (p and q):
             continue  # a zero operand adds nothing; cofactor rows hold many
-        p, dp = integral(p)
-        q, dq = integral(q)
-        d = dp * dq
         if d != den:
             # Bring the sum so far and this pair to one denominator.
             if den % d:
-                den = _rescale(acc, den, d)
+                den = _rescale(den, d, acc)
             if den != d:
                 k = den // d
                 if len(q) < len(p):
@@ -145,53 +153,61 @@ def _sum_of_products(pairs, ring: PolyRing) -> dict:
             for m2, c2 in q.items():
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
-    out = field.normalize(acc, den)
+    out, den = ring.field.normalize(acc, den)
     if out and max(out) >= ring.packing.limit:
         raise ExponentOverflow(f"a product has total degree above {MAX_DEGREE}")
-    return out
+    return Polynomial(ring, out, den)
 
 
 def _split_lead(d: Polynomial, order: MonomialOrder):
-    """(lead monomial, inverse of the lead coefficient, other terms negated
-    as ints, their denominator, overflow bound) of a divisor, the form
-    ``_reduce`` takes; a basis computes this once, not per reduction, so no
-    reduction step inverts, negates or converts a divisor coefficient.  A
-    step by this divisor on a monomial at or above the bound would make a
-    term of degree above ``MAX_DEGREE``; under a graded order no tail term
-    outweighs the lead and the bound is above every stored monomial."""
-    terms = d._terms
+    """(lead monomial, numerator and denominator of the lead coefficient's
+    inverse, other terms negated, their denominator, overflow bound) of a
+    divisor, the form ``_reduce`` takes; a basis computes this once, not per
+    reduction, so no reduction step inverts, negates or converts a divisor
+    coefficient.  A step by this divisor on a monomial at or above the bound
+    would make a term of degree above ``MAX_DEGREE``; under a graded order
+    no tail term outweighs the lead and the bound is above every stored
+    monomial."""
+    terms, den = d._terms, d._den
     lm = order.largest(terms)
     field = d.ring.field
     packing = d.ring.packing
-    tail, dt = field.integral({m: c for m, c in terms.items() if m != lm})
-    excess = packing.degree(max(tail)) - packing.degree(lm) if tail else 0
+    inv = field.inv(field.value(terms[lm], den))
+    tail = tuple((m, -n) for m, n in terms.items() if m != lm)
+    excess = packing.degree(max(m for m, _ in tail)) - packing.degree(lm) if tail else 0
     bound = (MAX_DEGREE + 1 - max(excess, 0)) << packing.top
-    return lm, field.inv(terms[lm]), tuple((m, -n) for m, n in tail.items()), dt, bound
+    return lm, inv.numerator, inv.denominator, tail, den, bound
 
 
 def _reduce(f: Polynomial, leads, order: MonomialOrder):
     """Core reduction loop shared by division, Buchberger and normal forms.
 
     ``leads`` are the divisors split by ``_split_lead``.  The remainder-to-be
-    ``p`` holds plain ints over one common denominator ``D`` (from
-    ``field.integral``; over F_p, unreduced residues over 1), and its
-    monomials sit in a min-heap of bare ints, so each step pops the leading
-    term instead of rescanning ``p``, and each monomial is keyed once, when
-    it first enters.  Under the ring's native order (graded reverse lex with
-    declaration precedence) the entry is ``-(m ^ low)`` itself; under any
-    other order it is ``order.desc_key(m)`` shifted above the same bits, and
-    one mask recovers ``m`` either way.  A step makes one field value of the
-    popped int over ``D`` and skips it if zero (cancelled, or over F_p a
-    multiple of p).  The quotient term is that value times the stored lead
-    inverse.  Each negated tail term is then added times the quotient's
-    numerator as a plain int, with no field call; first, if the quotient's
-    denominator times the tail's does not divide ``D``, all of ``p`` is
-    rescaled to the lcm.  A cancelled monomial keeps its zero entry until
-    popped, so a monomial not in ``p`` has never entered it: every new term
-    is below the popped one, so popped monomials never return, and a divisor
-    never gets the same quotient monomial twice.  Terms leave in descending
-    order and the first divisor in list order whose lead divides is used,
-    so quotients and remainder are those of plain multivariate division."""
+    ``p`` holds plain ints over one common denominator ``D`` (at first
+    ``f``'s own numerators and denominator; over F_p, unreduced residues
+    over 1), and its monomials sit in a min-heap of bare ints, so each step
+    pops the leading term instead of rescanning ``p``, and each monomial is
+    keyed once, when it first enters.  Under the ring's native order (graded
+    reverse lex with declaration precedence) the entry is ``-(m ^ low)``
+    itself; under any other order it is ``order.desc_key(m)`` shifted above
+    the same bits, and one mask recovers ``m`` either way.  A step reads the
+    popped int as a stored numerator (``field.residue``) and skips it if
+    zero (cancelled, or over F_p a multiple of p).  The quotient term is
+    n * inv_num / (D * inv_den), reduced by ``field.ratio`` to a pair of
+    ints with no field value made.  Each negated tail term is then added
+    times the quotient's numerator as a plain int; first, if the quotient's
+    denominator times the tail's does not divide ``D``, all of ``p`` and of
+    the remainder so far is rescaled to the lcm.  A cancelled monomial keeps
+    its zero entry until popped, so a monomial not in ``p`` has never
+    entered it: every new term is below the popped one, so popped monomials
+    never return, and a divisor never gets the same quotient monomial twice.
+    Terms leave in descending order and the first divisor in list order
+    whose lead divides is used, so quotients and remainder are those of
+    plain multivariate division.  Each quotient is kept as ints over the lcm
+    of its reduced terms' denominators, rescaled as ``p`` is, and that form
+    is canonical already: a prime to its full power in the lcm divides some
+    term's denominator fully, and so not that term's scaled numerator.  The
+    remainder is normalized once."""
     ring = f.ring
     field = ring.field
     packing = ring.packing
@@ -199,10 +215,9 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder):
     bits = packing.limit - 1  # every stored monomial, complemented or not, fits in these
     shift = bits.bit_length()
     dkey = None if order.native else order.desc_key
-    mul, value = field.mul, field.value
+    residue, ratio = field.residue, field.ratio
 
-    p, D = field.integral(f._terms)
-    p = dict(p)  # over F_p, integral hands back f's own terms
+    p, D = dict(f._terms), f._den
     if dkey is None:
         heap = [-(m ^ low) for m in p]
     else:
@@ -210,21 +225,26 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder):
     heapify(heap)
     rem: dict = {}
     quots = [dict() for _ in leads]
+    qdens = [1] * len(leads)  # quots[i] holds ints over qdens[i]
     while heap:
         m = -heappop(heap) & bits ^ low
-        c = value(p.pop(m), D)
-        if not c:
+        n = residue(p.pop(m))
+        if not n:
             continue
-        for idx, (dm, inv_lc, tail, dt, bound) in enumerate(leads):
+        for idx, (dm, inv_num, inv_den, tail, dt, bound) in enumerate(leads):
             t = m - dm
             if not t & guards:
                 if m >= bound:
                     raise ExponentOverflow(f"a reduction step makes total degree above {MAX_DEGREE}")
-                q = quots[idx][t] = mul(c, inv_lc)
-                d = q.denominator * dt
+                qn, qd = ratio(n * inv_num, D * inv_den)
+                qden = qdens[idx]
+                if qden % qd:
+                    qden = qdens[idx] = _rescale(qden, qd, quots[idx])
+                quots[idx][t] = qn * (qden // qd)
+                d = qd * dt
                 if D % d:
-                    D = _rescale(p, D, d)
-                s = q.numerator * (D // d)
+                    D = _rescale(D, d, p, rem)
+                s = qn * (D // d)
                 for m2, c2 in tail:
                     mm = m2 + t
                     if mm in p:
@@ -234,8 +254,11 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder):
                         heappush(heap, -(mm ^ low) if dkey is None else (dkey(mm) << shift) - (mm ^ low))
                 break
         else:
-            rem[m] = c
-    return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
+            rem[m] = n
+    quots = [Polynomial(ring, q, qden) for q, qden in zip(quots, qdens)]
+    # Each remainder int is a nonzero stored numerator, so over 1 (always,
+    # over F_p) the remainder is canonical as it stands.
+    return quots, Polynomial(ring, rem) if D == 1 else Polynomial(ring, *field.normalize(rem, D))
 
 
 @dataclass(frozen=True)
@@ -253,8 +276,9 @@ class MonomialOrder:
     native = False
 
     def __post_init__(self):
-        if sorted(self.precedence) != list(range(len(self.precedence))):
-            raise ValueError("precedence must be a permutation of variable indices")
+        precedence = self.precedence
+        if not all(type(i) is int for i in precedence) or sorted(precedence) != list(range(len(precedence))):
+            raise ConfigError(f"precedence {precedence} is not a permutation of variable indices")
         object.__setattr__(self, "packing", _packing(len(self.precedence)))
 
     def largest(self, monos: dict | list) -> int:
@@ -320,7 +344,11 @@ class PolyRing:
             raise DuplicateVariable(f"repeated variable name in {names}")
         self.field = field
         self.vars = names
-        self.order = ORDERS[order](len(names)) if isinstance(order, str) else order
+        if isinstance(order, str):
+            if order not in ORDERS:
+                raise ConfigError(f"unknown monomial order {order!r} (expected one of {', '.join(ORDERS)})")
+            order = ORDERS[order](len(names))
+        self.order = order
         self.packing = _packing(len(names))
         self._index = {name: i for i, name in enumerate(names)}
         self.check_order(self.order)
@@ -377,12 +405,14 @@ class PolyRing:
         return self.term(0, self.field.one())
 
     def const(self, value) -> "Polynomial":
-        return self.term(0, self.field.scalar(value).value)
+        return self.term(0, self.field.raw(value))
 
     def term(self, mono: int, raw) -> "Polynomial":
         """The polynomial ``raw * x^mono`` for a packed monomial (0 is the
         monomial 1) and a raw field element."""
-        return Polynomial(self, {mono: raw} if raw else {})
+        if not raw:
+            return Polynomial(self, {})
+        return Polynomial(self, {mono: raw.numerator}, raw.denominator)
 
     def var(self, name_or_index) -> "Polynomial":
         i = self._index.get(name_or_index) if isinstance(name_or_index, str) else name_or_index
@@ -396,56 +426,65 @@ class PolyRing:
 
     def dot(self, ps, qs) -> "Polynomial":
         """sum(p_i * q_i), summed into one term dict."""
-        pairs = []
-        for p, q in zip(ps, qs, strict=True):
+        pairs = list(zip(ps, qs, strict=True))
+        for p, q in pairs:
             if p.ring != self or q.ring != self:
                 raise RingMismatch("dot product outside the ring")
-            pairs.append((p._terms, q._terms))
-        return Polynomial(self, _sum_of_products(pairs, self))
+        return _sum_of_products(pairs, self)
 
     def from_terms(self, terms: dict) -> "Polynomial":
         """The polynomial with these terms, keyed by exponent tuples.  Each
         monomial goes through ``pack`` and each coefficient through
-        ``field.scalar``, so it is stored canonically, a zero is dropped and
+        ``field.raw``, so it is stored canonically, a zero is dropped and
         a value outside the field raises ``ConfigError``."""
         clean = {}
         pack = self.pack
-        scalar = self.field.scalar
+        raw_of = self.field.raw
         for mono, coeff in terms.items():
             mono = pack(mono)
-            raw = scalar(coeff).value
+            raw = raw_of(coeff)
             if raw:
                 clean[mono] = raw
-        return Polynomial(self, clean)
+        # Over the lcm of reduced denominators the form is canonical, as for
+        # the quotients of ``_reduce``.
+        den = lcm(*[c.denominator for c in clean.values()])
+        return Polynomial(self, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}, den)
 
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)
 
 
 class Polynomial:
-    """Immutable sparse polynomial.  ``_terms`` maps packed monomials to
-    nonzero raw coefficients and must never be mutated after construction;
-    ``terms`` is the same map keyed by exponent tuples, built on each read."""
+    """Immutable sparse polynomial in integral form.  ``_terms`` maps packed
+    monomials to nonzero ints and ``_den`` is one positive int, the
+    coefficient at ``m`` being ``_terms[m] / _den``.  The form is canonical:
+    over Q the gcd of ``_den`` and every numerator is 1, and over F_p
+    ``_den`` is 1 and the ints are residues in [0, p).  Neither field may be
+    mutated after construction.  ``terms`` is the map from exponent tuples
+    to field values, built on each read."""
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_den")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, terms: dict, den: int = 1):
         self.ring = ring
         self._terms = terms
+        self._den = den
 
     # -- queries ---------------------------------------------------------
 
     @property
     def terms(self) -> dict:
         unpack = self.ring.packing.unpack
-        return {unpack(m): c for m, c in self._terms.items()}
+        value, den = self.ring.field.value, self._den
+        return {unpack(m): value(n, den) for m, n in self._terms.items()}
 
     def factored_terms(self):
         """(coefficient, ((variable index, exponent), ...)) per term, with
         the variables of nonzero exponent in index order."""
         unpack = self.ring.packing.unpack
-        for m, c in self._terms.items():
-            yield c, tuple((i, e) for i, e in enumerate(unpack(m)) if e)
+        value, den = self.ring.field.value, self._den
+        for m, n in self._terms.items():
+            yield value(n, den), tuple((i, e) for i, e in enumerate(unpack(m)) if e)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -461,7 +500,7 @@ class Polynomial:
         if not terms:
             return self.ring.field.zero()
         if len(terms) == 1 and 0 in terms:
-            return terms[0]
+            return self.ring.field.value(terms[0], self._den)
         return None
 
     def lead(self, order: MonomialOrder | None = None):
@@ -470,16 +509,17 @@ class Polynomial:
         if not self._terms:
             return None
         m = (order or self.ring.order).largest(self._terms)
-        return self.ring.packing.unpack(m), self._terms[m]
+        return self.ring.packing.unpack(m), self.ring.field.value(self._terms[m], self._den)
 
     def coeff(self, mono):
         """The coefficient of an exponent tuple, checked as ``PolyRing.pack``
         checks it; zero for a degree no stored monomial reaches."""
-        zero = self.ring.field.zero()
+        field = self.ring.field
         try:
-            return self._terms.get(self.ring.pack(mono), zero)
+            n = self._terms.get(self.ring.pack(mono))
         except ExponentOverflow:
-            return zero
+            n = None
+        return field.zero() if n is None else field.value(n, self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -496,15 +536,23 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        add = self.ring.field.add
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            v = add(out[m], c) if m in out else c
+        field = self.ring.field
+        out, den, k = dict(self._terms), self._den, 1
+        if other._den != den:
+            if den % other._den:
+                den = _rescale(den, other._den, out)
+            k = den // other._den
+        add = field.add  # on stored ints: over Q their sum, over F_p mod p
+        for m, n in other._terms.items():
+            n *= k
+            v = add(out[m], n) if m in out else n
             if v:
                 out[m] = v
             elif m in out:
                 del out[m]
-        return Polynomial(self.ring, out)
+        if den == 1:
+            return Polynomial(self.ring, out)  # nonzero ints over 1 are canonical
+        return Polynomial(self.ring, *field.normalize(out, den))
 
     __radd__ = __add__
 
@@ -518,20 +566,20 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, {m: neg(c) for m, c in self._terms.items()})
+        neg = self.ring.field.neg  # over Q it negates the int numerator
+        return Polynomial(self.ring, {m: neg(n) for m, n in self._terms.items()}, self._den)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial(self.ring, _sum_of_products(((self._terms, other._terms),), self.ring))
+        return _sum_of_products(((self, other),), self.ring)
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
         if exp < 0:
-            raise ValueError("negative exponent")
+            raise ConfigError(f"negative exponent {exp}")
         result = self.ring.one()
         base = self
         while exp:
@@ -556,8 +604,8 @@ class Polynomial:
         # The variable fields keep their bits; the degree field moves up.
         old, new = self.ring.packing, new_ring.packing
         low = old.low
-        terms = {(m & low) | (old.degree(m) << new.top): c for m, c in self._terms.items()}
-        return Polynomial(new_ring, terms)
+        terms = {(m & low) | (old.degree(m) << new.top): n for m, n in self._terms.items()}
+        return Polynomial(new_ring, terms, self._den)
 
     # -- equality & text ---------------------------------------------------
 
@@ -566,17 +614,18 @@ class Polynomial:
             if isinstance(other, (int, Scalar)):
                 return self == self.ring.const(other)
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return self.ring == other.ring and self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self._terms.items())))
+        return hash((self.ring, self._den, frozenset(self._terms.items())))
 
     def sorted_terms(self):
         """(exponent tuple, coefficient) pairs, largest monomial first under
         the ring's order."""
         unpack = self.ring.packing.unpack
+        value, den = self.ring.field.value, self._den
         terms = self._terms
-        return [(unpack(m), terms[m]) for m in self.ring.order.descending(terms)]
+        return [(unpack(m), value(terms[m], den)) for m in self.ring.order.descending(terms)]
 
     def __str__(self):
         if not self._terms:

@@ -388,7 +388,7 @@ def degree_action(alpha_raw, n: int, field: FieldConfig) -> RingHom:
     Cached by the value of ``a`` in ``field``, so every spelling of one scale
     (``2``, ``"2"``, ``Fraction(2)``) shares one map.
     """
-    return _degree_action(field.scalar(alpha_raw).value, n, field)
+    return _degree_action(field.raw(alpha_raw), n, field)
 
 
 @lru_cache(maxsize=QUADRIC_CACHE_SIZE)

@@ -1,8 +1,10 @@
 """The term format of polynomials stays private to ``poly``: only
-``poly.py`` calls the ``Polynomial`` constructor on a term dict or reads the
-``terms`` of a polynomial, and only ``poly.py`` and ``fields.py`` import
-``operator`` or ``math``, the tools of per-term loops.  A change to how
-terms are stored then touches ``poly`` and ``fields`` alone."""
+``poly.py`` calls the ``Polynomial`` constructor on a term dict, reads the
+``terms`` of a polynomial or its stored integral form (``_terms`` and
+``_den``), and only ``poly.py`` and ``fields.py`` import ``operator`` or
+``math``, the tools of per-term loops, or read the ``numerator`` or
+``denominator`` of a coefficient.  A change to how terms are stored then
+touches ``poly`` and ``fields`` alone."""
 
 from __future__ import annotations
 
@@ -40,13 +42,22 @@ def term_tool_imports(source: str) -> list:
     return lines
 
 
-def terms_reads(source: str) -> list:
-    """Lines that read an attribute named ``terms``."""
-    return sorted({
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr == "terms"
-    })
+def attribute_reads(names):
+    """A scanner for the lines that read an attribute named in ``names``."""
+
+    def scan(source: str) -> list:
+        return sorted({
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in names
+        })
+
+    return scan
+
+
+terms_reads = attribute_reads({"terms"})
+integral_form_reads = attribute_reads({"_terms", "_den"})
+fraction_part_reads = attribute_reads({"numerator", "denominator"})
 
 
 def offenders(scan, allowed) -> dict:
@@ -61,6 +72,10 @@ def test_scanners_see_what_they_guard():
     assert term_tool_imports(source) == [1, 2]
     source = "p.terms.items()\nlen(e.rep.terms)\nring.term(m, c)\nterms = p.from_terms(t)\nq.terms_of"
     assert terms_reads(source) == [1, 2]
+    source = "p._terms.items()\nq._den * r._den\np.terms\n_den = 1\nself._terms_of"
+    assert integral_form_reads(source) == [1, 2]
+    source = "c.numerator\nf(c).denominator\ndenominator = 2\nnumerators = []\np.numerator_of"
+    assert fraction_part_reads(source) == [1, 2]
 
 
 def test_only_poly_builds_polynomials():
@@ -74,3 +89,11 @@ def test_only_poly_and_fields_import_term_tools():
 
 def test_only_poly_reads_terms():
     assert offenders(terms_reads, {"poly.py"}) == {}
+
+
+def test_only_poly_reads_the_integral_form():
+    assert offenders(integral_form_reads, {"poly.py"}) == {}
+
+
+def test_only_poly_and_fields_read_fraction_parts():
+    assert offenders(fraction_part_reads, {"poly.py", "fields.py"}) == {}

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from umrow.algebra import make_algebra
-from umrow.errors import ConfigError, ExponentOverflow, ParseError, RingMismatch
+from umrow.errors import ConfigError, ExponentOverflow, FieldMismatch, ParseError, RingMismatch
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, buchberger, divide_with_remainder
 from umrow.poly import FIELD_BITS, MAX_DEGREE, PolyRing, grevlex, lex
@@ -177,6 +178,93 @@ def test_from_terms_stores_canonical_coefficients():
     for bad in (0.5, None, [1]):
         with pytest.raises(ConfigError):
             R2.from_terms({(1, 0): bad})
+    with pytest.raises(FieldMismatch):
+        R2.from_terms({(1, 0): prime_field(5).scalar(1)})
+
+
+# -- integral storage: ints over one denominator, one canonical form ----------
+
+
+def assert_integral(poly):
+    """``poly`` is stored canonically: over Q nonzero ints over a positive
+    denominator sharing no factor with all of them, over F_p residues over 1."""
+    field = poly.ring.field
+    numerators = list(poly._terms.values())
+    assert all(type(n) is int and n for n in numerators)
+    if field.characteristic:
+        assert poly._den == 1 and all(0 < n < field.characteristic for n in numerators)
+    else:
+        assert type(poly._den) is int and poly._den > 0
+        assert gcd(poly._den, *numerators) == 1
+
+
+def ways_to_build(ring, text, a, b):
+    """Polynomials equal to ``text``, built in every way the ring offers; the
+    caller passes rationals ``a`` and ``b`` with a * b = 1."""
+    f = ring.parse(text)
+    x, y = ring.var("x"), ring.var("y")
+    yield f
+    yield ring.from_terms(f.terms)
+    yield f.scale(ring.field.scalar(a).value).scale(ring.field.scalar(b).value)
+    yield (f * ring.const(a)) * ring.const(b)
+    yield ring.const(b) * (ring.const(a) * f)
+    yield (f + x * y) - x * y
+    yield -(-f)
+    yield ring.dot([f * ring.const(a), f * ring.const(b), x], [ring.const(b), ring.const(a), y]) - f - x * y
+    # f = q * d + r with q = r = f, where d = a * y^2 leads every term it divides.
+    d = ring.const(a) * y**2
+    quots, rem = divide_with_remainder(f * d + f, [d])
+    yield quots[0]
+    yield rem
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(7), prime_field(32003)], ids=["q", "fp7", "fp"])
+@pytest.mark.parametrize("text", ["3*x + 2", "1/2*x + 1/3", "-6/5*x^2 + 4/15*x - 2", "7*x", "0", "-1/22"])
+def test_every_construction_stores_the_same_integral_form(field, text):
+    ring = PolyRing(field, ["x", "y"])
+    target = ring.parse(text)
+    assert_integral(target)
+    for poly in ways_to_build(ring, text, Fraction(2, 3), Fraction(3, 2)):
+        assert_integral(poly)
+        assert poly == target and hash(poly) == hash(target)
+        assert (poly._terms, poly._den) == (target._terms, target._den)
+
+
+def test_integral_form_examples():
+    x = R2.var("x")
+    six = R2.const(6)
+    p = (R2.parse("1/2*x + 1/3")) * six
+    assert p == R2.parse("3*x + 2") and p._den == 1 and p._terms == R2.parse("3*x + 2")._terms
+    q = R2.parse("1/2*x + 1/3")
+    assert q._den == 6 and sorted(q._terms.values()) == [2, 3]
+    # Numerators that share a factor the denominator does not: 2/3 x + 4/3.
+    r = R2.parse("2/3*x + 4/3")
+    assert r._den == 3 and sorted(r._terms.values()) == [2, 4]
+    # A sum whose denominators cancel comes back over 1, a difference to zero over 1.
+    assert (q + R2.parse("1/2*x + 2/3"))._den == 1
+    assert (q - q)._terms == {} and (q - q)._den == 1 and q - q == R2.zero()
+    # The edges hand out reduced Fractions, whatever the stored form.
+    assert q.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 3)}
+    assert q.lead() == ((1, 0), Fraction(1, 2)) and q.coeff((0, 0)) == Fraction(1, 3)
+    assert q.sorted_terms() == [((1, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 3))]
+    assert [c for c, _ in q.factored_terms()] == [Fraction(1, 2), Fraction(1, 3)]
+    assert R2.parse("-4/6").constant_value() == Fraction(-2, 3) and str(q) == "1/2*x + 1/3"
+    assert all(type(c) is Fraction for c in (x * six).terms.values())
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda: PolyRing(RATIONALS, ["x", "y"], order="deglex"),
+        lambda: grevlex(2, [0, 0]),
+        lambda: R2.var("x") ** -1,
+        lambda: make_algebra(RATIONALS, ["x", "y"], ["x*y - 1"]).var("x") ** -1,
+    ],
+    ids=["unknown-order", "precedence-not-a-permutation", "polynomial-negative-power", "element-negative-power"],
+)
+def test_bad_orders_and_exponents_raise_config_error(bad):
+    with pytest.raises(ConfigError):
+        bad()
 
 
 def test_parse_error_offsets():
@@ -348,6 +436,15 @@ def ref_divide(f: dict, divisors: list, order, field):
     return quots, rem
 
 
+def matches(poly, ref: dict) -> bool:
+    """``poly`` is stored canonically and its ``terms`` equal the reference
+    term dict value for value, as ``Fraction``s over Q and ints over F_p."""
+    assert_integral(poly)
+    kind = int if poly.ring.field.characteristic else Fraction
+    terms = poly.terms
+    return terms == ref and all(type(c) is kind for c in terms.values())
+
+
 def random_terms(rng, nvars, field, count, degree):
     terms = {}
     for _ in range(count):
@@ -377,13 +474,15 @@ def test_packed_kernels_match_a_tuple_reference(nvars, field, order_of):
             return terms, ring.from_terms(terms)
 
         (pt, p), (qt, q) = draw(6, 3), draw(5, 3)
-        assert (p * q).terms == ref_mul(pt, qt, field)
-        assert (p + q).terms == ref_add(pt, qt, field)
+        assert matches(p, pt) and matches(q, qt)
+        assert matches(p * q, ref_mul(pt, qt, field))
+        assert matches(p + q, ref_add(pt, qt, field))
+        assert matches(-p, {m: field.neg(c) for m, c in pt.items()})
         pairs = [draw(rng.randint(0, 4), 2) for _ in range(6)]
         expected: dict = {}
         for (at, _), (bt, _) in zip(pairs[::2], pairs[1::2]):
             expected = ref_add(expected, ref_mul(at, bt, field), field)
-        assert ring.dot([a for _, a in pairs[::2]], [b for _, b in pairs[1::2]]).terms == expected
+        assert matches(ring.dot([a for _, a in pairs[::2]], [b for _, b in pairs[1::2]]), expected)
 
         divisors = [draw(3, 2) for _ in range(rng.randint(1, 3))]
         divisors = [(t, d) for t, d in divisors if t]
@@ -392,8 +491,8 @@ def test_packed_kernels_match_a_tuple_reference(nvars, field, order_of):
         ft, f = draw(8, 4)
         quots, rem = divide_with_remainder(f, [d for _, d in divisors])
         ref_quots, ref_rem = ref_divide(ft, [t for t, _ in divisors], order, field)
-        assert [qq.terms for qq in quots] == ref_quots
-        assert rem.terms == ref_rem
+        assert all(matches(qq, ref) for qq, ref in zip(quots, ref_quots, strict=True))
+        assert matches(rem, ref_rem)
         descending = sorted(ft, key=lambda m: ref_key(order, m), reverse=True)
         assert f.sorted_terms() == [(m, ft[m]) for m in descending]
         assert f.lead() == ((descending[0], ft[descending[0]]) if ft else None)
@@ -402,7 +501,7 @@ def test_packed_kernels_match_a_tuple_reference(nvars, field, order_of):
         gb = buchberger(Ideal.of(ring, [d for _, d in divisors[:2]]))
         quots, nf = gb.normal_form_with_quotients(f)
         ref_quots, ref_nf = ref_divide(ft, [b.terms for b in gb.basis], order, field)
-        assert [qq.terms for qq in quots] == ref_quots
-        assert nf.terms == ref_nf
+        assert all(matches(qq, ref) for qq, ref in zip(quots, ref_quots, strict=True))
+        assert matches(nf, ref_nf)
         steps += sum(map(len, ref_quots))
     assert steps > 8
