@@ -179,9 +179,13 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     # reduction, steps[k] is the step of basis[k].
     steps: list[tuple] = []
     # Pending pairs: a heap pops them in (sugar, lcm degree, i, j) order,
-    # and the set answers the chain criterion's membership test.
+    # each entry carrying its lcm after that key, and the set answers the
+    # chain criterion's membership test.
     queue: list = []
     pending: set = set()
+    # The first lead that may divide each monomial, for every S-pair
+    # reduction of this run: ``leads`` only grows while pairs are reduced.
+    divisor_memo: dict = {}
 
     def enter(poly, step, sugar):
         """The one way into the basis: ``poly`` scaled by the inverse its
@@ -198,9 +202,10 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         leads.append(lead)
         sugars.append(sugar)
         for i in range(j):
-            lcm_deg = packing.degree(packing.lcm(leads[i][0], lead[0]))
+            lcm = packing.lcm(leads[i][0], lead[0])
+            lcm_deg = packing.degree(lcm)
             pair_sugar = lcm_deg + max(sugars[k] - packing.degree(leads[k][0]) for k in (i, j))
-            heappush(queue, (pair_sugar, lcm_deg, i, j))
+            heappush(queue, (pair_sugar, lcm_deg, i, j, lcm))
             pending.add((i, j))
 
     for i, g in enumerate(gens):
@@ -212,10 +217,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     one = field.one()
     neg_one = field.neg(one)
     while queue:
-        sugar, _, i, j = heappop(queue)
+        sugar, _, i, j, lcm = heappop(queue)
         pending.remove((i, j))
         lmi, lmj = leads[i][0], leads[j][0]
-        lcm = packing.lcm(lmi, lmj)
         if lcm == packing.mul(lmi, lmj):
             continue  # coprime leading monomials: S-polynomial reduces to 0
         if any(
@@ -230,7 +234,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         xti = ring.term(packing.div(lcm, lmi), one)
         xtj = ring.term(packing.div(lcm, lmj), neg_one)
         s = ring.dot((xti, xtj), (basis[i], basis[j]))
-        quots, rem = _reduce(s, leads, order)
+        quots, rem = _reduce(s, leads, order, divisor_memo)
         if rem.is_zero():
             continue
         # rem = x^ti*basis[i] - x^tj*basis[j] - sum(quots[t]*basis[t]), and

@@ -46,19 +46,23 @@ from .fields import FieldConfig, Scalar
 
 FIELD_BITS = 16
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest total degree a monomial may have
+MAX_NESTING = 100  # the deepest parentheses ``PolyRing.parse`` accepts
 
 
 class Packing:
     """The packed monomials of rings with ``nvars`` variables, and the
     operations ``groebner`` needs on them."""
 
-    __slots__ = ("top", "low", "guards", "limit", "_fields")
+    __slots__ = ("top", "low", "guards", "limit", "_repunit", "_fields")
 
     def __init__(self, nvars: int):
         self.top = nvars * FIELD_BITS  # the lowest bit of the degree field
         self.low = (1 << self.top) - 1  # the variable fields
         self.guards = sum(1 << (FIELD_BITS * (i + 1) - 1) for i in range(nvars))
         self.limit = (MAX_DEGREE + 1) << self.top  # every stored monomial is below it
+        # A 1 in every field, the degree field included: multiplied by the
+        # variable fields, it sums them all into the degree field.
+        self._repunit = sum(1 << (FIELD_BITS * i) for i in range(nvars + 1))
         self._fields = struct.Struct(f"<{nvars + 1}H")
 
     def pack(self, exps) -> int:
@@ -89,9 +93,19 @@ class Packing:
 
     def lcm(self, a: int, b: int) -> int:
         """The lcm, whose degree may exceed ``MAX_DEGREE``: it is compared,
-        divided and measured, never stored."""
-        exps = tuple(map(max, self.unpack(a), self.unpack(b)))
-        return int.from_bytes(self._fields.pack(*exps, sum(exps)), "little")
+        divided and measured, never stored.  It is computed on the packed
+        ints, all fields at once.  With the guard bits set in ``a``, each
+        field of ``(a | guards) - b`` keeps its guard exactly where a's
+        exponent is at least b's (no field borrows from the next), and
+        ``ge - (ge >> 15)`` widens each kept guard into a mask of its field's
+        exponent bits, which picks the larger exponent of each field.  One
+        multiply by the repunit then sums the variable fields into the
+        degree field; no partial sum of at most 2 * ``MAX_DEGREE`` = 65 534
+        carries out of its 16 bits, so the degree is exact."""
+        ge = ((a | self.guards) - b) & self.guards
+        mask = ge - (ge >> (FIELD_BITS - 1))
+        v = (a & mask) | (b & (self.low ^ mask))
+        return v | (v * self._repunit >> self.top & 0xFFFF) << self.top
 
     def support(self, m: int) -> frozenset:
         """The indices of the variables that occur in ``m``."""
@@ -179,10 +193,16 @@ def _split_lead(d: Polynomial, order: MonomialOrder):
     return lm, inv.numerator, inv.denominator, tail, den, bound
 
 
-def _reduce(f: Polynomial, leads, order: MonomialOrder):
+def _reduce(f: Polynomial, leads, order: MonomialOrder, memo: dict | None = None):
     """Core reduction loop shared by division, Buchberger and normal forms.
 
-    ``leads`` are the divisors split by ``_split_lead``.  The remainder-to-be
+    ``leads`` are the divisors split by ``_split_lead``.  ``memo`` maps a
+    monomial to the index of the first lead that may divide it: every lead
+    before that index has been tested and does not.  A caller that only ever
+    appends to ``leads`` may pass the same memo to every call, and a later
+    call then resumes each monomial's scan where the last one stopped: a
+    hit stays the first divisor, and a miss only tests the leads appended
+    since.  Without a memo the call uses a fresh one.  The remainder-to-be
     ``p`` holds plain ints over one common denominator ``D`` (at first
     ``f``'s own numerators and denominator; over F_p, unreduced residues
     over 1), and its monomials sit in a min-heap of bare ints, so each step
@@ -216,6 +236,10 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder):
     shift = bits.bit_length()
     dkey = None if order.native else order.desc_key
     residue, ratio = field.residue, field.ratio
+    if memo is None:
+        memo = {}
+    dms = [lead[0] for lead in leads]
+    nleads = len(dms)
 
     p, D = dict(f._terms), f._den
     if dkey is None:
@@ -231,30 +255,34 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder):
         n = residue(p.pop(m))
         if not n:
             continue
-        for idx, (dm, inv_num, inv_den, tail, dt, bound) in enumerate(leads):
-            t = m - dm
-            if not t & guards:
-                if m >= bound:
-                    raise ExponentOverflow(f"a reduction step makes total degree above {MAX_DEGREE}")
-                qn, qd = ratio(n * inv_num, D * inv_den)
-                qden = qdens[idx]
-                if qden % qd:
-                    qden = qdens[idx] = _rescale(qden, qd, quots[idx])
-                quots[idx][t] = qn * (qden // qd)
-                d = qd * dt
-                if D % d:
-                    D = _rescale(D, d, p, rem)
-                s = qn * (D // d)
-                for m2, c2 in tail:
-                    mm = m2 + t
-                    if mm in p:
-                        p[mm] += s * c2
-                    else:
-                        p[mm] = s * c2
-                        heappush(heap, -(mm ^ low) if dkey is None else (dkey(mm) << shift) - (mm ^ low))
-                break
-        else:
+        start = idx = memo.get(m, 0)
+        while idx < nleads and (m - dms[idx]) & guards:
+            idx += 1
+        if idx != start:
+            memo[m] = idx
+        if idx == nleads:
             rem[m] = n
+            continue
+        dm, inv_num, inv_den, tail, dt, bound = leads[idx]
+        if m >= bound:
+            raise ExponentOverflow(f"a reduction step makes total degree above {MAX_DEGREE}")
+        t = m - dm
+        qn, qd = ratio(n * inv_num, D * inv_den)
+        qden = qdens[idx]
+        if qden % qd:
+            qden = qdens[idx] = _rescale(qden, qd, quots[idx])
+        quots[idx][t] = qn * (qden // qd)
+        d = qd * dt
+        if D % d:
+            D = _rescale(D, d, p, rem)
+        s = qn * (D // d)
+        for m2, c2 in tail:
+            mm = m2 + t
+            if mm in p:
+                p[mm] += s * c2
+            else:
+                p[mm] = s * c2
+                heappush(heap, -(mm ^ low) if dkey is None else (dkey(mm) << shift) - (mm ^ low))
     quots = [Polynomial(ring, q, qden) for q, qden in zip(quots, qdens)]
     # Each remainder int is a nonzero stored numerator, so over 1 (always,
     # over F_p) the remainder is canonical as it stands.
@@ -340,6 +368,9 @@ class PolyRing:
 
     def __init__(self, field: FieldConfig, variables: Sequence[str], order="grevlex"):
         names = tuple(variables)
+        for name in names:
+            if not isinstance(name, str) or not _NAME.fullmatch(name):
+                raise ConfigError(f"variable name {name!r} is not an identifier")
         if len(set(names)) != len(names):
             raise DuplicateVariable(f"repeated variable name in {names}")
         self.field = field
@@ -402,7 +433,7 @@ class PolyRing:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return self.term(0, self.field.one())
+        return Polynomial(self, {0: 1})
 
     def const(self, value) -> "Polynomial":
         return self.term(0, self.field.raw(value))
@@ -418,8 +449,7 @@ class PolyRing:
         i = self._index.get(name_or_index) if isinstance(name_or_index, str) else name_or_index
         if i not in range(self.nvars):
             raise RingMismatch(f"no variable {name_or_index!r} in {self.vars}")
-        mono = self.packing.pack(tuple(1 if j == i else 0 for j in range(self.nvars)))
-        return self.term(mono, self.field.one())
+        return Polynomial(self, {1 << FIELD_BITS * i | 1 << self.packing.top: 1})
 
     def gens(self) -> tuple:
         return tuple(self.var(i) for i in range(self.nvars))
@@ -660,7 +690,8 @@ class Polynomial:
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a variable name, as parsed and as declared
+_TOKEN = re.compile(rf"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*/^()])")
 
 
 def _tokenize(text: str):
@@ -682,6 +713,7 @@ class _Parser:
         self.ring = ring
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses; each costs a few stack frames
 
     def peek(self):
         return self.tokens[self.pos]
@@ -748,10 +780,14 @@ class _Parser:
                 raise ParseError(f"unknown variable {text!r}", off)
             return self.ring.var(text)
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", off)
+            self.depth += 1
             inner = self.expr()
             kind2, text2, off2 = self.take()
             if not (kind2 == "op" and text2 == ")"):
                 raise ParseError("expected ')'", off2)
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {text!r}", off)
 

@@ -257,11 +257,14 @@ def _shrink_draws(parent: Algebra, seed: int):
 
 def _shrink_pool(parent: Algebra, seed: int, budget: int):
     """The distinct candidates among the first ``budget`` draws, in the order
-    drawn: a repeat would only retry the same assignments."""
-    pool: dict = {}
+    drawn: a repeat would only retry the same assignments.  Each is drawn
+    only when the search asks for it, so a search that succeeds early makes
+    no further normal form."""
+    seen: set = set()
     for cand in islice(_shrink_draws(parent, seed), budget):
-        pool.setdefault(cand.rep, cand)
-    return list(pool.values())
+        if cand.rep not in seen:
+            seen.add(cand.rep)
+            yield cand
 
 
 def _shrink_assignments(parent: Algebra, slots: int, seed: int, budget: int):

@@ -75,6 +75,26 @@ def test_malformed_json_shape_is_a_config_error(tmp_path, capsys, command, paylo
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(SPHERE, vars=["1x", "y", "z"], relations=["y*z - 1"]),
+        dict(SPHERE, vars=["x", "", "z"], relations=["x*z - 1"]),
+        dict(SPHERE, relations=["(" * 300 + "x" + ")" * 300]),
+        dict(SPHERE, relations=["(" * 3000 + "x" + ")" * 3000]),
+    ],
+    ids=["name-1x", "name-empty", "nested-300", "nested-3000"],
+)
+def test_bad_names_and_deep_nesting_exit_2(tmp_path, capsys, payload):
+    # A variable no relation can name, and parentheses nested past the
+    # parser's limit (a traceback and exit 1 before it had one).
+    path = write_json(tmp_path / "bad.json", payload)
+    assert main(["gb", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_load_algebra(tmp_path):
     path = write_json(tmp_path / "sphere.json", SPHERE)
     algebra = load_algebra(path)

@@ -11,7 +11,7 @@ from umrow.algebra import make_algebra
 from umrow.errors import ConfigError, ExponentOverflow, FieldMismatch, ParseError, RingMismatch
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, buchberger, divide_with_remainder
-from umrow.poly import FIELD_BITS, MAX_DEGREE, PolyRing, grevlex, lex
+from umrow.poly import FIELD_BITS, MAX_DEGREE, MAX_NESTING, PolyRing, _reduce, _split_lead, grevlex, lex
 
 R2 = PolyRing(RATIONALS, ["x", "y"])
 R3 = PolyRing(RATIONALS, ["x", "y", "z"])
@@ -285,6 +285,37 @@ def test_parse_power_and_parens():
         R2.parse("x^y")
 
 
+def test_parse_limits_nesting():
+    assert R2.parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == R2.var("x")
+    # Deeper input ran out of stack (a RecursionError from 300 levels on).
+    for depth in (MAX_NESTING + 1, 300, 3000):
+        with pytest.raises(ParseError) as info:
+            R2.parse("(" * depth + "x" + ")" * depth)
+        assert info.value.offset == MAX_NESTING
+
+
+@pytest.mark.parametrize("name", ["1x", "", "x y", "x-1", 1, None], ids=repr)
+def test_variable_names_must_be_identifiers(name):
+    # A name the parser cannot read as one name token could never appear in
+    # a relation.
+    with pytest.raises(ConfigError):
+        PolyRing(RATIONALS, [name, "y"])
+    with pytest.raises(ConfigError):
+        make_algebra(RATIONALS, ["y", name], [])
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(5), prime_field(32003)], ids=["q", "f5", "f32003"])
+def test_one_and_var_store_their_parsed_form(field):
+    ring = PolyRing(field, ["x", "y", "z"])
+    built = [ring.one()] + [ring.var(i) for i in range(3)] + [ring.var("z")]
+    parsed = [ring.parse(text) for text in ("1", "x", "y", "z", "z")]
+    for b, q in zip(built, parsed, strict=True):
+        assert b == q and hash(b) == hash(q)
+        assert (b._terms, b._den) == (q._terms, q._den)
+        assert_integral(b)
+    assert PolyRing(field, []).one() == PolyRing(field, []).parse("1")
+
+
 def test_extend():
     big = PolyRing(RATIONALS, ["x", "y", "z"])
     f = R2.parse("x*y + 1").extend(big)
@@ -505,3 +536,79 @@ def test_packed_kernels_match_a_tuple_reference(nvars, field, order_of):
         assert matches(nf, ref_nf)
         steps += sum(map(len, ref_quots))
     assert steps > 8
+
+
+def ref_pack(exps) -> int:
+    """A monomial packed field by field, with its total degree on top."""
+    m = sum(e << (FIELD_BITS * i) for i, e in enumerate(exps))
+    return m | sum(exps) << (FIELD_BITS * len(exps))
+
+
+def random_exponents(rng, nvars):
+    """Exponents of total degree at most ``MAX_DEGREE``, often at it, and
+    often all in one or two variables."""
+    total = rng.choice([MAX_DEGREE, rng.randint(0, MAX_DEGREE), rng.randint(0, 9)])
+    exps = [0] * nvars
+    for _ in range(rng.randint(1, 3) if nvars else 0):
+        i = rng.randrange(nvars)
+        exps[i] += rng.randint(0, total - sum(exps))
+    return exps
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2, 6, 30])
+def test_packing_lcm_is_the_fieldwise_max(nvars):
+    packing = PolyRing(RATIONALS, [f"v{i}" for i in range(nvars)]).packing
+    rng = random.Random(f"lcm {nvars}")
+    draws = [[0] * nvars] + [random_exponents(rng, nvars) for _ in range(300)]
+    if nvars:
+        draws += [[MAX_DEGREE] + [0] * (nvars - 1), [0] * (nvars - 1) + [MAX_DEGREE]]
+    highest = 0
+    for a in draws:
+        for b in rng.sample(draws, 8) + [a, draws[-1]]:
+            expected = ref_pack([max(x, y) for x, y in zip(a, b)])
+            lcm = packing.lcm(ref_pack(a), ref_pack(b))
+            assert lcm == expected
+            assert packing.divides(ref_pack(a), lcm) and packing.divides(ref_pack(b), lcm)
+            highest = max(highest, packing.degree(lcm))
+    # Two pure powers of different variables reach the largest lcm degree.
+    assert highest == (2 * MAX_DEGREE if nvars > 1 else MAX_DEGREE if nvars else 0)
+
+
+def test_a_shared_divisor_memo_gives_the_fresh_scan():
+    ring = R3
+    order = ring.order
+    leads = [_split_lead(ring.parse("x^2 - y"), order)]
+    memo: dict = {}
+    yz = ring.parse("y*z")._terms.popitem()[0]
+
+    def reduce_both(text):
+        f = ring.parse(text)
+        shared, fresh = _reduce(f, leads, order, memo), _reduce(f, leads, order)
+        assert shared == fresh
+        assert [q.terms for q in shared[0]] == [q.terms for q in fresh[0]]
+        return shared
+
+    quots, rem = reduce_both("x^3 + y*z + z")
+    assert rem == ring.parse("x*y + y*z + z") and memo[yz] == 1  # y*z missed the one lead
+    # A lead dividing y*z is appended; the next call resumes y*z's scan at
+    # it and finds it, as a fresh scan does.
+    leads.append(_split_lead(ring.parse("y*z - x"), order))
+    quots, rem = reduce_both("x^3 + y*z + z")
+    assert quots[1] == ring.one() and rem == ring.parse("x*y + x + z")
+
+    # The same, seeded: leads grow between calls that share one memo.
+    for field in (RATIONALS, prime_field(32003)):
+        ring = PolyRing(field, ["a", "b", "c", "d"])
+        order, memo, leads = ring.order, {}, []
+        rng = random.Random(f"memo {field}")
+        hits = 0
+        for _ in range(40):
+            terms = random_terms(rng, 4, field, 3, 3)
+            if terms and rng.random() < 0.5:
+                leads.append(_split_lead(ring.from_terms(terms), order))
+            f = ring.from_terms(random_terms(rng, 4, field, 6, 5))
+            shared, fresh = _reduce(f, leads, order, memo), _reduce(f, leads, order)
+            assert shared == fresh
+            assert [q.terms for q in shared[0]] == [q.terms for q in fresh[0]]
+            hits += sum(not q.is_zero() for q in shared[0])
+        assert len(leads) > 10 and hits > 20

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from umrow import rows
 from umrow.algebra import make_algebra
 from umrow.errors import ConfigError, NotUnimodular, ShapeError, ShrinkFailed
 from umrow.fields import RATIONALS
@@ -250,12 +251,32 @@ def test_mn_shrink_failure_with_bad_hints():
 def test_shrink_pool_has_no_repeats():
     # Over k every draw is a constant from -6 to 6, so 200 draws hold 13
     # distinct candidates; a repeat would only retry the same assignments.
-    pool = _shrink_pool(scalars(), 0, 200)
+    pool = list(_shrink_pool(scalars(), 0, 200))
     assert len(pool) == 13
     assert len({c.rep for c in pool}) == len(pool)
-    pool = _shrink_pool(vtilde_ring(2, RATIONALS).algebra, 0, 200)
+    pool = list(_shrink_pool(vtilde_ring(2, RATIONALS).algebra, 0, 200))
     assert len({c.rep for c in pool}) == len(pool) == 169
     assert pool[:2] == [pool[0].parent.one(), -pool[0].parent.one()]
+
+
+def test_shrink_search_draws_only_what_it_tries(monkeypatch):
+    # The tail of (1, 0) + (1, 0) is (0, 0); the first assignment, 1 in
+    # every slot, already makes it unimodular, so only that candidate, the
+    # first draw, is drawn.
+    real_draws = rows._shrink_draws
+    drawn = []
+
+    def counting_draws(parent, seed):
+        for cand in real_draws(parent, seed):
+            drawn.append(cand)
+            yield cand
+
+    monkeypatch.setattr(rows, "_shrink_draws", counting_draws)
+    alg = scalars()
+    u = check_unimodular(alg, [1, 0])
+    result = mennicke_newman(u, u)
+    assert_mn_contract(u, u, result)
+    assert drawn == [alg.one()]
 
 
 @pytest.mark.parametrize("budget", [0, -1, -3])
