@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from umrow.fields import RATIONALS
 from umrow.quadrics import fold_model_certificate, fold_model_row, vtilde_ring
-from umrow.rows import apply_word_entries, verify_certificate
+from umrow.rows import ElementaryWord, apply_word_entries, verify_certificate
 
 
 def main() -> int:
@@ -39,7 +39,7 @@ def main() -> int:
     print(f"\ncertificate: {len(cert.word.gens)} elementary generators")
     entries = list(cert.source.entries)
     for k, g in enumerate(cert.word.gens):
-        entries = apply_word_entries(entries, type(cert.word)(cert.word.n, (g,)))
+        entries = apply_word_entries(entries, ElementaryWord(cert.word.n, (g,)))
         print(f"  {k:>2}: e({g.i + 1},{g.j + 1}; {g.lam})")
     print(f"\nfinal row: {[str(e) for e in entries]}")
     print(f"raw replay verifies: {verify_certificate(cert)}")

@@ -86,7 +86,7 @@ class Algebra:
         elif isinstance(obj, (int, Scalar)):
             poly = self.ring.const(obj)
         else:
-            raise TypeError(f"cannot coerce {obj!r} into {self!r}")
+            raise ConfigError(f"cannot coerce {obj!r} into {self!r}")
         return AlgebraElement(self, self.reduce(poly))
 
     def var(self, name) -> "AlgebraElement":
@@ -185,10 +185,10 @@ class AlgebraElement:
         return AlgebraElement(self.parent, -self.rep)
 
     def __pow__(self, exp: int):
+        if not isinstance(exp, int) or exp < 0:
+            raise ConfigError(f"exponent {exp!r} is not a non-negative integer")
         result = self.parent.one()
         base = self
-        if exp < 0:
-            raise ConfigError(f"negative exponent {exp}")
         while exp:
             if exp & 1:
                 result = result * base
@@ -199,7 +199,7 @@ class AlgebraElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Scalar)):
-            other = self.parent.element(other)
+            return self.rep == other  # a constant is its own normal form
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.parent == other.parent and self.rep == other.rep
@@ -258,34 +258,25 @@ class RingHom:
             if not residue.is_zero():
                 raise NotWellDefined(idx, residue)
 
-    def _power(self, var: int, exp: int) -> AlgebraElement:
-        key = (var, exp)
-        cached = self._powers.get(key)
-        if cached is None:
-            cached = self.images[var] ** exp
-            self._powers[key] = cached
-        return cached
+    def _image(self, exps) -> Polynomial:
+        """The image of the monomial with exponent tuple ``exps``: a reduced
+        product of powers of the images, each power cached, or 1."""
+        image = None
+        for var, exp in enumerate(exps):
+            if exp:
+                power = self._powers.get((var, exp))
+                if power is None:
+                    power = self._powers[var, exp] = self.images[var] ** exp
+                image = power if image is None else image * power
+        return self.target.ring.one() if image is None else image.rep
 
     def _apply_poly(self, poly: Polynomial) -> AlgebraElement:
         # Each monomial's image is a normal form (a reduced product of cached
         # powers, or 1, which no lead of a proper ideal divides), and so is
         # any linear combination of them: the sum needs no reduction.
-        ring = self.target.ring
-        coeffs, images = [], []
-        for coeff, factors in poly.factored_terms():
-            image = None
-            for var, exp in factors:
-                power = self._power(var, exp)
-                image = power if image is None else image * power
-            coeffs.append(ring.const(coeff))
-            images.append(ring.one() if image is None else image.rep)
-        return AlgebraElement(self.target, ring.dot(coeffs, images))
+        return AlgebraElement(self.target, poly._substitute(self.target.ring, self._image))
 
     def __call__(self, elt) -> AlgebraElement:
-        if isinstance(elt, AlgebraElement):
-            if elt.parent != self.source:
-                raise RingMismatch("element is not in the source algebra")
-            return self._apply_poly(elt.rep)
         return self._apply_poly(self.source.element(elt).rep)
 
     def compose(self, inner: "RingHom") -> "RingHom":

@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from .algebra import Algebra
-from .errors import ConfigError, ParseError, UmrowError
+from .errors import ConfigError, DivisionByZero, ExponentOverflow, ParseError, UmrowError
 from .fields import RATIONALS, FieldConfig, prime_field
 from .rows import ElementaryGen, ElementaryWord, UnimodularRow, check_unimodular
 
@@ -49,7 +49,7 @@ def algebra_from_dict(data: dict, where: str = "<inline>") -> Algebra:
     relations = _strings(data["relations"], f"{where}: relations")
     try:
         return Algebra(field, variables, relations)
-    except ParseError as exc:
+    except (ParseError, DivisionByZero, ExponentOverflow) as exc:
         raise ConfigError(f"{where}: bad relation: {exc}") from exc
 
 
@@ -85,7 +85,7 @@ def load_rows_bundle(path):
         entry_strs = _strings(entry_strs, f"{path}: row {name!r}")
         try:
             entries = [algebra.ring.parse(s) for s in entry_strs]
-        except ParseError as exc:
+        except (ParseError, DivisionByZero, ExponentOverflow) as exc:
             raise ConfigError(f"{path}: row {name!r}: {exc}") from exc
         try:
             rows[name] = check_unimodular(algebra, entries)

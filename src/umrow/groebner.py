@@ -119,7 +119,8 @@ class GroebnerBasis:
         return tuple(tuple(rows[s]) for s in self._final)
 
     def is_unit_ideal(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0].constant_value() is not None
+        # A constant's lead monomial is 1, packed 0, the least under every order.
+        return len(self.basis) == 1 and self._leads[0][0] == 0
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return self.normal_form_with_quotients(f)[1]
@@ -195,7 +196,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         poly = poly.scale(step[-1])
         lead = _split_lead(poly, order)
         steps.append(step)
-        if poly.constant_value() is not None:
+        if lead[0] == 0:  # a constant: its lead monomial is 1
             return GroebnerBasis(ring, order, gens, steps, [poly], [lead], [len(steps) - 1])
         j = len(basis)
         basis.append(poly)

@@ -27,8 +27,8 @@ semantic equality.
 
 Exponent tuples and field values appear only at the edges: ``from_terms``,
 parsing, printing, ``PolyRing.term`` and ``const``, and the ``terms``,
-``lead``, ``coeff``, ``constant_value``, ``mul_term``, ``sorted_terms`` and
-``factored_terms`` of a polynomial.
+``lead``, ``coeff``, ``constant_value``, ``mul_term`` and ``sorted_terms`` of
+a polynomial.  A ring map goes through ``_substitute`` and makes none.
 """
 
 from __future__ import annotations
@@ -447,7 +447,7 @@ class PolyRing:
 
     def var(self, name_or_index) -> "Polynomial":
         i = self._index.get(name_or_index) if isinstance(name_or_index, str) else name_or_index
-        if i not in range(self.nvars):
+        if not isinstance(i, int) or i not in range(self.nvars):
             raise RingMismatch(f"no variable {name_or_index!r} in {self.vars}")
         return Polynomial(self, {1 << FIELD_BITS * i | 1 << self.packing.top: 1})
 
@@ -508,13 +508,14 @@ class Polynomial:
         value, den = self.ring.field.value, self._den
         return {unpack(m): value(n, den) for m, n in self._terms.items()}
 
-    def factored_terms(self):
-        """(coefficient, ((variable index, exponent), ...)) per term, with
-        the variables of nonzero exponent in index order."""
-        unpack = self.ring.packing.unpack
-        value, den = self.ring.field.value, self._den
-        for m, n in self._terms.items():
-            yield value(n, den), tuple((i, e) for i, e in enumerate(unpack(m)) if e)
+    def _substitute(self, ring: PolyRing, image) -> "Polynomial":
+        """sum(c * image(m)) over the terms c * x^m, for an ``image`` of each
+        exponent tuple in ``ring`` (of the same field); each c enters the
+        product loop as its stored int over this polynomial's denominator."""
+        unpack, den = self.ring.packing.unpack, self._den
+        return _sum_of_products(
+            ((Polynomial(ring, {0: n}, den), image(unpack(m))) for m, n in self._terms.items()), ring
+        )
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -608,8 +609,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
-        if exp < 0:
-            raise ConfigError(f"negative exponent {exp}")
+        if not isinstance(exp, int) or exp < 0:
+            raise ConfigError(f"exponent {exp!r} is not a non-negative integer")
         result = self.ring.one()
         base = self
         while exp:
@@ -641,6 +642,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
+            if isinstance(other, Scalar) and other.config != self.ring.field:
+                return False  # as for a polynomial of another ring
             if isinstance(other, (int, Scalar)):
                 return self == self.ring.const(other)
             return NotImplemented

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from umrow.algebra import RingHom, adjoin_unit_variable, hom_compose, make_algebra
@@ -91,6 +93,64 @@ def test_element_equal_requires_same_parent():
     assert a != b
     with pytest.raises(RingMismatch):
         a + b
+
+
+def test_equality_with_a_scalar_of_another_field_is_false():
+    # As for a polynomial or an element of another ring: unequal, not an error.
+    f5 = prime_field(5)
+    alg, alg5 = laurent(), make_algebra(f5, ["x"], [])
+    for one, own, other in ((alg.one(), RATIONALS, f5.scalar(1)), (alg5.one(), f5, RATIONALS.scalar(1))):
+        for value in (one, one.rep):
+            assert value == own.scalar(1) and value == 1
+            assert not value == other and value != other and other != value
+            assert other not in [value]
+    assert alg.var("x1") != f5.scalar(1)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda alg: alg.ring.var("x1") ** 1.5, ConfigError),
+        (lambda alg: alg.ring.var("x1") ** 2.0, ConfigError),
+        (lambda alg: alg.var("x1") ** 1.5, ConfigError),
+        (lambda alg: alg.var("x1") ** 2.0, ConfigError),
+        (lambda alg: alg.ring.var(1.0), RingMismatch),
+        (lambda alg: alg.element(1.5), ConfigError),
+        (lambda alg: alg.element(None), ConfigError),
+        (lambda alg: alg.var("x1") + 1.5, TypeError),  # operators still decline
+    ],
+    ids=["poly-pow-1.5", "poly-pow-2.0", "element-pow-1.5", "element-pow-2.0",
+         "var-index-1.0", "element-1.5", "element-none", "element-plus-float"],
+)
+def test_non_int_exponents_indices_and_values_are_typed(make, error):
+    with pytest.raises(error):
+        make(laurent())
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(5)], ids=str)
+def test_subtraction_and_negation_match_plain_arithmetic(field):
+    # Scalars, polynomials and elements against Fraction arithmetic, read
+    # mod 5 over F_5.
+    if field == RATIONALS:
+        plain = Fraction
+    else:
+        def plain(v):
+            v = Fraction(v)
+            return v.numerator * pow(v.denominator, -1, 5) % 5
+    a, b = Fraction(7), Fraction(1, 2)
+    sa, sb = field.scalar(a), field.scalar(b)
+    assert (sa - sb).value == plain(a - b) and (sa - 3).value == plain(a - 3)
+    assert (3 - sb).value == plain(3 - b) and (-sb).value == plain(-b)
+    alg = make_algebra(field, ["x"], ["x^2 - 2"])
+    x = alg.var("x")
+    for diff, const, linear in (
+        ((3 - x.rep), 3, -1),  # Polynomial.__rsub__
+        ((sb - x.rep), b, -1),
+        ((3 - x).rep, 3, -1),  # AlgebraElement.__rsub__
+        ((sb - x * x).rep, b - 2, 0),
+        ((3 - -x).rep, 3, 1),
+    ):
+        assert diff.coeff((0,)) == plain(const) and diff.coeff((1,)) == plain(linear)
 
 
 def test_equal_algebras_built_apart_hash_alike():

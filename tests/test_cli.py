@@ -95,6 +95,33 @@ def test_bad_names_and_deep_nesting_exit_2(tmp_path, capsys, payload):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, payload, row",
+    [
+        ("gb", dict(SPHERE, relations=["1/0*x"]), None),
+        ("gb", dict(SPHERE, relations=["x^40000"]), None),
+        ("add", {"algebra": dict(SPHERE, relations=["x^2 - 1/0"]), "rows": {"u": ["x"]}}, None),
+        ("add", {"algebra": SPHERE, "rows": {"u": ["x", "1/0", "z"]}}, "u"),
+        ("add", {"algebra": SPHERE, "rows": {"v": ["x", "y^40000", "z"]}}, "v"),
+    ],
+    ids=["relation-div-zero", "relation-overflow", "bundle-relation-div-zero", "row-div-zero", "row-overflow"],
+)
+def test_arithmetic_errors_in_files_name_the_file(tmp_path, capsys, command, payload, row):
+    # A literal n/0 and a degree past the packed form are parse failures
+    # too: one error line that names the file, and the row if in one.
+    path = write_json(tmp_path / "bad.json", payload)
+    if command == "add":
+        args = ["add", "--rows", path, "--u", "u", "--v", "u"]
+    else:
+        args = ["gb", "--input", path]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}") and captured.err.count("\n") == 1
+    if row is not None:
+        assert f"row {row!r}: " in captured.err
+
+
 def test_load_algebra(tmp_path):
     path = write_json(tmp_path / "sphere.json", SPHERE)
     algebra = load_algebra(path)

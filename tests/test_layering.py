@@ -3,8 +3,9 @@
 ``terms`` of a polynomial or its stored integral form (``_terms`` and
 ``_den``), and only ``poly.py`` and ``fields.py`` import ``operator`` or
 ``math``, the tools of per-term loops, or read the ``numerator`` or
-``denominator`` of a coefficient.  A change to how terms are stored then
-touches ``poly`` and ``fields`` alone."""
+``denominator`` of a coefficient; and only ``fields.py`` imports
+``fractions``, so a ``Fraction`` is made only where a field value is.  A
+change to how terms are stored then touches ``poly`` and ``fields`` alone."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "umrow"
-TERM_TOOLS = {"operator", "math"}
 
 
 def polynomial_calls(source: str) -> list:
@@ -27,19 +27,24 @@ def polynomial_calls(source: str) -> list:
     return lines
 
 
-def term_tool_imports(source: str) -> list:
-    """Lines that import ``operator`` or ``math``, or a name from them."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            modules = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            modules = [node.module or ""]
-        else:
-            continue
-        if any(m.split(".")[0] in TERM_TOOLS for m in modules):
-            lines.append(node.lineno)
-    return lines
+def module_imports(names):
+    """A scanner for the lines that import a module named in ``names``, or a
+    name from one."""
+
+    def scan(source: str) -> list:
+        lines = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in names for m in modules):
+                lines.append(node.lineno)
+        return lines
+
+    return scan
 
 
 def attribute_reads(names):
@@ -55,6 +60,8 @@ def attribute_reads(names):
     return scan
 
 
+term_tool_imports = module_imports({"operator", "math"})
+fraction_imports = module_imports({"fractions"})
 terms_reads = attribute_reads({"terms"})
 integral_form_reads = attribute_reads({"_terms", "_den"})
 fraction_part_reads = attribute_reads({"numerator", "denominator"})
@@ -70,6 +77,8 @@ def test_scanners_see_what_they_guard():
     assert polynomial_calls("isinstance(p, Polynomial)") == []
     source = "import math\nfrom operator import add\nimport os.path as math2\nfrom .math import x"
     assert term_tool_imports(source) == [1, 2]
+    source = "from fractions import Fraction\nimport fractions\nfrom .fractions import F\nimport math"
+    assert fraction_imports(source) == [1, 2]
     source = "p.terms.items()\nlen(e.rep.terms)\nring.term(m, c)\nterms = p.from_terms(t)\nq.terms_of"
     assert terms_reads(source) == [1, 2]
     source = "p._terms.items()\nq._den * r._den\np.terms\n_den = 1\nself._terms_of"
@@ -85,6 +94,10 @@ def test_only_poly_builds_polynomials():
 
 def test_only_poly_and_fields_import_term_tools():
     assert offenders(term_tool_imports, {"poly.py", "fields.py"}) == {}
+
+
+def test_only_fields_imports_fractions():
+    assert offenders(fraction_imports, {"fields.py"}) == {}
 
 
 def test_only_poly_reads_terms():

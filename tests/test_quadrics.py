@@ -14,8 +14,9 @@ from umrow.errors import (
     InvalidUnit,
     ShapeError,
 )
-from umrow.fields import RATIONALS, prime_field
-from umrow.groebner import krull_dimension
+from umrow.fields import RATIONALS, PrimeField, Rationals, prime_field
+from umrow.groebner import Ideal, buchberger, krull_dimension
+from umrow.poly import PolyRing
 from umrow import quadrics
 from umrow.quadrics import (
     QUADRIC_CACHE_SIZE,
@@ -456,3 +457,34 @@ def test_delta_of_segre_point_is_unimodular():
     for a, b in zip(drow.entries, dsplit.entries):
         total = total + a * b
     assert total == alg.one()
+
+
+def test_maps_and_unit_tests_make_no_field_value(monkeypatch):
+    # A map carries each stored coefficient into the target as it is, and a
+    # basis is the unit ideal when its one element has lead monomial 1: with
+    # every field value and raw coercion made to raise, both still answer,
+    # and as before.
+    cases = []
+    for hom, text in (
+        (eta_hom(3, RATIONALS), "1/2*x1^2*y1 - 3*z + 7"),
+        (mu_hom(2, prime_field(5)), "2*x1*y3 - 1/3 + x3^2*y2"),
+    ):
+        source = hom.source
+        elements = list(source.gens()) + [source.zero(), source.one(), source.element(text)]
+        cases.append((hom, elements, [hom(e) for e in elements]))
+    bases = []
+    for field in (RATIONALS, prime_field(5)):
+        x, y = PolyRing(field, ["x", "y"]).gens()
+        for gens, unit in (([x * y - 1, 2 * x], True), ([x * y - 1], False), ([3 * x - y, y**2], False)):
+            bases.append((buchberger(Ideal.of(x.ring, gens)), unit))
+
+    def refuse(*args):
+        raise AssertionError("a field value was made")
+
+    for cls in (Rationals, PrimeField):
+        monkeypatch.setattr(cls, "value", refuse)
+        monkeypatch.setattr(cls, "raw", refuse)
+    for hom, elements, expected in cases:
+        fresh = RingHom(hom.source, hom.target, hom.images)  # no power cached yet
+        assert [fresh(e) for e in elements] == [hom(e) for e in elements] == expected
+    assert [gb.is_unit_ideal() for gb, _ in bases] == [unit for _, unit in bases]

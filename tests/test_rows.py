@@ -15,6 +15,7 @@ from umrow.rows import (
     OrbitCertificate,
     SplittingRow,
     UnimodularRow,
+    _shrink_assignments,
     _shrink_pool,
     apply_word,
     check_unimodular,
@@ -257,6 +258,17 @@ def test_shrink_pool_has_no_repeats():
     pool = list(_shrink_pool(vtilde_ring(2, RATIONALS).algebra, 0, 200))
     assert len({c.rep for c in pool}) == len(pool) == 169
     assert pool[:2] == [pool[0].parent.one(), -pool[0].parent.one()]
+
+
+def test_shrink_assignments_try_all_equal_then_each_slot():
+    # Per candidate: the candidate in every slot, then in one slot at a time
+    # with zeros elsewhere.
+    alg = scalars()
+    pool = list(_shrink_pool(alg, 0, 3))
+    assert len(pool) > 1
+    z = alg.zero()
+    expected = [a for c in pool for a in ([c] * 3, [c, z, z], [z, c, z], [z, z, c])]
+    assert list(_shrink_assignments(alg, 3, 0, 3)) == expected
 
 
 def test_shrink_search_draws_only_what_it_tries(monkeypatch):
