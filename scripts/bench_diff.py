@@ -15,7 +15,10 @@ Its inputs are the records that ``benchmarks/run.py --trace 0`` writes under
 ``diff`` with one file prints its parent -> change medians; with two, the
 change medians of the first file -> those of the second, for the workloads
 and metrics both hold.  A metric is marked ``worse`` when it moved the wrong
-way by more than the bound ``BENCHMARK.json`` fixes for it.
+way by more than the bound ``BENCHMARK.json`` fixes for it.  With one file, a
+metric is marked ``gain`` when at least ten pairs were run, the change won at
+least 9 of every 10 of them, and its median beat the parent's by more than
+the parent's q3 - q1: the rule a claimed gain must meet.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_PAIRS = 10  # the fewest pairs a claimed gain may rest on
 
 
 def metric_specs() -> dict:
@@ -96,9 +100,23 @@ def build(parent_dir: Path, change_dir: Path, parent_sha: str) -> dict:
     }
 
 
+def gained(metric: dict, spec: dict, pairs: int) -> bool:
+    """Whether, over at least ``MIN_PAIRS`` pairs, the change won at least
+    9/10 of them and its median beat the parent's by more than the parent's
+    interquartile range."""
+    q1, median, q3 = metric["parent"]
+    sign = 1 if spec["better"] == "lower" else -1
+    return (
+        pairs >= MIN_PAIRS
+        and 10 * metric["wins"] >= 9 * pairs
+        and sign * (median - metric["change"][1]) > q3 - q1
+    )
+
+
 def diff(old: dict, new: dict | None) -> None:
     """Print the median of each metric before -> after, its relative change,
-    and whether it got worse by more than its bound."""
+    whether it got worse by more than its bound, and, with one file, whether
+    it meets the rule for a claimed gain."""
     specs = metric_specs()
     own = new is None
     before, new = ("parent", old) if own else ("change", new)
@@ -115,9 +133,10 @@ def diff(old: dict, new: dict | None) -> None:
             rel = (b - a) / a if a else 0.0
             spec = specs.get(name)
             worse = spec is not None and (rel if spec["better"] == "lower" else -rel) > spec["bound"]
+            gain = own and spec is not None and gained(m_new, spec, len(w_new["seeds"]))
             wins = f"  {m_new['wins']}/{len(w_new['seeds'])} won" if own else ""
             print(f"  {name:12s} {a:10.4g} -> {b:10.4g} {m_new['unit']:5s} {rel:+7.1%}{wins}"
-                  f"{'  worse' if worse else ''}")
+                  f"{'  worse' if worse else ''}{'  gain' if gain else ''}")
         # BENCH files written before reach counts were kept have none.
         reach_old = w_old.get("reach", {}).get(before, {})
         for name, counts in w_new.get("reach", {}).get("change", {}).items():

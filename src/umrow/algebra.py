@@ -3,7 +3,10 @@ arithmetic and ring homomorphisms.
 
 Every element is stored as the normal form of a representative polynomial
 modulo the cached Groebner basis of the relations, so equality of elements
-is equality of representations.
+is equality of representations.  A product that no leading monomial of the
+basis divides term by term is already its normal form, and the basis hands
+it back as it is without a reduction; most products of small elements are.
+A power starts from its base, so ``e ** 1`` is ``e`` and forms no product.
 
 Morphism direction convention: a scheme morphism X -> Y is stored as the
 algebra map k[Y] -> k[X].  Composition follows the algebra-map direction.
@@ -187,15 +190,15 @@ class AlgebraElement:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ConfigError(f"exponent {exp!r} is not a non-negative integer")
-        result = self.parent.one()
-        base = self
+        # As ``Polynomial.__pow__``: no product by 1, so ``e ** 1`` is ``e``.
+        result, base = None, self
         while exp:
             if exp & 1:
-                result = result * base
-            if exp > 1:
-                base = base * base
+                result = base if result is None else result * base
             exp >>= 1
-        return result
+            if exp:
+                base = base * base
+        return self.parent.one() if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, (int, Scalar)):

@@ -25,6 +25,7 @@ from .poly import (
     MonomialOrder,
     PolyRing,
     Polynomial,
+    _is_reduced,
     _reduce,
     _split_lead,
 )
@@ -122,16 +123,23 @@ class GroebnerBasis:
         # A constant's lead monomial is 1, packed 0, the least under every order.
         return len(self.basis) == 1 and self._leads[0][0] == 0
 
+    # Both queries hand back f itself when no lead divides a term of it (as
+    # for every f when the basis is empty): f is then its own remainder,
+    # already canonical and immutable, and most products in an algebra are.
+    # ``buchberger`` calls ``_reduce`` directly and never takes this path.
+
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return self.normal_form_with_quotients(f)[1]
+        if f.ring != self.ring:
+            raise RingMismatch("element outside the basis ring")
+        if _is_reduced(f, self._leads):
+            return f
+        return _reduce(f, self._leads, self.order)[1]
 
     def normal_form_with_quotients(self, f: Polynomial):
         if f.ring != self.ring:
             raise RingMismatch("element outside the basis ring")
-        if not self.basis:
-            # Nothing divides f; ``_reduce`` would still rebuild every
-            # coefficient, and algebras without relations hit this often.
-            return [], f
+        if _is_reduced(f, self._leads):
+            return [self.ring.zero()] * len(self.basis), f
         return _reduce(f, self._leads, self.order)
 
     def contains(self, f: Polynomial) -> bool:

@@ -147,6 +147,12 @@ def macro_expand(macro: MoveMacro, row: UnimodularRow) -> ElementaryWord:
     """Expand ``macro`` against ``row`` and validate the expansion by
     applying it symbolically: the result must equal the macro's declared
     transformation entry by entry."""
+    return _expand_checked(macro, row)[0]
+
+
+def _expand_checked(macro: MoveMacro, row: UnimodularRow):
+    """``macro_expand``'s word together with the entries its replay gave,
+    so a caller that moves on to the new row need not replay it again."""
     n = len(row.entries)
     for idx in macro.slots:
         if not 0 <= idx < n:
@@ -160,4 +166,4 @@ def macro_expand(macro: MoveMacro, row: UnimodularRow) -> ElementaryWord:
         raise BadCertificate(
             f"{macro.name} expansion does not realize its declared transformation"
         )
-    return word
+    return word, got

@@ -193,6 +193,18 @@ def _split_lead(d: Polynomial, order: MonomialOrder):
     return lm, inv.numerator, inv.denominator, tail, den, bound
 
 
+def _is_reduced(f: Polynomial, leads) -> bool:
+    """Whether no lead of ``leads`` (split by ``_split_lead``) divides a term
+    of ``f``, by ``_reduce``'s guard-mask test.  Then ``f`` is its own
+    remainder, with every quotient zero."""
+    guards = f.ring.packing.guards
+    for m in f._terms:
+        for lead in leads:
+            if not (m - lead[0]) & guards:
+                return False
+    return True
+
+
 def _reduce(f: Polynomial, leads, order: MonomialOrder, memo: dict | None = None):
     """Core reduction loop shared by division, Buchberger and normal forms.
 
@@ -594,7 +606,10 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         neg = self.ring.field.neg  # over Q it negates the int numerator
@@ -611,14 +626,15 @@ class Polynomial:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ConfigError(f"exponent {exp!r} is not a non-negative integer")
-        result = self.ring.one()
-        base = self
+        # The result starts as the first power of two it needs, not as 1.
+        result, base = None, self
         while exp:
             if exp & 1:
-                result = result * base
-            base = base * base if exp > 1 else base
+                result = base if result is None else result * base
             exp >>= 1
-        return result
+            if exp:
+                base = base * base
+        return self.ring.one() if result is None else result
 
     def scale(self, raw) -> "Polynomial":
         """Multiply by a raw field element."""

@@ -24,13 +24,12 @@ from .errors import (
 )
 from .fields import FieldConfig
 from .groebner import Ideal, groebner_basis, ideal_equal, krull_dimension
-from .macros import add_move, congruent_unit_scale, macro_expand, whitehead_mod_coordinate
+from .macros import _expand_checked, add_move, congruent_unit_scale, whitehead_mod_coordinate
 from .rows import (
     ElementaryWord,
     OrbitCertificate,
     SplittingRow,
     UnimodularRow,
-    apply_word_entries,
     check_unimodular,
     compute_splitting,
     row_from_witness,
@@ -634,13 +633,11 @@ def fold_model_certificate(vt: VTildeRing) -> OrbitCertificate:
     def run_stage(name: str, macro):
         nonlocal current, word
         try:
-            stage_word = macro_expand(macro, current)
+            stage_word, entries = _expand_checked(macro, current)
         except UmrowError as exc:
             raise CertificateAssemblyFailed(f"stage {name!r} failed: {exc}") from exc
         word = word.concat(stage_word)
-        current = UnimodularRow(
-            alg, tuple(apply_word_entries(current.entries, stage_word)), True
-        )
+        current = UnimodularRow(alg, tuple(entries), True)
 
     # Undo the shared (1-x1) factor on the first two slots; the witness
     # (1-x1)(1-xn) = 1 - pivot makes 1-xn an inverse of 1-x1 modulo the pivot.

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from umrow import poly
 from umrow.algebra import RingHom, adjoin_unit_variable, hom_compose, make_algebra
 from umrow.errors import (
     ConfigError,
@@ -151,6 +152,35 @@ def test_subtraction_and_negation_match_plain_arithmetic(field):
         ((3 - -x).rep, 3, 1),
     ):
         assert diff.coeff((0,)) == plain(const) and diff.coeff((1,)) == plain(linear)
+    # A float is declined before anything is formed, and the error names ``-``.
+    for elt in (x.rep, x):
+        with pytest.raises(TypeError, match="for -: 'float'"):
+            1.5 - elt
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(5)], ids=str)
+def test_powers_are_repeated_products(monkeypatch, field):
+    alg = make_algebra(field, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
+    elements = [alg.element(t) for t in ("x + 2*y - 1/2", "x*y*z", "x", "3", "0")]
+    cases = [(e, alg.one()) for e in elements] + [(e.rep, alg.ring.one()) for e in elements]
+    for base, want in cases:
+        for k in range(6):
+            assert base ** k == want
+            want = want * base
+    # The first power is the base itself, and the second one product.
+    products = []
+    real = poly._sum_of_products
+
+    def counted(*args):
+        products.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poly, "_sum_of_products", counted)
+    for base, _ in cases:
+        assert base ** 1 is base and not products
+        base ** 2
+        assert len(products) == 1
+        products.clear()
 
 
 def test_equal_algebras_built_apart_hash_alike():

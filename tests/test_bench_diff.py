@@ -1,4 +1,5 @@
-"""``scripts/bench_diff.py`` counts each reach op's statuses per side."""
+"""``scripts/bench_diff.py`` counts each reach op's statuses per side and
+marks a gain only by the claim rule."""
 
 from __future__ import annotations
 
@@ -6,20 +7,25 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_diff.py"
 spec = importlib.util.spec_from_file_location("bench_diff", SCRIPT)
 bench_diff = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_diff)
 
 
-def _write_runs(directory: Path, statuses) -> None:
+def _write_runs(directory: Path, statuses, walls=None) -> None:
     directory.mkdir()
     names = bench_diff.metric_specs()
     for seed, status in enumerate(statuses, start=1):
+        metrics = {name: {"value": 1.0, "unit": ""} for name in names}
+        if walls:
+            metrics["wall_s"]["value"] = walls[seed - 1]
         record = {
             "correct": True,
             "failed": 0,
-            "metrics": {name: {"value": 1.0, "unit": ""} for name in names},
+            "metrics": metrics,
             "environment": {"python": "3", "cpus": 1},
             "reach": [
                 {"name": "slow-op", "status": status},
@@ -43,3 +49,27 @@ def test_build_and_diff_report_reach_statuses(tmp_path, capsys):
     del old["workloads"]["gb-families"]["reach"]  # a record from before the counts
     bench_diff.diff(old, record)
     assert "- -> ok 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "shift, losses, pairs, marked",
+    [(-0.2, (), 10, True), (-0.05, (), 10, False), (-0.2, (3, 8), 10, False), (0.2, (), 10, False),
+     (-0.2, (), 5, False)],
+    ids=["clear-gain", "inside-parent-iqr", "8-of-10-won", "slower", "5-pairs"],
+)
+def test_diff_marks_a_gain_by_the_claim_rule(tmp_path, capsys, shift, losses, pairs, marked):
+    # Parent walls 1.00, 1.02, ... s (10 pairs: median 1.09 s, q3 - q1 =
+    # 0.09 s).  The change is shifted by ``shift``, except the seeds in
+    # ``losses``, which it loses by 0.01 s.
+    parent = [1.0 + 0.02 * k for k in range(pairs)]
+    change = [p + 0.01 if seed in losses else p + shift for seed, p in enumerate(parent, start=1)]
+    _write_runs(tmp_path / "parent", ["ok"] * pairs, parent)
+    _write_runs(tmp_path / "change", ["ok"] * pairs, change)
+    record = bench_diff.build(tmp_path / "parent", tmp_path / "change", "abc")
+    bench_diff.diff(record, None)
+    lines = capsys.readouterr().out.splitlines()
+    wall = next(line for line in lines if line.split()[0] == "wall_s")
+    assert wall.endswith("  gain") == marked
+    assert not any(line.endswith("  gain") for line in lines if line.split()[0] != "wall_s")
+    bench_diff.diff(record, record)  # two files: no pairs to count, so no mark
+    assert "gain" not in capsys.readouterr().out

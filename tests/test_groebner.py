@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from umrow import groebner
 from umrow.algebra import make_algebra
@@ -385,6 +385,75 @@ def test_normal_form_idempotent():
     f = R3.parse("x^4 + x*y - z + 2")
     nf = gb.normal_form(f)
     assert gb.normal_form(nf) == nf
+
+
+def sphere(field):
+    return make_algebra(field, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
+
+
+# Up to four terms, each a coefficient num/den times a product of up to three
+# variables (indices taken modulo the ring's variable count).
+small_terms = st.lists(
+    st.tuples(st.lists(st.integers(0, 9), max_size=3), st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+    max_size=4,
+)
+
+
+def poly_of(ring, spec):
+    terms: dict = {}
+    for variables, num, den in spec:
+        exps = [0] * ring.nvars
+        for v in variables:
+            exps[v % ring.nvars] += 1
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + Fraction(num, den)
+    return ring.from_terms(terms)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(5)], ids=str)
+@pytest.mark.parametrize(
+    "make", [lambda field: vtilde_ring(2, field).algebra, sphere], ids=["vtilde-2", "sphere"]
+)
+@seed(18)
+@settings(max_examples=60, database=None)
+@given(spec=small_terms)
+def test_normal_form_returns_a_reduced_input_itself(field, make, spec):
+    # Both queries agree with each other and with f = sum(q_i g_i) + r, and
+    # hand back f itself exactly when no lead divides one of its terms.
+    alg = make(field)
+    gb, ring = alg.gb, alg.ring
+    f = poly_of(ring, spec)
+    quots, rem = gb.normal_form_with_quotients(f)
+    assert gb.normal_form(f) == rem
+    assert f - rem == ring.dot(quots, gb.basis)
+    leads = [g.lead()[0] for g in gb.basis]
+    reduced = not any(mono_divides(lead, mono) for mono in f.terms for lead in leads)
+    assert (gb.normal_form(f) is f) == reduced
+    assert (rem is f) == reduced
+    assert len(quots) == len(gb.basis)
+    if reduced:
+        assert all(q.is_zero() for q in quots)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(5)], ids=str)
+def test_normal_form_short_circuit_examples(field):
+    alg = sphere(field)
+    gb, ring = alg.gb, alg.ring
+    for text, reduced in (("y*z + 1", True), ("x*y^5 - z", True), ("0", True), ("x^2*y", False), ("y + x^3", False)):
+        f = ring.parse(text)
+        assert (gb.normal_form(f) is f) == reduced
+        assert (gb.normal_form_with_quotients(f)[1] is f) == reduced
+
+
+def test_buchberger_never_takes_the_short_circuit(monkeypatch):
+    # Buchberger reduces S-pairs and tails with ``_reduce`` itself, and so
+    # must keep handing fresh remainders to ``_split_lead``.
+    def refuse(*args):
+        raise AssertionError("buchberger called the normal-form short-circuit")
+
+    monkeypatch.setattr(groebner, "_is_reduced", refuse)
+    ring = PolyRing(prime_field(32003), ["x", "y", "z", "t"])
+    gb = buchberger(ideal_of(ring, "x^2 + y*z - t", "x*y - z^2 + 1", "y^2 - x*t"))
+    assert gb.basis
 
 
 # -- membership, lifts, equality -------------------------------------------------

@@ -424,14 +424,14 @@ def test_fold_certificate_reports_only_its_own_errors(monkeypatch):
     def broken(macro, row):
         raise TypeError("broken")
 
-    monkeypatch.setattr(quadrics, "macro_expand", broken)
+    monkeypatch.setattr(quadrics, "_expand_checked", broken)
     with pytest.raises(TypeError):
         fold_model_certificate(vt)
 
     def refused(macro, row):
         raise BadCertificate("refused")
 
-    monkeypatch.setattr(quadrics, "macro_expand", refused)
+    monkeypatch.setattr(quadrics, "_expand_checked", refused)
     with pytest.raises(CertificateAssemblyFailed, match="stage 'whitehead' failed"):
         fold_model_certificate(vt)
 
