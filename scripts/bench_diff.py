@@ -7,6 +7,9 @@ change, and how many seed-matched pairs the change won; and, for each reach
 op, how many runs of each side ended in each status (ok, timeout, failed).
 Its inputs are the records that ``benchmarks/run.py --trace 0`` writes under
 ``.bench_out/`` (``<workload>-seed<N>-trace0.json``), one directory per side.
+Where a directory also holds ``--trace 1`` records (``*-trace1.json``), the
+BENCH file keeps, per workload and side, the median of each per-layer metric
+over them: where in the program a saving sits.
 
     python3 scripts/bench_diff.py build PARENT_DIR CHANGE_DIR --parent SHA > BENCH_<n>.json
     python3 scripts/bench_diff.py diff BENCH_<n>.json
@@ -18,7 +21,9 @@ and metrics both hold.  A metric is marked ``worse`` when it moved the wrong
 way by more than the bound ``BENCHMARK.json`` fixes for it.  With one file, a
 metric is marked ``gain`` when at least ten pairs were run, the change won at
 least 9 of every 10 of them, and its median beat the parent's by more than
-the parent's q3 - q1: the rule a claimed gain must meet.
+the parent's q3 - q1: the rule a claimed gain must meet.  Per-layer medians
+are printed after the end-to-end metrics, with no mark: they locate a change
+and are no claim.
 """
 
 from __future__ import annotations
@@ -33,16 +38,18 @@ ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10  # the fewest pairs a claimed gain may rest on
 
 
-def metric_specs() -> dict:
+def metric_specs(kind: str = "end_to_end") -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec[kind]}
 
 
-def load_runs(directory: Path) -> dict:
-    """{workload: {seed: record}} for the untraced records in ``directory``."""
+def load_runs(directory: Path, trace: int = 0) -> dict:
+    """{workload: {seed: record}} for the records in ``directory`` made with
+    ``--trace`` ``trace``."""
     runs: dict = {}
-    for path in sorted(directory.glob("*-seed*-trace0.json")):
-        workload, seed = path.name[: -len("-trace0.json")].rsplit("-seed", 1)
+    suffix = f"-trace{trace}.json"
+    for path in sorted(directory.glob(f"*-seed*{suffix}")):
+        workload, seed = path.name[: -len(suffix)].rsplit("-seed", 1)
         runs.setdefault(workload, {})[int(seed)] = json.loads(path.read_text())
     return runs
 
@@ -91,13 +98,38 @@ def build(parent_dir: Path, change_dir: Path, parent_sha: str) -> dict:
             "reach": {side: reach_counts(recs) for side, recs in sides.items()},
         }
     env = next(r for recs in change.values() for r in recs.values())["environment"]
-    return {
+    record = {
         "parent": parent_sha,
         "command": "python3 benchmarks/run.py --workload W --seed N --seconds 20 --trace 0",
         "python": env["python"],
         "cpus": env["cpus"],
         "workloads": workloads,
     }
+    layers = layer_medians(load_runs(parent_dir, 1), load_runs(change_dir, 1))
+    if layers:
+        record["layers"] = layers
+    return record
+
+
+def layer_medians(parent: dict, change: dict) -> dict:
+    """{workload: {"seeds", "metrics"}} with each side's median of each
+    per-layer metric over its traced records, for the workloads both sides
+    traced; the seeds need not match, as no pair is counted."""
+    specs = metric_specs("per_layer")
+    layers = {}
+    for workload in sorted(parent.keys() & change.keys()):
+        sides = {"parent": parent[workload], "change": change[workload]}
+        layers[workload] = {
+            "seeds": {side: sorted(runs) for side, runs in sides.items()},
+            "metrics": {
+                name: {"unit": spec["unit"]} | {
+                    side: statistics.median(r["metrics"][name]["value"] for r in runs.values())
+                    for side, runs in sides.items()
+                }
+                for name, spec in specs.items()
+            },
+        }
+    return layers
 
 
 def gained(metric: dict, spec: dict, pairs: int) -> bool:
@@ -141,6 +173,21 @@ def diff(old: dict, new: dict | None) -> None:
         reach_old = w_old.get("reach", {}).get(before, {})
         for name, counts in w_new.get("reach", {}).get("change", {}).items():
             print(f"  reach {name:16s} {statuses(reach_old.get(name))} -> {statuses(counts)}")
+    # BENCH files written before per-layer medians were kept have none.
+    for workload, l_new in new.get("layers", {}).items():
+        l_old = old.get("layers", {}).get(workload)
+        if l_old is None:
+            continue
+        print(f"{workload} per layer (traced runs: {len(l_old['seeds'][before])} -> {len(l_new['seeds']['change'])})")
+        for name, m_new in l_new["metrics"].items():
+            m_old = l_old["metrics"].get(name)
+            if m_old is None:
+                continue
+            a, b = m_old[before], m_new["change"]
+            if not (a or b):
+                continue  # a layer the workload does not reach
+            rel = f"{(b - a) / a:+7.1%}" if a else ""
+            print(f"  {name:36s} {a:10.4g} -> {b:10.4g} {m_new['unit']:5s} {rel}")
 
 
 def statuses(counts: dict | None) -> str:

@@ -208,7 +208,7 @@ class AlgebraElement:
         return self.parent == other.parent and self.rep == other.rep
 
     def __hash__(self):
-        return hash((self.parent, self.rep))
+        return hash(self.rep)  # a constant hashes as the equal Scalar
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()

@@ -7,18 +7,25 @@ A field is an instance of one of two subclasses of :class:`FieldConfig`:
 binds its arithmetic once, so no operation asks which field it is in.  Both
 representations are canonical, so equal values compare bit-identical.
 
-Polynomials store no field values: ``poly`` keeps each polynomial's
-coefficients as ints over one positive denominator, the integral form, and
-each field supplies what that form needs.  ``normalize`` turns an int sum
-over a denominator into the canonical form: over Q the numerators and the
-denominator divided by their gcd, over F_p the residues over 1.
-``residue`` reads one int as a stored numerator (over F_p, mod p), and
-``ratio`` writes a/b as the canonical pair; ``value`` makes the field value
-of n/den, for the edges where a caller reads a coefficient.  ``add`` and
-``neg`` act on stored ints too: over Q they are the int operations, over
-F_p the residue ones.  Both raw value types are rationals in Python's
-sense, so ``c.numerator`` and ``c.denominator`` read any single value as an
-int over a denominator (a residue over 1).
+Neither polynomials nor scalars store field values; both store ints.  A
+:class:`Scalar` is the canonical pair: over Q a numerator over a positive
+denominator with gcd 1, over F_p a residue over 1.  ``Scalar.value`` makes
+its field value (a ``Fraction`` over Q, an int over F_p) only when it is
+read.  ``poly`` keeps each polynomial's coefficients as ints over one
+positive denominator, the integral form.  ``pair`` turns
+an int, a ``Fraction``, a scalar literal or a ``Scalar`` into the canonical
+pair; ``add_pair``, ``mul_pair`` and ``inv_pair`` act on pairs, over Q by
+Henrici's rule of taking the gcds before multiplying, over F_p by one
+``% p``.  ``normalize`` turns an int sum over a denominator into the
+canonical form: over Q the numerators and the denominator divided by their
+gcd, over F_p the residues over 1.  ``residue`` reads one int as a stored
+numerator (over F_p, mod p), and ``ratio`` writes a/b as the canonical
+pair; ``value`` makes the field value of n/den, for the edges where a
+caller reads a coefficient.  ``add`` and ``neg`` act on stored ints too:
+over Q they are the int operations, over F_p the residue ones.  Both raw
+value types are rationals in Python's sense, so ``c.numerator`` and
+``c.denominator`` read any single value as an int over a denominator (a
+residue over 1).
 """
 
 from __future__ import annotations
@@ -71,11 +78,11 @@ def _is_prime(p: int) -> bool:
 
 class FieldConfig:
     """A coefficient field.  Each subclass binds ``characteristic``,
-    ``from_int``, ``from_fraction``, ``add``, ``sub``, ``mul``, ``neg`` and
-    ``inv`` on raw values, ``normalize`` on int term dicts over a
-    denominator, and ``residue``, ``ratio`` and ``value`` on single ints;
-    the methods below, ``raw`` among them, are written once in terms of
-    those."""
+    ``from_int``, ``add``, ``sub``, ``mul``, ``neg`` and ``inv`` on raw
+    values, ``add_pair``, ``mul_pair`` and ``inv_pair`` on canonical pairs,
+    ``normalize`` on int term dicts over a denominator, and ``residue``,
+    ``ratio`` and ``value`` on single ints; the methods below, ``pair`` and
+    ``raw`` among them, are written once in terms of those."""
 
     characteristic: int
 
@@ -92,35 +99,37 @@ class FieldConfig:
     def is_zero(a: RawScalar) -> bool:
         return not a
 
-    def parse_raw(self, text: str) -> RawScalar:
-        m = _SCALAR_RE.match(text)
-        if m is None:
-            raise ConfigError(f"bad scalar literal {text!r}")
-        sign, num, den = m.groups()
-        value = self.from_int(int(num))
-        if den:
-            value = self.div(value, self.from_int(int(den)))
-        return self.neg(value) if sign == "-" else value
+    def pair(self, value) -> tuple:
+        """The canonical (numerator, denominator) of an int, a ``Fraction``,
+        a scalar literal or a ``Scalar`` of this field, with no field value
+        made."""
+        if isinstance(value, int):
+            return self.residue(value), 1
+        if isinstance(value, Scalar):
+            if value._config != self:
+                raise FieldMismatch(f"scalar belongs to {value._config}, not {self}")
+            return value._n, value._d
+        if isinstance(value, Fraction):
+            num, den = value.numerator, value.denominator
+        elif isinstance(value, str):
+            m = _SCALAR_RE.match(value)
+            if m is None:
+                raise ConfigError(f"bad scalar literal {value!r}")
+            sign, num, den = m.groups()
+            num, den = int(sign + num), int(den or 1)
+        else:
+            raise ConfigError(f"cannot coerce {value!r} into {self}")
+        return self.mul_pair(self.residue(num), 1, *self.inv_pair(self.residue(den), 1))
 
     def raw(self, value) -> RawScalar:
         """The raw value of an int, a ``Fraction``, a scalar literal or a
         ``Scalar`` of this field, with no ``Scalar`` made."""
-        if isinstance(value, int):
-            return self.from_int(value)
-        if isinstance(value, Fraction):
-            return self.from_fraction(value)
-        if isinstance(value, str):
-            return self.parse_raw(value)
-        if isinstance(value, Scalar):
-            if value.config != self:
-                raise FieldMismatch(f"scalar belongs to {value.config}, not {self}")
-            return value.value
-        raise ConfigError(f"cannot coerce {value!r} into {self}")
+        return self.value(*self.pair(value))
 
     def scalar(self, value) -> "Scalar":
-        if isinstance(value, Scalar) and value.config == self:
+        if isinstance(value, Scalar) and value._config == self:
             return value
-        return Scalar(self, self.raw(value))
+        return _scalar(self, *self.pair(value))
 
 
 @dataclass(frozen=True)
@@ -134,10 +143,6 @@ class Rationals(FieldConfig):
     mul = operator.mul
     neg = operator.neg
 
-    @staticmethod
-    def from_fraction(f: Fraction) -> Fraction:
-        return f
-
     def inv(self, a: Fraction) -> Fraction:
         if not a:
             raise DivisionByZero("no inverse of zero")
@@ -145,6 +150,34 @@ class Rationals(FieldConfig):
 
     # A stored numerator is the int itself; only F_p reduces it.
     residue = operator.pos
+
+    @staticmethod
+    def add_pair(an: int, ad: int, bn: int, bd: int) -> tuple:
+        """an/ad + bn/bd for reduced pairs: a common factor of the
+        denominators is split off first, and only it can cancel."""
+        g = gcd(ad, bd)
+        if g == 1:
+            return an * bd + ad * bn, ad * bd
+        s = ad // g
+        t = an * (bd // g) + bn * s
+        g2 = gcd(t, g)
+        return t // g2, s * (bd // g2)
+
+    @staticmethod
+    def mul_pair(an: int, ad: int, bn: int, bd: int) -> tuple:
+        """an/ad * bn/bd for reduced pairs: each numerator is divided by
+        its gcd with the other denominator before the products."""
+        g1 = gcd(an, bd)
+        g2 = gcd(bn, ad)
+        if g1 == g2 == 1:
+            return an * bn, ad * bd
+        return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+
+    @staticmethod
+    def inv_pair(n: int, d: int) -> tuple:
+        if not n:
+            raise DivisionByZero("no inverse of zero")
+        return (d, n) if n > 0 else (-d, -n)
 
     @staticmethod
     def normalize(acc: dict, den: int) -> tuple:
@@ -197,9 +230,6 @@ class PrimeField(FieldConfig):
     def from_int(self, n: int) -> int:
         return n % self.modulus
 
-    def from_fraction(self, f: Fraction) -> int:
-        return self.div(self.from_int(f.numerator), self.from_int(f.denominator))
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.modulus
 
@@ -219,6 +249,19 @@ class PrimeField(FieldConfig):
 
     def residue(self, n: int) -> int:
         return n % self.modulus
+
+    # On pairs the denominators are 1 and go unread.
+
+    def add_pair(self, an: int, ad: int, bn: int, bd: int) -> tuple:
+        return (an + bn) % self.modulus, 1
+
+    def mul_pair(self, an: int, ad: int, bn: int, bd: int) -> tuple:
+        return an * bn % self.modulus, 1
+
+    def inv_pair(self, n: int, d: int) -> tuple:
+        if not n:
+            raise DivisionByZero("no inverse of zero")
+        return pow(n, self.modulus - 2, self.modulus), 1
 
     def normalize(self, acc: dict, den: int) -> tuple:
         """(terms, 1): each nonzero residue of ``acc`` mod p; ``den`` is
@@ -259,56 +302,133 @@ def field_from_text(text: str) -> FieldConfig:
     raise ConfigError(f"unknown field spec {text!r} (expected q or fp:<p>)")
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """An immutable field element tied to its :class:`FieldConfig`."""
+_new = object.__new__
 
-    config: FieldConfig
-    value: RawScalar
+
+def pair_hash(n: int, d: int) -> int:
+    """The hash of the canonical pair n/d: that of the int n when d is 1,
+    so a ``Scalar`` hashes as an int it equals, and a constant polynomial
+    or algebra element as its ``Scalar``."""
+    return hash(n) if d == 1 else hash((n, d))
+
+
+class Scalar:
+    """An immutable field element tied to its :class:`FieldConfig`, stored
+    as its canonical pair of ints: ``config`` and ``value`` are read-only,
+    and nothing writes the private slots after construction.  Arithmetic
+    acts on the pairs through the field's pair operations; ``value`` makes
+    the ``Fraction`` (over Q) or returns the residue (over F_p) on each
+    read.  A scalar equals an int it coerces to, and a scalar of another
+    field is never equal."""
+
+    __slots__ = ("_config", "_n", "_d")
+
+    def __init__(self, config: FieldConfig, value):
+        self._config = config
+        self._n, self._d = config.pair(value)
+
+    @property
+    def config(self) -> FieldConfig:
+        return self._config
+
+    @property
+    def value(self) -> RawScalar:
+        return self._config.value(self._n, self._d)
 
     def _coerce(self, other) -> "Scalar":
-        if type(other) is Scalar and other.config is self.config:
-            return other
         if isinstance(other, (Scalar, int)):
-            return self.config.scalar(other)
+            return self._config.scalar(other)
         return NotImplemented
 
+    # The three binary operations test for a scalar of the same field and
+    # build their result in line: over F_p a call to ``_coerce`` and one to
+    # ``_scalar`` cost a third of the operation.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.config, self.config.add(self.value, other.value))
+        config = self._config
+        if type(other) is not Scalar or other._config is not config:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n, d = config.add_pair(self._n, self._d, other._n, other._d)
+        s = _new(Scalar)
+        s._config, s._n, s._d = config, n, d
+        return s
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.config, self.config.sub(self.value, other.value))
+        config = self._config
+        if type(other) is not Scalar or other._config is not config:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n, d = config.add_pair(self._n, self._d, -other._n, other._d)
+        s = _new(Scalar)
+        s._config, s._n, s._d = config, n, d
+        return s
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.config, self.config.sub(other.value, self.value))
+        return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.config, self.config.mul(self.value, other.value))
+        config = self._config
+        if type(other) is not Scalar or other._config is not config:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n, d = config.mul_pair(self._n, self._d, other._n, other._d)
+        s = _new(Scalar)
+        s._config, s._n, s._d = config, n, d
+        return s
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Scalar(self.config, self.config.neg(self.value))
+        config = self._config
+        return _scalar(config, config.residue(-self._n), self._d)
 
     def inverse(self) -> "Scalar":
-        return Scalar(self.config, self.config.inv(self.value))
+        config = self._config
+        return _scalar(config, *config.inv_pair(self._n, self._d))
 
     def is_zero(self) -> bool:
-        return not self.value
+        return not self._n
+
+    def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return self._n == other._n and self._d == other._d and self._config == other._config
+        if isinstance(other, int):
+            return self._d == 1 and self._n == self._config.residue(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return pair_hash(self._n, self._d)
+
+    # Immutable, so a copy is the scalar itself; a pickle rebuilds it from
+    # its field and value.
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return Scalar, (self._config, self.value)
 
     def __str__(self) -> str:
-        return str(self.value)
+        return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
+
+    def __repr__(self) -> str:
+        return f"Scalar(config={self._config!r}, value={self.value!r})"
+
+
+def _scalar(config: FieldConfig, n: int, d: int) -> Scalar:
+    """The scalar with the canonical pair n/d, built without coercion."""
+    s = _new(Scalar)
+    s._config, s._n, s._d = config, n, d
+    return s

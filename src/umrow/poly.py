@@ -25,10 +25,12 @@ one int gcd and makes no field value.  Term maps never store zero, and the
 form is canonical, so structural equality of (terms, denominator) is
 semantic equality.
 
-Exponent tuples and field values appear only at the edges: ``from_terms``,
-parsing, printing, ``PolyRing.term`` and ``const``, and the ``terms``,
-``lead``, ``coeff``, ``constant_value``, ``mul_term`` and ``sorted_terms`` of
-a polynomial.  A ring map goes through ``_substitute`` and makes none.
+Exponent tuples and field values appear only at the edges: ``from_terms``
+(exponent tuples), printing, ``PolyRing.term``, and the ``terms``, ``lead``,
+``coeff``, ``constant_value``, ``mul_term`` and ``sorted_terms`` of a
+polynomial.  Coefficients given to ``const``, ``from_terms`` and parsing
+enter through ``field.pair``, and a ring map goes through ``_substitute``;
+neither makes a field value.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ConfigError, DuplicateVariable, ExponentOverflow, ParseError, RingMismatch
-from .fields import FieldConfig, Scalar
+from .fields import FieldConfig, Scalar, pair_hash
 
 FIELD_BITS = 16
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest total degree a monomial may have
@@ -178,19 +180,20 @@ def _split_lead(d: Polynomial, order: MonomialOrder):
     inverse, other terms negated, their denominator, overflow bound) of a
     divisor, the form ``_reduce`` takes; a basis computes this once, not per
     reduction, so no reduction step inverts, negates or converts a divisor
-    coefficient.  A step by this divisor on a monomial at or above the bound
-    would make a term of degree above ``MAX_DEGREE``; under a graded order
-    no tail term outweighs the lead and the bound is above every stored
-    monomial."""
+    coefficient.  The inverse comes from the stored ints, through the
+    field's ``ratio`` and ``inv_pair``, with no field value made.  A step by
+    this divisor on a monomial at or above the bound would make a term of
+    degree above ``MAX_DEGREE``; under a graded order no tail term outweighs
+    the lead and the bound is above every stored monomial."""
     terms, den = d._terms, d._den
     lm = order.largest(terms)
     field = d.ring.field
     packing = d.ring.packing
-    inv = field.inv(field.value(terms[lm], den))
+    inv_num, inv_den = field.inv_pair(*field.ratio(terms[lm], den))
     tail = tuple((m, -n) for m, n in terms.items() if m != lm)
     excess = packing.degree(max(m for m, _ in tail)) - packing.degree(lm) if tail else 0
     bound = (MAX_DEGREE + 1 - max(excess, 0)) << packing.top
-    return lm, inv.numerator, inv.denominator, tail, den, bound
+    return lm, inv_num, inv_den, tail, den, bound
 
 
 def _is_reduced(f: Polynomial, leads) -> bool:
@@ -448,7 +451,8 @@ class PolyRing:
         return Polynomial(self, {0: 1})
 
     def const(self, value) -> "Polynomial":
-        return self.term(0, self.field.raw(value))
+        n, den = self.field.pair(value)
+        return Polynomial(self, {0: n} if n else {}, den)
 
     def term(self, mono: int, raw) -> "Polynomial":
         """The polynomial ``raw * x^mono`` for a packed monomial (0 is the
@@ -477,20 +481,20 @@ class PolyRing:
     def from_terms(self, terms: dict) -> "Polynomial":
         """The polynomial with these terms, keyed by exponent tuples.  Each
         monomial goes through ``pack`` and each coefficient through
-        ``field.raw``, so it is stored canonically, a zero is dropped and
+        ``field.pair``, so it is stored canonically, a zero is dropped and
         a value outside the field raises ``ConfigError``."""
         clean = {}
         pack = self.pack
-        raw_of = self.field.raw
+        pair = self.field.pair
         for mono, coeff in terms.items():
             mono = pack(mono)
-            raw = raw_of(coeff)
-            if raw:
-                clean[mono] = raw
+            n, d = pair(coeff)
+            if n:
+                clean[mono] = n, d
         # Over the lcm of reduced denominators the form is canonical, as for
         # the quotients of ``_reduce``.
-        den = lcm(*[c.denominator for c in clean.values()])
-        return Polynomial(self, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}, den)
+        den = lcm(*[d for _, d in clean.values()])
+        return Polynomial(self, {m: n * (den // d) for m, (n, d) in clean.items()}, den)
 
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)
@@ -666,7 +670,10 @@ class Polynomial:
         return self.ring == other.ring and self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, self._den, frozenset(self._terms.items())))
+        terms = self._terms
+        if not terms or (len(terms) == 1 and 0 in terms):
+            return pair_hash(terms.get(0, 0), self._den)  # as the equal Scalar
+        return hash((self.ring, self._den, frozenset(terms.items())))
 
     def sorted_terms(self):
         """(exponent tuple, coefficient) pairs, largest monomial first under

@@ -1,5 +1,6 @@
-"""``scripts/bench_diff.py`` counts each reach op's statuses per side and
-marks a gain only by the claim rule."""
+"""``scripts/bench_diff.py`` counts each reach op's statuses per side,
+marks a gain only by the claim rule, and keeps the per-layer medians of
+traced runs unmarked."""
 
 from __future__ import annotations
 
@@ -73,3 +74,35 @@ def test_diff_marks_a_gain_by_the_claim_rule(tmp_path, capsys, shift, losses, pa
     assert not any(line.endswith("  gain") for line in lines if line.split()[0] != "wall_s")
     bench_diff.diff(record, record)  # two files: no pairs to count, so no mark
     assert "gain" not in capsys.readouterr().out
+
+
+def _write_traced(directory: Path, values) -> None:
+    names = bench_diff.metric_specs("per_layer")
+    for seed, value in enumerate(values, start=1):
+        metrics = {name: {"value": 0.0, "unit": ""} for name in names}
+        metrics["fields.q.arith_ns"]["value"] = value
+        (directory / f"kernels-seed{seed}-trace1.json").write_text(json.dumps({"metrics": metrics}))
+
+
+def test_build_keeps_per_layer_medians_of_traced_runs(tmp_path, capsys):
+    _write_runs(tmp_path / "parent", ["ok"] * 3)
+    _write_runs(tmp_path / "change", ["ok"] * 3)
+    _write_traced(tmp_path / "parent", [400.0, 100.0, 300.0])
+    _write_traced(tmp_path / "change", [200.0, 120.0])
+    (tmp_path / "change" / "kernels-seed1-trace1-spans.json").write_text("[]")  # not a record
+    record = bench_diff.build(tmp_path / "parent", tmp_path / "change", "abc")
+    layers = record["layers"]["kernels"]
+    assert layers["seeds"] == {"parent": [1, 2, 3], "change": [1, 2]}
+    assert layers["metrics"]["fields.q.arith_ns"] == {"unit": "ns", "parent": 300.0, "change": 160.0}
+    assert "kernels" not in record["workloads"]  # no untraced kernels runs
+    bench_diff.diff(record, None)
+    lines = capsys.readouterr().out.splitlines()
+    assert "kernels per layer (traced runs: 3 -> 2)" in lines
+    layer = [line for line in lines if line.split()[0].startswith("fields.")]
+    assert len(layer) == 1 and layer[0].split()[1:] == ["300", "->", "160", "ns", "-46.7%"]
+    assert not any(line.endswith(("gain", "worse")) or "won" in line for line in layer)
+    bench_diff.diff(record, record)  # two files: change medians on both sides
+    assert "160 ->        160 ns" in capsys.readouterr().out
+    del record["layers"]
+    bench_diff.diff(record, None)  # a record from before the medians
+    assert "per layer" not in capsys.readouterr().out

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
+from umrow.algebra import make_algebra
 from umrow.errors import ConfigError, DivisionByZero, FieldMismatch
-from umrow.fields import RATIONALS, Scalar, _is_prime, field_from_text, prime_field
+from umrow.fields import RATIONALS, PrimeField, Rationals, Scalar, _is_prime, field_from_text, prime_field
 from umrow.poly import PolyRing
 from umrow.quadrics import degree_action
 
@@ -151,3 +154,121 @@ def test_canonical_representation(num, den):
     assert a == b
     assert hash(a) == hash(b)
     assert a.value.denominator >= 1
+
+
+M61 = prime_field(2**61 - 1)
+SCALAR_FIELDS = [RATIONALS, F7, M61]
+
+
+def field_values(field):
+    """Raw inputs: over Q fractions whose denominators share factors often,
+    over F_p ints on either side of [0, p)."""
+    p = field.characteristic
+    if not p:
+        dens = st.sampled_from([1, 2, 6, 12, 35, 2**64, 3**40]) | st.integers(1, 10**9)
+        return st.builds(Fraction, st.integers(-(10**20), 10**20), dens)
+    return st.integers(-2 * p, 2 * p)
+
+
+@seed(19)
+@settings(max_examples=60, database=None)
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@given(data=st.data())
+def test_scalar_ops_match_reference_arithmetic(field, data):
+    # Every operator against Fraction arithmetic over Q and residue
+    # arithmetic over F_p; each result must hold the canonical pair and
+    # hand out a value of the field's raw type.
+    p = field.characteristic
+    norm = Fraction if not p else (lambda v: v % p)
+    a = data.draw(field_values(field))
+    b = data.draw(field_values(field) | st.sampled_from([a, -a]))  # also equal and opposite
+    k = data.draw(st.integers(-(10**6), 10**6))
+    x, y = field.scalar(a), field.scalar(b)
+    A, B = norm(a), norm(b)
+
+    def check(s, expected):
+        assert type(s) is Scalar and s.config is field
+        assert field.pair(s) == (expected.numerator, expected.denominator)
+        assert type(s.value) is (Fraction if not p else int) and s.value == expected
+
+    check(x, A)
+    check(x + y, norm(A + B))
+    check(x - y, norm(A - B))
+    check(x * y, norm(A * B))
+    check(-x, norm(-A))
+    check(x + k, norm(A + k))
+    check(k + x, norm(k + A))
+    check(x - k, norm(A - k))
+    check(k - x, norm(k - A))
+    check(x * k, norm(A * k))
+    check(k * x, norm(k * A))
+    assert (x == y) == (A == B) and (x == k) == (A == norm(k)) and (k == x) == (x == k)
+    assert x.is_zero() == (A == 0)
+    if A:
+        check(x.inverse(), Fraction(1) / A if not p else pow(A, -1, p))
+    else:
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+
+
+def test_scalar_attributes_cannot_be_assigned():
+    half = RATIONALS.scalar("1/2")
+    for name, value in (("config", F7), ("value", Fraction(1)), ("numerator", 1)):
+        with pytest.raises(AttributeError):
+            setattr(half, name, value)
+    with pytest.raises(AttributeError):
+        del half.config
+    assert half == RATIONALS.scalar("1/2") and half.config is RATIONALS
+
+
+def test_scalar_repr_is_unchanged():
+    assert repr(RATIONALS.scalar("-1/2")) == "Scalar(config=Rationals(), value=Fraction(-1, 2))"
+    assert repr(F7.scalar(10)) == "Scalar(config=PrimeField(modulus=7), value=3)"
+    assert str(RATIONALS.scalar("-2/4")) == "-1/2" and str(F7.scalar(-1)) == "6"
+
+
+@pytest.mark.parametrize(
+    "value", [RATIONALS.scalar("-3/8"), RATIONALS.scalar(0), F7.scalar(5), M61.scalar(-1)], ids=repr
+)
+def test_scalar_copies_and_pickles(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is Scalar and twin == value and hash(twin) == hash(value)
+        assert twin.config == value.config and twin.value == value.value
+    assert copy.deepcopy([value, value]) == [value, value]
+
+
+def test_scalar_arithmetic_makes_no_field_value(monkeypatch):
+    # Scalars act on their stored pairs: with every field value and raw
+    # coercion made to raise, arithmetic, tests and comparisons still answer.
+    cases = [(field, field.scalar(a), field.scalar(b)) for field, a, b in (
+        (RATIONALS, Fraction(-3, 8), Fraction(5, 12)), (F7, 3, 5), (M61, 2**60, 3))]
+
+    def refuse(*args):
+        raise AssertionError("a field value was made")
+
+    for cls in (Rationals, PrimeField):
+        monkeypatch.setattr(cls, "value", refuse)
+        monkeypatch.setattr(cls, "raw", refuse)
+    for field, a, b in cases:
+        results = [a + b, a - b, a * b, -a, a.inverse(), 2 + a, 2 - a, a * 2, a - 1]
+        assert [r.is_zero() for r in results] == [False] * len(results)
+        assert a * a.inverse() == 1 and a + -a == 0 and a != b and a != 0
+        assert (a - b) + b == a and hash(a * 1) == hash(a)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F7], ids=str)
+def test_scalars_equal_ints_and_constants_and_hash_alike(field):
+    ring = PolyRing(field, ["x"])
+    alg = make_algebra(field, ["x", "y"], ["x*y - 1"])
+    one = field.scalar(1)
+    assert one == 1 and 1 == one and one != 2 and field.scalar(0) == 0
+    assert len({ring.one(), one}) == len({alg.one(), one}) == 1
+    for text in ("0", "1", "-3", "1/2", "-5/6"):
+        value = field.scalar(text)
+        const, element = ring.const(text), alg.element(text)
+        assert const == value and element == value
+        assert hash(const) == hash(value) == hash(element)
+    if field is RATIONALS:
+        assert len({1, one, ring.one()}) == 1 and hash(field.scalar(-7)) == hash(-7)
+    else:
+        assert field.scalar(3) == 10  # 10 is 3 in F_7
