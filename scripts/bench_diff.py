@@ -4,7 +4,9 @@
 A BENCH file holds, for each workload and end-to-end metric, the quartiles
 (q1, median, q3) of the runs at a parent commit and of the runs with a
 change, and how many seed-matched pairs the change won; and, for each reach
-op, how many runs of each side ended in each status (ok, timeout, failed).
+op, how many runs of each side ended in each status (ok, timeout, failed),
+and the median of their ``seconds`` (a run that timed out counts at its
+deadline).
 Its inputs are the records that ``benchmarks/run.py --trace 0`` writes under
 ``.bench_out/`` (``<workload>-seed<N>-trace0.json``), one directory per side.
 Where a directory also holds ``--trace 1`` records (``*-trace1.json``), the
@@ -70,6 +72,15 @@ def reach_counts(records: list) -> dict:
     return counts
 
 
+def reach_seconds(records: list) -> dict:
+    """{reach op: median seconds} over the ``reach`` fields of ``records``."""
+    seconds: dict = {}
+    for record in records:
+        for op in record["reach"]:
+            seconds.setdefault(op["name"], []).append(op["seconds"])
+    return {name: statistics.median(values) for name, values in seconds.items()}
+
+
 def build(parent_dir: Path, change_dir: Path, parent_sha: str) -> dict:
     specs = metric_specs()
     parent, change = load_runs(parent_dir), load_runs(change_dir)
@@ -96,6 +107,7 @@ def build(parent_dir: Path, change_dir: Path, parent_sha: str) -> dict:
             "failed": {side: sum(r["failed"] for r in recs) for side, recs in sides.items()},
             "metrics": metrics,
             "reach": {side: reach_counts(recs) for side, recs in sides.items()},
+            "reach_seconds": {side: reach_seconds(recs) for side, recs in sides.items()},
         }
     env = next(r for recs in change.values() for r in recs.values())["environment"]
     record = {
@@ -169,10 +181,15 @@ def diff(old: dict, new: dict | None) -> None:
             wins = f"  {m_new['wins']}/{len(w_new['seeds'])} won" if own else ""
             print(f"  {name:12s} {a:10.4g} -> {b:10.4g} {m_new['unit']:5s} {rel:+7.1%}{wins}"
                   f"{'  worse' if worse else ''}{'  gain' if gain else ''}")
-        # BENCH files written before reach counts were kept have none.
+        # BENCH files written before reach counts, or their seconds, were
+        # kept have none.
         reach_old = w_old.get("reach", {}).get(before, {})
+        secs_old = w_old.get("reach_seconds", {}).get(before, {})
+        secs_new = w_new.get("reach_seconds", {}).get("change", {})
         for name, counts in w_new.get("reach", {}).get("change", {}).items():
-            print(f"  reach {name:16s} {statuses(reach_old.get(name))} -> {statuses(counts)}")
+            a, b = secs_old.get(name), secs_new.get(name)
+            medians = "" if a is None and b is None else f"  (median {seconds(a)} -> {seconds(b)} s)"
+            print(f"  reach {name:16s} {statuses(reach_old.get(name))} -> {statuses(counts)}{medians}")
     # BENCH files written before per-layer medians were kept have none.
     for workload, l_new in new.get("layers", {}).items():
         l_old = old.get("layers", {}).get(workload)
@@ -193,6 +210,11 @@ def diff(old: dict, new: dict | None) -> None:
 def statuses(counts: dict | None) -> str:
     """'ok 3, timeout 2' for {status: runs}; '-' when there is no count."""
     return ", ".join(f"{status} {n}" for status, n in sorted(counts.items())) if counts else "-"
+
+
+def seconds(median: float | None) -> str:
+    """'0.512' for a median; '-' when none was kept."""
+    return "-" if median is None else f"{median:.3g}"
 
 
 def main() -> int:

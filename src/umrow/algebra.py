@@ -203,6 +203,12 @@ class AlgebraElement:
     def __eq__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.rep == other  # a constant is its own normal form
+        if isinstance(other, Polynomial):
+            # Equal when both are constants equal to one Scalar, as their
+            # hashes are; ``Polynomial.__eq__`` declines an element, so this
+            # answers in both operand orders.
+            value = other._constant()
+            return value is not None and self.rep == value
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.parent == other.parent and self.rep == other.rep

@@ -21,11 +21,13 @@ from .errors import (
     NotInIdeal,
     RingMismatch,
 )
+from .fields import _scalar
 from .poly import (
     MonomialOrder,
     PolyRing,
     Polynomial,
     _is_reduced,
+    _lead_inverse,
     _reduce,
     _split_lead,
 )
@@ -88,8 +90,9 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self.basis = tuple(basis)
         self._leads = tuple(leads)
-        # steps[s] says how row s is made from earlier rows: (index, inv) is
-        # generator ``index`` times inv, and (shifts, quots, inv) is inv times
+        # steps[s] says how row s is made from earlier rows, with inv a
+        # ``Scalar``: (index, inv) is generator ``index`` times inv, and
+        # (shifts, quots, inv) is inv times
         # sum(m * row[t] for t, m in shifts) - sum(q * row[t] for t, q in quots).
         # basis[k] is row final[k].
         self._steps = steps
@@ -113,7 +116,7 @@ class GroebnerBasis:
                 rows[s][index] = ring.const(inv)
                 continue
             shifts, quots, inv = steps[s]
-            neg_inv = ring.field.neg(inv)
+            neg_inv = -inv
             mults = [m.scale(inv) for _, m in shifts] + [q.scale(neg_inv) for _, q in quots]
             rows[s] = _combine_rows(ring, mults, [rows[t] for t, _ in shifts + quots], ngen)
         self._steps = None
@@ -196,14 +199,16 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     # reduction of this run: ``leads`` only grows while pairs are reduced.
     divisor_memo: dict = {}
 
-    def enter(poly, step, sugar):
-        """The one way into the basis: ``poly`` scaled by the inverse its
-        ``step`` ends with to be monic, the step recorded, its lead split
-        once, and its sugar.  A constant returns the unit ideal's basis;
-        anything else joins the basis and queues its pairs."""
-        poly = poly.scale(step[-1])
+    def enter(poly, sources, sugar):
+        """The one way into the basis: ``poly`` made monic, its step recorded
+        as ``sources`` and the inverse it was scaled by, its lead split once,
+        and its sugar.  A constant returns the unit ideal's basis; anything
+        else joins the basis and queues its pairs."""
+        _, inv_num, inv_den = _lead_inverse(poly, order)
+        inv = _scalar(field, inv_num, inv_den)
+        poly = poly.scale(inv)
         lead = _split_lead(poly, order)
-        steps.append(step)
+        steps.append(sources + (inv,))
         if lead[0] == 0:  # a constant: its lead monomial is 1
             return GroebnerBasis(ring, order, gens, steps, [poly], [lead], [len(steps) - 1])
         j = len(basis)
@@ -220,11 +225,10 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        if unit := enter(g, (i, field.inv(g.lead(order)[1])), g.total_degree()):
+        if unit := enter(g, (i,), g.total_degree()):
             return unit
 
-    one = field.one()
-    neg_one = field.neg(one)
+    neg_one = field.residue(-1)
     while queue:
         sugar, _, i, j, lcm = heappop(queue)
         pending.remove((i, j))
@@ -240,7 +244,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             for k in range(len(basis))
         ):
             continue  # chain criterion
-        xti = ring.term(packing.div(lcm, lmi), one)
+        xti = ring.term(packing.div(lcm, lmi), 1)
         xtj = ring.term(packing.div(lcm, lmj), neg_one)
         s = ring.dot((xti, xtj), (basis[i], basis[j]))
         quots, rem = _reduce(s, leads, order, divisor_memo)
@@ -249,8 +253,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         # rem = x^ti*basis[i] - x^tj*basis[j] - sum(quots[t]*basis[t]), and
         # the new element is rem scaled to be monic.
         nonzero = tuple((t, q) for t, q in enumerate(quots) if not q.is_zero())
-        step = (((i, xti), (j, xtj)), nonzero, field.inv(rem.lead(order)[1]))
-        if unit := enter(rem, step, sugar):
+        if unit := enter(rem, (((i, xti), (j, xtj)), nonzero), sugar):
             return unit
 
     # Minimalize: keep only elements whose leading monomial no kept element
@@ -270,6 +273,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     # Tail-reduce each element against the current versions of the others;
     # leading terms are fixed.
     final_leads = [leads[t] for t in kept]
+    one = field.scalar(1)
     for pos in range(len(final_polys)):
         others = [s for s in range(len(final_polys)) if s != pos]
         if not others:

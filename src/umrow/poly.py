@@ -44,7 +44,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ConfigError, DuplicateVariable, ExponentOverflow, ParseError, RingMismatch
-from .fields import FieldConfig, Scalar, pair_hash
+from .fields import FieldConfig, Scalar, _scalar, pair_hash
 
 FIELD_BITS = 16
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest total degree a monomial may have
@@ -175,21 +175,28 @@ def _sum_of_products(pairs, ring: PolyRing) -> Polynomial:
     return Polynomial(ring, out, den)
 
 
+def _lead_inverse(d: Polynomial, order: MonomialOrder):
+    """(lead monomial, numerator and denominator of the lead coefficient's
+    inverse) of a nonzero polynomial, from the stored ints through the
+    field's ``ratio`` and ``inv_pair``, with no field value made."""
+    terms = d._terms
+    lm = order.largest(terms)
+    field = d.ring.field
+    return (lm, *field.inv_pair(*field.ratio(terms[lm], d._den)))
+
+
 def _split_lead(d: Polynomial, order: MonomialOrder):
     """(lead monomial, numerator and denominator of the lead coefficient's
     inverse, other terms negated, their denominator, overflow bound) of a
     divisor, the form ``_reduce`` takes; a basis computes this once, not per
     reduction, so no reduction step inverts, negates or converts a divisor
-    coefficient.  The inverse comes from the stored ints, through the
-    field's ``ratio`` and ``inv_pair``, with no field value made.  A step by
+    coefficient.  The inverse comes from ``_lead_inverse``.  A step by
     this divisor on a monomial at or above the bound would make a term of
     degree above ``MAX_DEGREE``; under a graded order no tail term outweighs
     the lead and the bound is above every stored monomial."""
     terms, den = d._terms, d._den
-    lm = order.largest(terms)
-    field = d.ring.field
+    lm, inv_num, inv_den = _lead_inverse(d, order)
     packing = d.ring.packing
-    inv_num, inv_den = field.inv_pair(*field.ratio(terms[lm], den))
     tail = tuple((m, -n) for m, n in terms.items() if m != lm)
     excess = packing.degree(max(m for m, _ in tail)) - packing.degree(lm) if tail else 0
     bound = (MAX_DEGREE + 1 - max(excess, 0)) << packing.top
@@ -543,12 +550,16 @@ class Polynomial:
 
     def constant_value(self):
         """Raw coefficient if the polynomial is a constant, else None."""
+        value = self._constant()
+        return None if value is None else value.value
+
+    def _constant(self):
+        """The ``Scalar`` a constant polynomial equals, read from its stored
+        pair with no field value made; None when it is not constant."""
         terms = self._terms
-        if not terms:
-            return self.ring.field.zero()
-        if len(terms) == 1 and 0 in terms:
-            return self.ring.field.value(terms[0], self._den)
-        return None
+        if terms and (len(terms) > 1 or 0 not in terms):
+            return None
+        return _scalar(self.ring.field, terms.get(0, 0), self._den)
 
     def lead(self, order: MonomialOrder | None = None):
         """Leading (exponent tuple, coefficient) under ``order``; None when
@@ -640,9 +651,10 @@ class Polynomial:
                 base = base * base
         return self.ring.one() if result is None else result
 
-    def scale(self, raw) -> "Polynomial":
-        """Multiply by a raw field element."""
-        return self * self.ring.term(0, raw)
+    def scale(self, value) -> "Polynomial":
+        """Multiply by a field element: a raw value or a ``Scalar``, read as
+        ``PolyRing.const`` reads it."""
+        return self * self.ring.const(value)
 
     def mul_term(self, mono, raw) -> "Polynomial":
         """Multiply by ``raw * x^mono`` for an exponent tuple ``mono``."""

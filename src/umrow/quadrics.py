@@ -384,15 +384,14 @@ def degree_action(alpha_raw, n: int, field: FieldConfig) -> RingHom:
     (x_1, ..., x_n, x_{n+1}, y_1, ..., y_n, y_{n+1})
       -> (a x_1, ..., a x_n, x_{n+1}, a^{-1} y_1, ..., a^{-1} y_n, y_{n+1}).
 
-    Cached by the value of ``a`` in ``field``, so every spelling of one scale
+    Cached by the scalar ``a`` of ``field``, so every spelling of one scale
     (``2``, ``"2"``, ``Fraction(2)``) shares one map.
     """
-    return _degree_action(field.raw(alpha_raw), n, field)
+    return _degree_action(field.scalar(alpha_raw), n, field)
 
 
 @lru_cache(maxsize=QUADRIC_CACHE_SIZE)
-def _degree_action(alpha_value, n: int, field: FieldConfig) -> RingHom:
-    alpha = field.scalar(alpha_value)
+def _degree_action(alpha, n: int, field: FieldConfig) -> RingHom:
     if alpha.is_zero():
         raise InvalidUnit("the scaling factor must be a nonzero scalar")
     odd = build_q_odd(n, field)

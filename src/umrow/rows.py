@@ -177,6 +177,16 @@ def apply_word_entries(entries, word: ElementaryWord):
     return out
 
 
+def _move_splitting(entries, word: ElementaryWord):
+    """The column action of the inverse word: if s splits a row r, the result
+    splits r * matrix(word), since e(i, j, lam) adds lam * r_i to r_j and
+    s_i - lam * s_j keeps sum(r_k s_k)."""
+    out = list(entries)
+    for g in word.gens:
+        out[g.i] = out[g.i] - g.lam * out[g.j]
+    return out
+
+
 def apply_word(row: UnimodularRow, word: ElementaryWord) -> UnimodularRow:
     """Right action of the word's matrix; unimodularity is preserved by
     elementary moves, so the verified flag carries over."""
@@ -421,9 +431,13 @@ def vdk_add(
 ) -> VdkSum:
     """Orbit-level addition: [u] + [v] = [x(1-x), a_2, ..., a_n].
 
-    The sum's unimodularity witness is assembled by multiplying Bezout
-    certificates for (x, a) and (1-x, a), so no fresh basis computation on
-    the product row is needed.
+    The sum's witness is the product of splittings of (x, a) and (1-x, a),
+    so no basis of the sum row is computed.  Those two splittings are the
+    input rows' own, from ``compute_splitting(u)`` and ``compute_splitting(v)``
+    (whose bases ``check_unimodular`` has usually cached), moved along the
+    Mennicke-Newman words ``word_u`` and ``word_v``: no basis of (x, a) or
+    (1-x, a) is computed either.  Each moved splitting, and the witness, is
+    checked modulo the relations.
     """
     parent = u.parent
     dimension_ok = parent.dimension <= 2 * len(u.entries) - 4
@@ -432,8 +446,8 @@ def vdk_add(
     one = parent.one()
     sum_entries = (x * (one - x),) + mn.tail
 
-    su = compute_splitting(mn.u_final)
-    sv = compute_splitting(mn.v_final)
+    su = SplittingRow(mn.u_final, tuple(_move_splitting(compute_splitting(u).entries, mn.word_u)))
+    sv = SplittingRow(mn.v_final, tuple(_move_splitting(compute_splitting(v).entries, mn.word_v)))
     c0, cs = su.entries[0], su.entries[1:]
     d0, ds = sv.entries[0], sv.entries[1:]
     # su splits (x, a) and sv splits (1-x, a), so sum(a_i d_i) = 1 - (1-x) d0

@@ -213,10 +213,10 @@ def _case_mu_prime_basepoint(n, cfg):
 def random_scalar_row(algebra: Algebra, n: int, rng: random.Random):
     """A random row of integer scalars with at least one entry nonzero in
     the base field."""
-    from_int = algebra.field.from_int
+    residue = algebra.field.residue
     while True:
         values = [rng.randint(-9, 9) for _ in range(n)]
-        if any(map(from_int, values)):
+        if any(map(residue, values)):
             return [algebra.element(v) for v in values]
 
 

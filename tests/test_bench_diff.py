@@ -1,6 +1,6 @@
-"""``scripts/bench_diff.py`` counts each reach op's statuses per side,
-marks a gain only by the claim rule, and keeps the per-layer medians of
-traced runs unmarked."""
+"""``scripts/bench_diff.py`` counts each reach op's statuses per side and
+keeps its median seconds, marks a gain only by the claim rule, and keeps
+the per-layer medians of traced runs unmarked."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ bench_diff = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_diff)
 
 
-def _write_runs(directory: Path, statuses, walls=None) -> None:
+def _write_runs(directory: Path, statuses, walls=None, reach_secs=None) -> None:
     directory.mkdir()
     names = bench_diff.metric_specs()
     for seed, status in enumerate(statuses, start=1):
@@ -29,8 +29,9 @@ def _write_runs(directory: Path, statuses, walls=None) -> None:
             "metrics": metrics,
             "environment": {"python": "3", "cpus": 1},
             "reach": [
-                {"name": "slow-op", "status": status},
-                {"name": "fast-op", "status": "ok"},
+                {"name": "slow-op", "status": status,
+                 "seconds": reach_secs[seed - 1] if reach_secs else 3.0},
+                {"name": "fast-op", "status": "ok", "seconds": 0.1},
             ],
         }
         (directory / f"gb-families-seed{seed}-trace0.json").write_text(json.dumps(record))
@@ -50,6 +51,27 @@ def test_build_and_diff_report_reach_statuses(tmp_path, capsys):
     del old["workloads"]["gb-families"]["reach"]  # a record from before the counts
     bench_diff.diff(old, record)
     assert "- -> ok 3" in capsys.readouterr().out
+
+
+def test_build_and_diff_report_reach_median_seconds(tmp_path, capsys):
+    # A run that timed out is recorded at its deadline, 3 s.
+    _write_runs(tmp_path / "parent", ["timeout", "timeout", "ok"], reach_secs=[3.0, 3.0, 2.5])
+    _write_runs(tmp_path / "change", ["ok", "ok", "ok"], reach_secs=[0.6, 0.48, 0.52])
+    record = bench_diff.build(tmp_path / "parent", tmp_path / "change", "abc")
+    secs = record["workloads"]["gb-families"]["reach_seconds"]
+    assert secs == {"parent": {"slow-op": 3.0, "fast-op": 0.1}, "change": {"slow-op": 0.52, "fast-op": 0.1}}
+    bench_diff.diff(record, None)
+    out = capsys.readouterr().out
+    assert "ok 1, timeout 2 -> ok 3  (median 3 -> 0.52 s)" in out
+    assert "ok 3 -> ok 3  (median 0.1 -> 0.1 s)" in out
+    bench_diff.diff(record, record)  # two files: change medians on both sides
+    assert "ok 3 -> ok 3  (median 0.52 -> 0.52 s)" in capsys.readouterr().out
+    old = json.loads(json.dumps(record))
+    del old["workloads"]["gb-families"]["reach_seconds"]  # a record from before the medians
+    bench_diff.diff(old, record)
+    assert "ok 3 -> ok 3  (median - -> 0.52 s)" in capsys.readouterr().out
+    bench_diff.diff(old, None)  # no medians on either side: none printed
+    assert "ok 1, timeout 2 -> ok 3\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

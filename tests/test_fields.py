@@ -257,6 +257,23 @@ def test_scalar_arithmetic_makes_no_field_value(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F7], ids=str)
+def test_constant_polynomials_and_elements_are_equal_in_either_order(field):
+    ring = PolyRing(field, ["x"])
+    alg = make_algebra(field, ["x", "y"], ["x*y - 1"])
+    one = field.scalar(1)
+    assert ring.one() == alg.one() and alg.one() == ring.one()
+    # A set's size no longer depends on the order its members arrive in.
+    assert len({ring.one(), one, alg.one()}) == len({one, ring.one(), alg.one()}) == 1
+    assert len({alg.one(), ring.one()}) == len({ring.zero(), alg.zero()}) == 1
+    for text in ("0", "-3", "1/2"):
+        assert ring.const(text) == alg.element(text) and alg.element(text) == ring.const(text)
+    assert ring.const(2) != alg.one() and alg.one() != ring.const(2)
+    assert ring.var("x") != alg.var("x") and alg.var("x") != ring.var("x")  # not constants
+    other = PolyRing(prime_field(5) if field is RATIONALS else RATIONALS, ["x"])
+    assert other.one() != alg.one() and alg.one() != other.one()  # another field
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F7], ids=str)
 def test_scalars_equal_ints_and_constants_and_hash_alike(field):
     ring = PolyRing(field, ["x"])
     alg = make_algebra(field, ["x", "y"], ["x*y - 1"])

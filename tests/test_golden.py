@@ -3,9 +3,10 @@ its sha256, per field, and so are the printouts of every named morphism and
 of `gb` and `add` on the sphere, the reduced bases of a fixed set of ideals,
 and those bases with their cofactor rows and lifts.  A refactor must
 leave all six digests unchanged.  A change of pair selection may move the
-cofactor rows, the lifts and the splitting that `add` prints, which are
-exact but not canonical; it must leave the other digests unchanged, the
-reduced-bases digest among them, since a reduced basis is unique."""
+cofactor rows, the lifts and the splitting that `add` prints, and a change
+of how `vdk_add` builds its witness may move that splitting: they are exact
+but not canonical.  Such a change must leave the other digests unchanged,
+the reduced-bases digest among them, since a reduced basis is unique."""
 
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ def test_gb_and_add_printouts_digest(tmp_path, capsys):
         bundle.write_text(json.dumps({"algebra": sphere, "rows": rows}))
         assert main(["add", "--rows", str(bundle), "--u", "u", "--v", "v"]) == 0
         digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == "9751ab17090798460b3ab5de9a58da8966dc34c99bd8840bfa95d904ca34ee37"
+    assert digest.hexdigest() == "2adfdffeb4c326eb0b1e53ba3e43f671357a38427c9ce3350c03664aae40f388"
 
 
 def _katsura4(field):

@@ -310,6 +310,25 @@ def test_sugar_keeps_cyclic5_rows_small():
         assert ring.dot(row, gens) == b
 
 
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(32003)], ids=str)
+def test_buchberger_and_its_rows_make_no_field_value(monkeypatch, field):
+    # Each inverse `buchberger` records is a Scalar formed from the stored
+    # ints, so a basis, its cofactor rows and a lift need no raw field value.
+    ring = PolyRing(field, ["x", "y", "z"])
+    gens = [ring.parse(t) for t in ("2*x^2*y - 3*z", "3*x*y^2 - 5*x", "7/2*z^2 - y")]
+
+    def refuse(*args):
+        raise AssertionError("a field value was made")
+
+    for name in ("value", "inv", "from_int"):
+        monkeypatch.setattr(type(field), name, refuse)
+    gb = buchberger(Ideal.of(ring, gens))
+    assert len(gb.basis) > len(gens)
+    for b, row in zip(gb.basis, gb.cofactors):
+        assert ring.dot(row, gens) == b
+    assert ring.dot(gb.lift(gens[0] * gens[1]), gens) == gens[0] * gens[1]
+
+
 def _count_combine_rows(monkeypatch):
     calls = []
     real = groebner._combine_rows

@@ -7,14 +7,15 @@ import pytest
 from umrow import rows
 from umrow.algebra import make_algebra
 from umrow.errors import ConfigError, NotUnimodular, ShapeError, ShrinkFailed
-from umrow.fields import RATIONALS
-from umrow.quadrics import scalar_algebra, vtilde_ring
+from umrow.fields import RATIONALS, prime_field
+from umrow.quadrics import build_q_odd, scalar_algebra, vtilde_ring
 from umrow.rows import (
     ElementaryGen,
     ElementaryWord,
     OrbitCertificate,
     SplittingRow,
     UnimodularRow,
+    _move_splitting,
     _shrink_assignments,
     _shrink_pool,
     apply_word,
@@ -358,6 +359,44 @@ def test_vdk_words_certify_orbit_moves():
     assert verify_certificate(cert)
 
 
+def test_vdk_add_builds_no_basis_of_the_moved_rows(monkeypatch):
+    # The splittings of (x, a) and (1-x, a) are the input rows' own, moved
+    # along the words; no basis of the moved rows is asked for.
+    vt = vtilde_ring(2, RATIONALS)
+    for u, v in ((vt.x_row(), vt.u_row()), (check_unimodular(sphere(), ["x", "y", "z"]),
+                                             check_unimodular(sphere(), ["y", "z", "x"]))):
+        mn = mennicke_newman(u, v)
+        assert mn.u_final.entries != u.entries and mn.v_final.entries != v.entries
+        asked = []
+
+        def recording(ideal, order=None):
+            asked.append(ideal)
+            return groebner_basis(ideal, order)
+
+        monkeypatch.setattr(rows, "groebner_basis", recording)
+        result = vdk_add(u, v)
+        monkeypatch.undo()
+        alg = u.parent
+        assert alg.ideal_with(u.entries) in asked and alg.ideal_with(v.entries) in asked
+        assert alg.ideal_with(mn.u_final.entries) not in asked
+        assert alg.ideal_with(mn.v_final.entries) not in asked
+        assert (result.word_u, result.word_v) == (mn.word_u, mn.word_v)
+
+
+def test_vdk_q_odd_2_witness_sizes():
+    # (x1, x2, x3) + (y1, y2, y3) on k[Q_5]: with two fresh Bezout lifts the
+    # witness had [19 565, 22 389, 13 170] terms and the addition took about
+    # 6 s; with the moved splittings it is pinned here.
+    alg = build_q_odd(2, RATIONALS).algebra
+    xs = [alg.var(f"x{i}") for i in (1, 2, 3)]
+    ys = [alg.var(f"y{i}") for i in (1, 2, 3)]
+    u, _ = row_from_witness(alg, xs, ys)
+    v, _ = row_from_witness(alg, ys, xs)
+    result = vdk_add(u, v)
+    assert [len(e.rep.terms) for e in result.row.entries] == [165, 49, 102]
+    assert [len(e.rep.terms) for e in result.splitting.entries] == [2809, 1025, 3232]
+
+
 # -- certificates -----------------------------------------------------------------------
 
 
@@ -381,7 +420,9 @@ def test_certificate_tampering_detected():
 # -- randomized properties ---------------------------------------------------------
 
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import assume, given, seed, settings, strategies as st  # noqa: E402
+
+from umrow.groebner import groebner_basis  # noqa: E402
 
 nonzero_rows = st.lists(
     st.integers(-9, 9), min_size=2, max_size=4
@@ -414,3 +455,44 @@ def test_apply_word_preserves_unimodularity_random(values, lams):
     moved = apply_word(row, word)
     assert check_unimodular(alg, moved.entries).verified
     assert word.determinant(alg) == alg.one()
+
+
+def _moved_splitting_cases():
+    cases = []
+    for field in (RATIONALS, prime_field(5)):
+        alg = make_algebra(field, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
+        cases.append((f"sphere-{field}", check_unimodular(alg, ["x", "y", "z"])))
+        cases.append((f"vtilde-2-{field}", vtilde_ring(2, field).x_row()))
+    return cases
+
+
+# (i, d, c, g): the generator e(i, j, c * gens[g]), or e(i, j, c) when g is
+# past the last algebra generator, with i mod n and j the entry 1 + d mod
+# (n - 1) places after i, so that j != i.
+elementary_gens = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(-2, 2), st.integers(0, 10)),
+    min_size=1, max_size=5,
+)
+
+
+@pytest.mark.parametrize("row", [row for _, row in _moved_splitting_cases()],
+                         ids=[name for name, _ in _moved_splitting_cases()])
+@seed(20)
+@settings(max_examples=25, database=None, deadline=None)
+@given(spec=elementary_gens)
+def test_moved_splitting_splits_the_moved_row(row, spec):
+    alg, n = row.parent, len(row)
+    gens = alg.gens()
+    word = ElementaryWord(n, tuple(
+        ElementaryGen(i % n, (i + 1 + d % (n - 1)) % n, alg.element(c) * (gens[g] if g < len(gens) else alg.one()))
+        for i, d, c, g in spec
+    ))
+    moved = apply_word(row, word)
+    split = SplittingRow(moved, tuple(_move_splitting(compute_splitting(row).entries, word)))
+    # Tamper with the last lambda: the pairing moves by -(row_i * s_j) of the
+    # moved row and splitting, which is nonzero unless that product is.
+    last = word.gens[-1]
+    assume(not (moved[last.i] * split.entries[last.j]).is_zero())
+    tampered = ElementaryWord(n, word.gens[:-1] + (ElementaryGen(last.i, last.j, last.lam + 1),))
+    with pytest.raises(NotUnimodular):
+        SplittingRow(moved, tuple(_move_splitting(compute_splitting(row).entries, tampered)))
