@@ -58,7 +58,6 @@ from .quadrics import (
     OddQuadric,
     OrientedIdeal,
     QuadricEvenPoint,
-    QuadricOddPoint,
     VTildeRing,
     build_q_even,
     build_q_odd,
@@ -69,7 +68,6 @@ from .quadrics import (
     fold_model_certificate,
     fold_model_row,
     gm_quadric,
-    jouanolou_lift,
     mu_at_unit,
     mu_hom,
     mu_minus_one,

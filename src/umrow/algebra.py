@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fields import FieldConfig, Scalar
 from .groebner import Ideal, groebner_basis, krull_dimension
-from .poly import PolyRing, Polynomial
+from .poly import PolyRing, Polynomial, _power
 
 
 class Algebra:
@@ -86,10 +86,8 @@ class Algebra:
             if obj.ring != self.ring:
                 raise RingMismatch("polynomial outside the ambient ring")
             poly = obj
-        elif isinstance(obj, (int, Scalar)):
-            poly = self.ring.const(obj)
         else:
-            raise ConfigError(f"cannot coerce {obj!r} into {self!r}")
+            poly = self.ring.const(obj)  # ``field.pair`` refuses what is not of this field
         return AlgebraElement(self, self.reduce(poly))
 
     def var(self, name) -> "AlgebraElement":
@@ -188,30 +186,17 @@ class AlgebraElement:
         return AlgebraElement(self.parent, -self.rep)
 
     def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ConfigError(f"exponent {exp!r} is not a non-negative integer")
-        # As ``Polynomial.__pow__``: no product by 1, so ``e ** 1`` is ``e``.
-        result, base = None, self
-        while exp:
-            if exp & 1:
-                result = base if result is None else result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return self.parent.one() if result is None else result
+        return _power(self, exp, self.parent.one)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.rep == other  # a constant is its own normal form
-        if isinstance(other, Polynomial):
-            # Equal when both are constants equal to one Scalar, as their
-            # hashes are; ``Polynomial.__eq__`` declines an element, so this
-            # answers in both operand orders.
-            value = other._constant()
-            return value is not None and self.rep == value
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.parent == other.parent and self.rep == other.rep
+        if isinstance(other, AlgebraElement):
+            return self.parent == other.parent and self.rep == other.rep
+        # A constant is its own normal form: the element equals an int, a
+        # Scalar or a constant polynomial when its Scalar does, as their
+        # hashes do.  ``Polynomial.__eq__`` declines an element, so this
+        # answers in both operand orders.
+        value = self.rep._constant()
+        return value is not None and value == other
 
     def __hash__(self):
         return hash(self.rep)  # a constant hashes as the equal Scalar

@@ -22,10 +22,9 @@ gcd, over F_p the residues over 1.  ``residue`` reads one int as a stored
 numerator (over F_p, mod p), and ``ratio`` writes a/b as the canonical
 pair; ``value`` makes the field value of n/den, for the edges where a
 caller reads a coefficient.  ``add`` and ``neg`` act on stored ints too:
-over Q they are the int operations, over F_p the residue ones.  Both raw
-value types are rationals in Python's sense, so ``c.numerator`` and
-``c.denominator`` read any single value as an int over a denominator (a
-residue over 1).
+over Q they are the int operations, over F_p the residue ones.  Every
+coefficient that enters from outside goes through ``pair``, the one reader
+of a ``Fraction``'s numerator and denominator.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ class FieldConfig:
     ``from_int``, ``add``, ``sub``, ``mul``, ``neg`` and ``inv`` on raw
     values, ``add_pair``, ``mul_pair`` and ``inv_pair`` on canonical pairs,
     ``normalize`` on int term dicts over a denominator, and ``residue``,
-    ``ratio`` and ``value`` on single ints; the methods below, ``pair`` and
-    ``raw`` among them, are written once in terms of those."""
+    ``ratio`` and ``value`` on single ints; the methods below, ``pair``
+    among them, are written once in terms of those."""
 
     characteristic: int
 
@@ -120,11 +119,6 @@ class FieldConfig:
         else:
             raise ConfigError(f"cannot coerce {value!r} into {self}")
         return self.mul_pair(self.residue(num), 1, *self.inv_pair(self.residue(den), 1))
-
-    def raw(self, value) -> RawScalar:
-        """The raw value of an int, a ``Fraction``, a scalar literal or a
-        ``Scalar`` of this field, with no ``Scalar`` made."""
-        return self.value(*self.pair(value))
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar) and value._config == self:
@@ -319,7 +313,10 @@ class Scalar:
     acts on the pairs through the field's pair operations; ``value`` makes
     the ``Fraction`` (over Q) or returns the residue (over F_p) on each
     read.  A scalar equals an int it coerces to, and a scalar of another
-    field is never equal."""
+    field is never equal.  One exception to "equal objects hash alike":
+    over F_p an int outside [0, p) equals its residue but hashes as
+    itself (``prime_field(7).scalar(3) == 10``, yet the hashes are 3 and
+    10), so do not mix such ints with F_p values as set or dict keys."""
 
     __slots__ = ("_config", "_n", "_d")
 

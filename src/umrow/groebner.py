@@ -228,7 +228,6 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         if unit := enter(g, (i,), g.total_degree()):
             return unit
 
-    neg_one = field.residue(-1)
     while queue:
         sugar, _, i, j, lcm = heappop(queue)
         pending.remove((i, j))
@@ -245,7 +244,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         ):
             continue  # chain criterion
         xti = ring.term(packing.div(lcm, lmi), 1)
-        xtj = ring.term(packing.div(lcm, lmj), neg_one)
+        xtj = ring.term(packing.div(lcm, lmj), -1)
         s = ring.dot((xti, xtj), (basis[i], basis[j]))
         quots, rem = _reduce(s, leads, order, divisor_memo)
         if rem.is_zero():

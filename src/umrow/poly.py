@@ -26,11 +26,11 @@ form is canonical, so structural equality of (terms, denominator) is
 semantic equality.
 
 Exponent tuples and field values appear only at the edges: ``from_terms``
-(exponent tuples), printing, ``PolyRing.term``, and the ``terms``, ``lead``,
-``coeff``, ``constant_value``, ``mul_term`` and ``sorted_terms`` of a
-polynomial.  Coefficients given to ``const``, ``from_terms`` and parsing
-enter through ``field.pair``, and a ring map goes through ``_substitute``;
-neither makes a field value.
+(exponent tuples), printing, and the ``terms``, ``lead``, ``coeff``,
+``constant_value``, ``mul_term`` and ``sorted_terms`` of a polynomial.
+Coefficients given to ``const``, ``term``, ``from_terms`` and parsing enter
+through ``field.pair``, and a ring map goes through ``_substitute``; neither
+makes a field value.
 """
 
 from __future__ import annotations
@@ -173,6 +173,23 @@ def _sum_of_products(pairs, ring: PolyRing) -> Polynomial:
     if out and max(out) >= ring.packing.limit:
         raise ExponentOverflow(f"a product has total degree above {MAX_DEGREE}")
     return Polynomial(ring, out, den)
+
+
+def _power(base, exp, one):
+    """``base ** exp`` by square and multiply, for polynomials and algebra
+    elements alike; ``one()`` makes the result of exponent 0.  The result
+    starts as the first power of two it needs, not as 1, so ``base ** 1``
+    is ``base`` and no product by 1 is formed."""
+    if not isinstance(exp, int) or exp < 0:
+        raise ConfigError(f"exponent {exp!r} is not a non-negative integer")
+    result = None
+    while exp:
+        if exp & 1:
+            result = base if result is None else result * base
+        exp >>= 1
+        if exp:
+            base = base * base
+    return one() if result is None else result
 
 
 def _lead_inverse(d: Polynomial, order: MonomialOrder):
@@ -461,12 +478,11 @@ class PolyRing:
         n, den = self.field.pair(value)
         return Polynomial(self, {0: n} if n else {}, den)
 
-    def term(self, mono: int, raw) -> "Polynomial":
-        """The polynomial ``raw * x^mono`` for a packed monomial (0 is the
-        monomial 1) and a raw field element."""
-        if not raw:
-            return Polynomial(self, {})
-        return Polynomial(self, {mono: raw.numerator}, raw.denominator)
+    def term(self, mono: int, value) -> "Polynomial":
+        """The polynomial ``value * x^mono`` for a packed monomial (0 is the
+        monomial 1) and a coefficient read as ``const`` reads it."""
+        n, den = self.field.pair(value)
+        return Polynomial(self, {mono: n} if n else {}, den)
 
     def var(self, name_or_index) -> "Polynomial":
         i = self._index.get(name_or_index) if isinstance(name_or_index, str) else name_or_index
@@ -639,26 +655,16 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ConfigError(f"exponent {exp!r} is not a non-negative integer")
-        # The result starts as the first power of two it needs, not as 1.
-        result, base = None, self
-        while exp:
-            if exp & 1:
-                result = base if result is None else result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return self.ring.one() if result is None else result
+        return _power(self, exp, self.ring.one)
 
     def scale(self, value) -> "Polynomial":
         """Multiply by a field element: a raw value or a ``Scalar``, read as
         ``PolyRing.const`` reads it."""
         return self * self.ring.const(value)
 
-    def mul_term(self, mono, raw) -> "Polynomial":
-        """Multiply by ``raw * x^mono`` for an exponent tuple ``mono``."""
-        return self * self.ring.term(self.ring.pack(mono), raw)
+    def mul_term(self, mono, value) -> "Polynomial":
+        """Multiply by ``value * x^mono`` for an exponent tuple ``mono``."""
+        return self * self.ring.term(self.ring.pack(mono), value)
 
     def extend(self, new_ring: PolyRing) -> "Polynomial":
         """Reinterpret in a ring whose variables extend this ring's list."""
@@ -673,13 +679,12 @@ class Polynomial:
     # -- equality & text ---------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            if isinstance(other, Scalar) and other.config != self.ring.field:
-                return False  # as for a polynomial of another ring
-            if isinstance(other, (int, Scalar)):
-                return self == self.ring.const(other)
-            return NotImplemented
-        return self.ring == other.ring and self._den == other._den and self._terms == other._terms
+        if isinstance(other, Polynomial):
+            return self.ring == other.ring and self._den == other._den and self._terms == other._terms
+        if isinstance(other, (int, Scalar)):
+            value = self._constant()  # a Scalar of another field is never equal
+            return value is not None and value == other
+        return NotImplemented
 
     def __hash__(self):
         terms = self._terms

@@ -45,9 +45,21 @@ QUADRIC_CACHE_SIZE = 64
 # -- coordinate rings ---------------------------------------------------------
 
 
+def _names(letter: str, first: int, last: int) -> list:
+    """The variable names letter{first} .. letter{last}."""
+    return [f"{letter}{i}" for i in range(first, last + 1)]
+
+
+def _pairing(xs, ys) -> str:
+    """The relation text sum(x_i*y_i) over two lists of names."""
+    return " + ".join(f"{x}*{y}" for x, y in zip(xs, ys))
+
+
 @dataclass(frozen=True)
-class OddQuadric:
-    """k[Q_{2n+1}] with variables x1..x{n+1}, y1..y{n+1}."""
+class _QuadricRing:
+    """A quadric's coordinate ring, with coordinates named x1, ..., y1, ...
+    and, where the ring has one, z.  The subclasses add no field, so they
+    share this dataclass's equality, hash and repr."""
 
     n: int
     algebra: Algebra
@@ -57,6 +69,13 @@ class OddQuadric:
 
     def y(self, i: int) -> AlgebraElement:
         return self.algebra.var(f"y{i}")
+
+    def z(self) -> AlgebraElement:
+        return self.algebra.var("z")
+
+
+class OddQuadric(_QuadricRing):
+    """k[Q_{2n+1}] with variables x1..x{n+1}, y1..y{n+1}."""
 
     def base_point(self):
         """(0, ..., 0, 1, 0, ..., 0, 1): last x and last y equal 1."""
@@ -68,21 +87,8 @@ class OddQuadric:
         return tuple(coords)
 
 
-@dataclass(frozen=True)
-class EvenQuadric:
+class EvenQuadric(_QuadricRing):
     """k[Q_{2n}] with variables x1..xn, y1..yn, z."""
-
-    n: int
-    algebra: Algebra
-
-    def x(self, i: int) -> AlgebraElement:
-        return self.algebra.var(f"x{i}")
-
-    def y(self, i: int) -> AlgebraElement:
-        return self.algebra.var(f"y{i}")
-
-    def z(self) -> AlgebraElement:
-        return self.algebra.var("z")
 
     def base_point(self):
         field = self.algebra.field
@@ -93,35 +99,20 @@ class EvenQuadric:
 def build_q_odd(n: int, field: FieldConfig) -> OddQuadric:
     if n < 0:
         raise ShapeError("odd quadrics need n >= 0")
-    names = [f"x{i}" for i in range(1, n + 2)] + [f"y{i}" for i in range(1, n + 2)]
-    ring_terms = " + ".join(f"x{i}*y{i}" for i in range(1, n + 2))
-    return OddQuadric(n, Algebra(field, names, [f"{ring_terms} - 1"]))
+    xs, ys = _names("x", 1, n + 1), _names("y", 1, n + 1)
+    return OddQuadric(n, Algebra(field, xs + ys, [_pairing(xs, ys) + " - 1"]))
 
 
 @lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def build_q_even(n: int, field: FieldConfig) -> EvenQuadric:
     if n < 1:
         raise ShapeError("even quadrics need n >= 1")
-    names = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)] + ["z"]
-    ring_terms = " + ".join(f"x{i}*y{i}" for i in range(1, n + 1))
-    return EvenQuadric(n, Algebra(field, names, [f"{ring_terms} - z + z^2"]))
+    xs, ys = _names("x", 1, n), _names("y", 1, n)
+    return EvenQuadric(n, Algebra(field, xs + ys + ["z"], [_pairing(xs, ys) + " - z + z^2"]))
 
 
-@dataclass(frozen=True)
-class GmQuadric:
+class GmQuadric(_QuadricRing):
     """k[Gm x Q_{2n}]: the even quadric ring with an adjoined unit t."""
-
-    n: int
-    algebra: Algebra
-
-    def x(self, i: int) -> AlgebraElement:
-        return self.algebra.var(f"x{i}")
-
-    def y(self, i: int) -> AlgebraElement:
-        return self.algebra.var(f"y{i}")
-
-    def z(self) -> AlgebraElement:
-        return self.algebra.var("z")
 
     def t(self) -> AlgebraElement:
         return self.algebra.var("t")
@@ -152,21 +143,6 @@ def gm_algebra(field: FieldConfig) -> Algebra:
 
 
 @dataclass(frozen=True)
-class QuadricOddPoint:
-    """An A-point of an odd quadric: rows x, y with sum(x_i y_i) = 1."""
-
-    parent: Algebra
-    x: tuple
-    y: tuple
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ShapeError("x and y have different lengths")
-        if self.parent.dot(self.x, self.y) != self.parent.one():
-            raise ShapeError("point violates the odd quadric relation")
-
-
-@dataclass(frozen=True)
 class QuadricEvenPoint:
     """An A-point of an even quadric: sum(x_i y_i) = z(1-z)."""
 
@@ -180,14 +156,6 @@ class QuadricEvenPoint:
             raise ShapeError("x and y have different lengths")
         if self.parent.dot(self.x, self.y) != self.z * (self.parent.one() - self.z):
             raise ShapeError("point violates the even quadric relation")
-
-
-def jouanolou_lift(row: UnimodularRow) -> QuadricOddPoint:
-    """Lift a unimodular row of length n to a point of the quadric of
-    dimension 2n-1, pairing it with its computed splitting.  Projection to
-    the first n coordinates recovers the row."""
-    splitting = compute_splitting(row)
-    return QuadricOddPoint(row.parent, tuple(row.entries), tuple(splitting.entries))
 
 
 def segre_point(row: UnimodularRow, splitting: SplittingRow) -> QuadricEvenPoint:
@@ -462,10 +430,9 @@ class OrientedIdeal:
 def universal_split_row(d: int, field: FieldConfig) -> UnimodularRow:
     """The row (a_1, ..., a_{d+1}) over k[a, b] / (sum(a_i b_i) - 1), the
     universal unimodular row of length d+1 with a chosen splitting."""
-    names = [f"a{i}" for i in range(1, d + 2)] + [f"b{i}" for i in range(1, d + 2)]
-    rel = " + ".join(f"a{i}*b{i}" for i in range(1, d + 2)) + " - 1"
-    alg = Algebra(field, names, [rel])
-    return check_unimodular(alg, [alg.var(f"a{i}") for i in range(1, d + 2)])
+    a, b = _names("a", 1, d + 1), _names("b", 1, d + 1)
+    alg = Algebra(field, a + b, [_pairing(a, b) + " - 1"])
+    return check_unimodular(alg, [alg.var(name) for name in a])
 
 
 def phi_map(row: UnimodularRow, check_height: bool = False):
@@ -517,60 +484,37 @@ class VTildeRing:
     n: int
     algebra: Algebra
 
-    def x_row(self) -> UnimodularRow:
-        row, _ = row_from_witness(
-            self.algebra,
-            [self.algebra.var(f"x{i}") for i in range(1, self.n + 1)],
-            [self.algebra.var(f"y{i}") for i in range(1, self.n + 1)],
-        )
+    def _vars(self, letter: str, first: int = 1) -> list:
+        return [self.algebra.var(name) for name in _names(letter, first, self.n)]
+
+    def _row(self, entries, witness) -> UnimodularRow:
+        """The row of ``entries`` split by ``witness``, checked by
+        ``row_from_witness``."""
+        row, _ = row_from_witness(self.algebra, entries, witness)
         return row
+
+    def x_row(self) -> UnimodularRow:
+        return self._row(self._vars("x"), self._vars("y"))
 
     def u_row(self) -> UnimodularRow:
-        row, _ = row_from_witness(
-            self.algebra,
-            [self.algebra.var(f"u{i}") for i in range(1, self.n + 1)],
-            [self.algebra.var(f"v{i}") for i in range(1, self.n + 1)],
-        )
-        return row
+        return self._row(self._vars("u"), self._vars("v"))
 
     def tail_row(self) -> UnimodularRow:
-        names = [f"x{i}" for i in range(2, self.n + 1)] + [f"u{i}" for i in range(2, self.n + 1)]
-        wits = [f"r{i}" for i in range(2, self.n + 1)] + [f"s{i}" for i in range(2, self.n + 1)]
-        row, _ = row_from_witness(
-            self.algebra,
-            [self.algebra.var(v) for v in names],
-            [self.algebra.var(w) for w in wits],
-        )
-        return row
+        return self._row(self._vars("x", 2) + self._vars("u", 2), self._vars("r", 2) + self._vars("s", 2))
 
     def basepoint_row(self) -> UnimodularRow:
         entries = [self.algebra.zero()] * (self.n - 1) + [self.algebra.one()]
-        witness = list(entries)
-        row, _ = row_from_witness(self.algebra, entries, witness)
-        return row
+        return self._row(entries, entries)
 
 
 @lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def vtilde_ring(n: int, field: FieldConfig) -> VTildeRing:
     if n < 2:
         raise ShapeError("the universal double-row ring needs n >= 2")
-    names = (
-        [f"x{i}" for i in range(1, n + 1)]
-        + [f"y{i}" for i in range(1, n + 1)]
-        + [f"u{i}" for i in range(1, n + 1)]
-        + [f"v{i}" for i in range(1, n + 1)]
-        + [f"r{i}" for i in range(2, n + 1)]
-        + [f"s{i}" for i in range(2, n + 1)]
-    )
-    rel1 = " + ".join(f"x{i}*y{i}" for i in range(1, n + 1)) + " - 1"
-    rel2 = " + ".join(f"u{i}*v{i}" for i in range(1, n + 1)) + " - 1"
-    rel3 = (
-        " + ".join(f"x{i}*r{i}" for i in range(2, n + 1))
-        + " + "
-        + " + ".join(f"u{i}*s{i}" for i in range(2, n + 1))
-        + " - 1"
-    )
-    return VTildeRing(n, Algebra(field, names, [rel1, rel2, rel3]))
+    x, y, u, v = (_names(letter, 1, n) for letter in "xyuv")
+    r, s = _names("r", 2, n), _names("s", 2, n)
+    relations = [_pairing(x, y), _pairing(u, v), _pairing(x[1:] + u[1:], r + s)]
+    return VTildeRing(n, Algebra(field, x + y + u + v + r + s, [rel + " - 1" for rel in relations]))
 
 
 @dataclass(frozen=True)
@@ -583,10 +527,7 @@ class FoldModel:
     """
 
     row: UnimodularRow
-    splitting: SplittingRow
     witness: SplittingRow
-    word_u: ElementaryWord
-    word_v: ElementaryWord
 
 
 @lru_cache(maxsize=QUADRIC_CACHE_SIZE)
@@ -603,12 +544,8 @@ def fold_model_row(vt: VTildeRing) -> FoldModel:
     expected.append(xn + (one - xn) * x1)
     if list(result.row.entries) != expected:
         raise AssertionError("fold-model row differs from its closed form")
-    pair_row, pair_split = row_from_witness(
-        alg,
-        [xn + (one - xn) * x1, one - x1],
-        [one, one - xn],
-    )
-    return FoldModel(result.row, result.splitting, pair_split, result.word_u, result.word_v)
+    _, witness = row_from_witness(alg, [xn + (one - xn) * x1, one - x1], [one, one - xn])
+    return FoldModel(result.row, witness)
 
 
 def fold_model_certificate(vt: VTildeRing) -> OrbitCertificate:

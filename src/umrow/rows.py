@@ -83,6 +83,9 @@ def compute_splitting(row: UnimodularRow) -> SplittingRow:
 
     The lift runs over the entry representatives first and the relations
     after, so coefficients on the relations are discarded in the quotient.
+    The row and its splitting are the row's point of the odd quadric (the
+    Jouanolou device): entries x and splitting y with sum(x_i y_i) = 1,
+    whose projection to x recovers the row.
     """
     parent = row.parent
     gb = groebner_basis(parent.ideal_with(row.entries))

@@ -9,6 +9,7 @@ from umrow.algebra import RingHom, adjoin_unit_variable, hom_compose, make_algeb
 from umrow.errors import (
     ConfigError,
     DuplicateVariable,
+    FieldMismatch,
     NotWellDefined,
     RingMismatch,
     ZeroRing,
@@ -106,6 +107,19 @@ def test_equality_with_a_scalar_of_another_field_is_false():
             assert not value == other and value != other and other != value
             assert other not in [value]
     assert alg.var("x1") != f5.scalar(1)
+
+
+def test_element_takes_the_coefficients_polynomials_hand_out():
+    # ``terms``, ``lead`` and ``coeff`` hand out Fractions over Q; ``element``
+    # reads one as ``PolyRing.const`` does, and refuses another field's scalar.
+    f5 = prime_field(5)
+    alg, alg5 = laurent(), make_algebra(f5, ["x"], [])
+    assert alg.element(Fraction(1, 2)) == alg.element("1/2")
+    assert alg5.element(Fraction(1, 2)) == alg5.element("1/2") == 3
+    (coeff,) = alg.element("3/4").rep.terms.values()
+    assert alg.element(coeff) == alg.element("3/4")
+    with pytest.raises(FieldMismatch):
+        alg.element(f5.scalar(1))
 
 
 @pytest.mark.parametrize(

@@ -182,6 +182,19 @@ def test_from_terms_stores_canonical_coefficients():
         R2.from_terms({(1, 0): prime_field(5).scalar(1)})
 
 
+def test_term_stores_canonical_coefficients():
+    # ``term`` and ``mul_term`` take a coefficient as ``const`` does.
+    f5 = prime_field(5)
+    ring = PolyRing(f5, ["x"])
+    x = ring.var("x")
+    assert ring.term(0, 7) == ring.const(2)
+    assert x.mul_term((1,), Fraction(1, 2)) == ring.parse("3*x^2")
+    assert ring.term(0, f5.scalar(2)) == ring.const(2)
+    assert ring.term(0, 5).is_zero() and R2.term(0, "-2/4") == R2.const(Fraction(-1, 2))
+    with pytest.raises(FieldMismatch):
+        ring.term(0, prime_field(7).scalar(2))
+
+
 # -- integral storage: ints over one denominator, one canonical form ----------
 
 

@@ -30,7 +30,6 @@ from umrow.quadrics import (
     fold_model_certificate,
     fold_model_row,
     gm_quadric,
-    jouanolou_lift,
     mu_at_unit,
     mu_hom,
     mu_minus_one,
@@ -84,19 +83,20 @@ def test_even_quadric_dimension():
 # -- points ---------------------------------------------------------------------
 
 
-def test_jouanolou_lift_sphere():
+def test_compute_splitting_sphere():
+    # The row and its splitting are the row's point of the odd quadric.
     alg = make_algebra(RATIONALS, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
     row = check_unimodular(alg, ["x", "y", "z"])
-    point = jouanolou_lift(row)
-    assert point.x == row.entries  # projection recovers the row
-    assert point.y == (alg.var("x"), alg.var("y"), alg.var("z"))
+    point = compute_splitting(row)
+    assert point.row.entries == row.entries  # projection recovers the row
+    assert point.entries == (alg.var("x"), alg.var("y"), alg.var("z"))
 
 
-def test_jouanolou_lift_standard_vector():
+def test_compute_splitting_standard_vector():
     alg = scalar_algebra(RATIONALS)
     row = check_unimodular(alg, [0, 0, 1])
-    point = jouanolou_lift(row)
-    assert [str(e) for e in point.y] == ["0", "0", "1"]
+    point = compute_splitting(row)
+    assert [str(e) for e in point.entries] == ["0", "0", "1"]
 
 
 def test_segre_point_universal():
@@ -344,9 +344,9 @@ def test_phi_consistent_with_eta_after_lift():
     row = universal_split_row(2, RATIONALS)
     alg = row.parent
     oriented, point = phi_map(row)
-    lift = jouanolou_lift(row)
+    lift = compute_splitting(row)
     odd = build_q_odd(2, RATIONALS)
-    into = RingHom(odd.algebra, alg, list(lift.x) + list(lift.y))
+    into = RingHom(odd.algebra, alg, list(row.entries) + list(lift.entries))
     composite = hom_compose(into, eta_hom(2, RATIONALS))
     assert list(composite.images) == list(point.x) + list(point.y) + [point.z]
 
@@ -462,8 +462,7 @@ def test_delta_of_segre_point_is_unimodular():
 def test_maps_and_unit_tests_make_no_field_value(monkeypatch):
     # A map carries each stored coefficient into the target as it is, and a
     # basis is the unit ideal when its one element has lead monomial 1: with
-    # every field value and raw coercion made to raise, both still answer,
-    # and as before.
+    # every field value made to raise, both still answer, and as before.
     cases = []
     for hom, text in (
         (eta_hom(3, RATIONALS), "1/2*x1^2*y1 - 3*z + 7"),
@@ -483,7 +482,6 @@ def test_maps_and_unit_tests_make_no_field_value(monkeypatch):
 
     for cls in (Rationals, PrimeField):
         monkeypatch.setattr(cls, "value", refuse)
-        monkeypatch.setattr(cls, "raw", refuse)
     for hom, elements, expected in cases:
         fresh = RingHom(hom.source, hom.target, hom.images)  # no power cached yet
         assert [fresh(e) for e in elements] == [hom(e) for e in elements] == expected
