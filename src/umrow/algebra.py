@@ -23,7 +23,7 @@ from .errors import (
     RingMismatch,
     ZeroRing,
 )
-from .fields import FieldConfig, Scalar
+from .fields import _COEFFICIENTS, FieldConfig
 from .groebner import Ideal, groebner_basis, krull_dimension
 from .poly import PolyRing, Polynomial, _power
 
@@ -147,7 +147,7 @@ class AlgebraElement:
             if other.parent != self.parent:
                 raise RingMismatch("operands belong to different algebras")
             return other
-        if isinstance(other, (int, Scalar, str, Polynomial)):
+        if isinstance(other, _COEFFICIENTS) or isinstance(other, (str, Polynomial)):
             return self.parent.element(other)
         return NotImplemented
 
@@ -192,9 +192,9 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             return self.parent == other.parent and self.rep == other.rep
         # A constant is its own normal form: the element equals an int, a
-        # Scalar or a constant polynomial when its Scalar does, as their
-        # hashes do.  ``Polynomial.__eq__`` declines an element, so this
-        # answers in both operand orders.
+        # Fraction, a Scalar or a constant polynomial when its Scalar does,
+        # as their hashes do.  ``Polynomial.__eq__`` declines an element, so
+        # this answers in both operand orders.
         value = self.rep._constant()
         return value is not None and value == other
 

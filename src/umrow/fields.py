@@ -301,9 +301,10 @@ _new = object.__new__
 
 def pair_hash(n: int, d: int) -> int:
     """The hash of the canonical pair n/d: that of the int n when d is 1,
-    so a ``Scalar`` hashes as an int it equals, and a constant polynomial
-    or algebra element as its ``Scalar``."""
-    return hash(n) if d == 1 else hash((n, d))
+    else that of the ``Fraction`` n/d, so a ``Scalar`` hashes as an int or
+    a ``Fraction`` it equals over Q, and a constant polynomial or algebra
+    element as its ``Scalar``."""
+    return hash(n) if d == 1 else hash(Fraction(n, d))
 
 
 class Scalar:
@@ -312,11 +313,14 @@ class Scalar:
     and nothing writes the private slots after construction.  Arithmetic
     acts on the pairs through the field's pair operations; ``value`` makes
     the ``Fraction`` (over Q) or returns the residue (over F_p) on each
-    read.  A scalar equals an int it coerces to, and a scalar of another
-    field is never equal.  One exception to "equal objects hash alike":
-    over F_p an int outside [0, p) equals its residue but hashes as
-    itself (``prime_field(7).scalar(3) == 10``, yet the hashes are 3 and
-    10), so do not mix such ints with F_p values as set or dict keys."""
+    read.  Its operators and ``==`` take what ``FieldConfig.pair`` takes
+    but literals: an int, a ``Fraction`` or a ``Scalar`` of the field (a
+    float gets ``TypeError``).  A scalar equals an int or a ``Fraction``
+    it coerces to, and a scalar of another field is never equal.  One
+    exception to "equal objects hash alike": over F_p an int outside
+    [0, p), or a ``Fraction``, equals its residue but hashes as itself
+    (``prime_field(7).scalar(3) == 10``, yet the hashes are 3 and 10), so
+    do not mix such values with F_p values as set or dict keys."""
 
     __slots__ = ("_config", "_n", "_d")
 
@@ -333,7 +337,7 @@ class Scalar:
         return self._config.value(self._n, self._d)
 
     def _coerce(self, other) -> "Scalar":
-        if isinstance(other, (Scalar, int)):
+        if isinstance(other, _COEFFICIENTS):
             return self._config.scalar(other)
         return NotImplemented
 
@@ -398,8 +402,9 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self._n == other._n and self._d == other._d and self._config == other._config
-        if isinstance(other, int):
-            return self._d == 1 and self._n == self._config.residue(other)
+        if isinstance(other, _COEFFICIENTS):
+            # n/d == a/b when n b - a d is 0: over F_p never if p divides b.
+            return not self._config.residue(self._n * other.denominator - other.numerator * self._d)
         return NotImplemented
 
     def __hash__(self):
@@ -422,6 +427,11 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar(config={self._config!r}, value={self.value!r})"
+
+
+# The coefficients the operators and ``==`` of scalars, polynomials and
+# algebra elements take: those ``FieldConfig.pair`` takes, but literals.
+_COEFFICIENTS = (int, Fraction, Scalar)
 
 
 def _scalar(config: FieldConfig, n: int, d: int) -> Scalar:

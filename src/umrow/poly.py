@@ -44,7 +44,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ConfigError, DuplicateVariable, ExponentOverflow, ParseError, RingMismatch
-from .fields import FieldConfig, Scalar, _scalar, pair_hash
+from .fields import _COEFFICIENTS, FieldConfig, _scalar, pair_hash
 
 FIELD_BITS = 16
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest total degree a monomial may have
@@ -602,7 +602,7 @@ class Polynomial:
             if other.ring != self.ring:
                 raise RingMismatch(f"{other.ring} != {self.ring}")
             return other
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, _COEFFICIENTS):
             return self.ring.const(other)
         return NotImplemented
 
@@ -681,7 +681,7 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.ring == other.ring and self._den == other._den and self._terms == other._terms
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, _COEFFICIENTS):
             value = self._constant()  # a Scalar of another field is never equal
             return value is not None and value == other
         return NotImplemented

@@ -294,7 +294,6 @@ def _shrink_assignments(parent: Algebra, slots: int, seed: int, budget: int):
 def mennicke_newman(
     u: UnimodularRow,
     v: UnimodularRow,
-    shrink_hints=None,
     *,
     seed: int = 0,
     shrink_budget: int = 200,
@@ -304,7 +303,8 @@ def mennicke_newman(
 
     Step one adds multiples of u1*v1 to the tails until the combined tail is
     unimodular (skipped when it already is; the search is a seeded,
-    deterministic semidecision and ``shrink_hints`` short-circuits it).
+    deterministic semidecision over at most ``shrink_budget`` candidate
+    coefficients, and ``ShrinkFailed`` ends it).
     Step two subtracts a Bezout combination of u1+v1-1 from the first
     coordinates.  The final cross-adjustment produces the common tail.
     """
@@ -327,17 +327,8 @@ def mennicke_newman(
     # Step 1: make (u_2..u_n, v_2..v_n) unimodular by adding multiples of
     # u1*v1, which is an elementary move on each row separately.
     if not _tail_is_unimodular(parent, ue[1:] + ve[1:]):
-        slots = 2 * (n - 1)
-        if shrink_hints is not None:
-            hint = [parent.element(h) for h in shrink_hints]
-            if len(hint) != slots:
-                raise ShapeError(f"expected {slots} hint coefficients, got {len(hint)}")
-            assignments = [hint]
-        else:
-            assignments = _shrink_assignments(parent, slots, seed, shrink_budget)
-
         p = ue[0] * ve[0]
-        for assignment in assignments:
+        for assignment in _shrink_assignments(parent, 2 * (n - 1), seed, shrink_budget):
             lams = assignment[: n - 1]
             mus = assignment[n - 1 :]
             new_u_tail = [ue[i] + lams[i - 1] * p for i in range(1, n)]
@@ -354,7 +345,7 @@ def mennicke_newman(
         else:
             raise ShrinkFailed(
                 f"no shrink coefficients found within budget {shrink_budget}; "
-                "supply shrink_hints"
+                "raise the budget or change the seed"
             )
 
     # Step 2: write u1 + v1 - 1 over the combined tail and subtract.
@@ -427,7 +418,6 @@ class VdkSum:
 def vdk_add(
     u: UnimodularRow,
     v: UnimodularRow,
-    shrink_hints=None,
     *,
     seed: int = 0,
     shrink_budget: int = 200,
@@ -444,7 +434,7 @@ def vdk_add(
     """
     parent = u.parent
     dimension_ok = parent.dimension <= 2 * len(u.entries) - 4
-    mn = mennicke_newman(u, v, shrink_hints, seed=seed, shrink_budget=shrink_budget)
+    mn = mennicke_newman(u, v, seed=seed, shrink_budget=shrink_budget)
     x = mn.x
     one = parent.one()
     sum_entries = (x * (one - x),) + mn.tail

@@ -156,11 +156,19 @@ def test_subtraction_and_negation_match_plain_arithmetic(field):
     sa, sb = field.scalar(a), field.scalar(b)
     assert (sa - sb).value == plain(a - b) and (sa - 3).value == plain(a - 3)
     assert (3 - sb).value == plain(3 - b) and (-sb).value == plain(-b)
+    # A Fraction is an operand wherever an int is, in either order.
+    assert (sa - b).value == plain(a - b) and (b + sa).value == plain(b + a)
+    assert (sa * b).value == plain(a * b) and (b - sa).value == plain(b - a)
     alg = make_algebra(field, ["x"], ["x^2 - 2"])
     x = alg.var("x")
     for diff, const, linear in (
         ((3 - x.rep), 3, -1),  # Polynomial.__rsub__
         ((sb - x.rep), b, -1),
+        ((b - x.rep), b, -1),
+        ((x.rep + b), b, 1),
+        ((x - b).rep, -b, 1),
+        ((b * x).rep, 0, b),
+        ((x * x - Fraction(1, 3)).rep, 2 - Fraction(1, 3), 0),
         ((3 - x).rep, 3, -1),  # AlgebraElement.__rsub__
         ((sb - x * x).rep, b - 2, 0),
         ((3 - -x).rep, 3, 1),

@@ -284,11 +284,18 @@ def test_scalars_equal_ints_and_constants_and_hash_alike(field):
         const, element = ring.const(text), alg.element(text)
         assert const == value and element == value
         assert hash(const) == hash(value) == hash(element)
+        assert Fraction(text) == value == Fraction(text) and const == Fraction(text) == element
     if field is RATIONALS:
         assert len({1, one, ring.one()}) == 1 and hash(field.scalar(-7)) == hash(-7)
+        for text in ("1/2", "-5/6", "4"):
+            assert len({Fraction(text), field.scalar(text), ring.const(text), alg.element(text)}) == 1
     else:
         assert field.scalar(3) == 10  # 10 is 3 in F_7
         # The documented exception: an int outside [0, p) equals its residue
         # but hashes as itself, so a set keeps both.
         assert ring.const(3) == 10 == alg.element(3) and hash(field.scalar(3)) != hash(10)
         assert len({10, field.scalar(3)}) == 2
+        # So does a Fraction: 1/2 is 4 in F_7, and 1/7 is no residue at all.
+        assert field.scalar(4) == Fraction(1, 2) == ring.const(4) and alg.element(4) == Fraction(1, 2)
+        assert len({Fraction(1, 2), field.scalar(4)}) == 2
+        assert field.scalar(0) != Fraction(1, 7) != ring.const(0)

@@ -242,12 +242,15 @@ def test_mn_universal_pair():
     assert_mn_contract(u, v, result)
 
 
-def test_mn_shrink_failure_with_bad_hints():
-    alg = scalars()
-    u = check_unimodular(alg, [1, 0])
-    zeros = [alg.zero()] * 2
-    with pytest.raises(ShrinkFailed):
-        mennicke_newman(u, u, shrink_hints=zeros)
+def test_mn_shrink_budget_bounds_the_search():
+    # Both tails vanish at x = 0, so the shrink step must move them.  The
+    # first candidate, 1, fails in every slot; the second, -1, succeeds.
+    alg = make_algebra(RATIONALS, ["x"], [])
+    u = check_unimodular(alg, [1, "1/3*x^3 - 3/2*x^2 + 7/6*x"])
+    v = check_unimodular(alg, [1, "-2/3*x^3 + 3*x^2 - 10/3*x"])
+    with pytest.raises(ShrinkFailed, match="budget 1; raise the budget or change the seed"):
+        mennicke_newman(u, v, shrink_budget=1)
+    assert_mn_contract(u, v, mennicke_newman(u, v, shrink_budget=2))
 
 
 def test_shrink_pool_has_no_repeats():
