@@ -172,8 +172,6 @@ def segre_point(row: UnimodularRow, splitting: SplittingRow) -> QuadricEvenPoint
     a = row.entries
     b = splitting.entries
     n = len(a) - 1
-    if n < 1:
-        raise ShapeError("need a row of length at least 2")
     xs = list(a[: n - 1]) + [a[n - 1] * a[n]]
     last = a[n] * b[n]
     ys = [b[i] * last for i in range(n - 1)] + [b[n - 1] * b[n]]
@@ -446,8 +444,6 @@ def phi_map(row: UnimodularRow, check_height: bool = False):
     """
     parent = row.parent
     d = len(row.entries) - 1
-    if d < 1:
-        raise ShapeError("need a row of length at least 2")
     splitting = compute_splitting(row)
     a = row.entries
     lift = tuple(list(a[: d - 1]) + [a[d - 1] * a[d]])

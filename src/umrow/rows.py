@@ -136,13 +136,10 @@ class ElementaryWord:
         )
 
     def matrix(self, parent: Algebra):
-        """The product matrix, built by column operations on the identity."""
-        n = self.n
-        cols = [[parent.one() if r == c else parent.zero() for r in range(n)] for c in range(n)]
-        for g in self.gens:
-            ci, cj = cols[g.i], cols[g.j]
-            cols[g.j] = [cj[r] + g.lam * ci[r] for r in range(n)]
-        return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
+        """The product matrix: row r is the unit row e_r moved by the word."""
+        one, zero = parent.one(), parent.zero()
+        units = ([one if c == r else zero for c in range(self.n)] for r in range(self.n))
+        return tuple(tuple(apply_word_entries(e, self)) for e in units)
 
     def determinant(self, parent: Algebra) -> AlgebraElement:
         return _determinant(self.matrix(parent), parent)
@@ -173,10 +170,15 @@ def _determinant(matrix, parent: Algebra) -> AlgebraElement:
     return det(0, tuple(range(n)))
 
 
+def _apply_gen(entries: list, g: ElementaryGen):
+    """The one elementary action, in place: entry j += lam * entry i."""
+    entries[g.j] = entries[g.j] + g.lam * entries[g.i]
+
+
 def apply_word_entries(entries, word: ElementaryWord):
     out = list(entries)
     for g in word.gens:
-        out[g.j] = out[g.j] + g.lam * out[g.i]
+        _apply_gen(out, g)
     return out
 
 
@@ -301,6 +303,11 @@ def mennicke_newman(
     """Move u and v by explicit elementary words to the shapes (x, a) and
     (1-x, a) with a common tail a.
 
+    Every move is a generator, recorded in its word and then applied to the
+    row as recorded (a zero multiplier is no move and is not recorded), so
+    the rows returned are the words' images of u and v and one check of
+    the shapes covers the words.
+
     Step one adds multiples of u1*v1 to the tails until the combined tail is
     unimodular (skipped when it already is; the search is a seeded,
     deterministic semidecision over at most ``shrink_budget`` candidate
@@ -319,28 +326,27 @@ def mennicke_newman(
     if not (u.verified and v.verified):
         raise NotUnimodular("both rows must be verified before addition")
 
-    ue = list(u.entries)
-    ve = list(v.entries)
+    ue, ve = list(u.entries), list(v.entries)
     gens_u: list[ElementaryGen] = []
     gens_v: list[ElementaryGen] = []
+
+    def move(entries, gens, i, j, lam):
+        if not lam.is_zero():
+            gens.append(ElementaryGen(i, j, lam))
+            _apply_gen(entries, gens[-1])
 
     # Step 1: make (u_2..u_n, v_2..v_n) unimodular by adding multiples of
     # u1*v1, which is an elementary move on each row separately.
     if not _tail_is_unimodular(parent, ue[1:] + ve[1:]):
-        p = ue[0] * ve[0]
         for assignment in _shrink_assignments(parent, 2 * (n - 1), seed, shrink_budget):
-            lams = assignment[: n - 1]
-            mus = assignment[n - 1 :]
-            new_u_tail = [ue[i] + lams[i - 1] * p for i in range(1, n)]
-            new_v_tail = [ve[i] + mus[i - 1] * p for i in range(1, n)]
-            if _tail_is_unimodular(parent, new_u_tail + new_v_tail):
-                for i in range(1, n):
-                    if not lams[i - 1].is_zero():
-                        gens_u.append(ElementaryGen(0, i, lams[i - 1] * ve[0]))
-                    if not mus[i - 1].is_zero():
-                        gens_v.append(ElementaryGen(0, i, mus[i - 1] * ue[0]))
-                ue[1:] = new_u_tail
-                ve[1:] = new_v_tail
+            tried_u, tried_v, moves_u, moves_v = list(ue), list(ve), [], []
+            for i in range(1, n):
+                move(tried_u, moves_u, 0, i, assignment[i - 1] * ve[0])
+                move(tried_v, moves_v, 0, i, assignment[n - 2 + i] * ue[0])
+            if _tail_is_unimodular(parent, tried_u[1:] + tried_v[1:]):
+                ue, ve = tried_u, tried_v
+                gens_u += moves_u
+                gens_v += moves_v
                 break
         else:
             raise ShrinkFailed(
@@ -349,55 +355,32 @@ def mennicke_newman(
             )
 
     # Step 2: write u1 + v1 - 1 over the combined tail and subtract.
-    tail_ideal = parent.ideal_with(ue[1:] + ve[1:])
-    gb = groebner_basis(tail_ideal)
-    f = ue[0] + ve[0] - parent.one()
-    coeffs = gb.lift(f.rep)
-    alphas = [parent.element(coeffs[i]) for i in range(n - 1)]
-    betas = [parent.element(coeffs[n - 1 + i]) for i in range(n - 1)]
+    gb = groebner_basis(parent.ideal_with(ue[1:] + ve[1:]))
+    coeffs = gb.lift((ue[0] + ve[0] - parent.one()).rep)
     for i in range(1, n):
-        a = alphas[i - 1]
-        if not a.is_zero():
-            gens_u.append(ElementaryGen(i, 0, -a))
-            ue[0] = ue[0] - a * ue[i]
-        b = betas[i - 1]
-        if not b.is_zero():
-            gens_v.append(ElementaryGen(i, 0, -b))
-            ve[0] = ve[0] - b * ve[i]
-    if ue[0] + ve[0] != parent.one():
-        raise AssertionError("first coordinates do not sum to 1 after adjustment")
-
-    u_mid = tuple(ue)
-    v_mid = tuple(ve)
+        move(ue, gens_u, i, 0, -parent.element(coeffs[i - 1]))
+        move(ve, gens_v, i, 0, -parent.element(coeffs[n - 2 + i]))
+    u_mid, v_mid = tuple(ue), tuple(ve)
 
     # Step 3: merge the tails around the pivot first coordinates.
-    x = ue[0]
-    diffs = [ue[i] - ve[i] for i in range(1, n)]
-    tail = []
     for i in range(1, n):
-        d = diffs[i - 1]
-        a_from_u = ue[i] - x * d
-        a_from_v = ve[i] + ve[0] * d
-        if a_from_u != a_from_v:
-            raise AssertionError("the two tail expressions disagree")
-        if not d.is_zero():
-            gens_u.append(ElementaryGen(0, i, -d))
-            gens_v.append(ElementaryGen(0, i, d))
-        ue[i] = a_from_u
-        ve[i] = a_from_v
-        tail.append(a_from_u)
+        d = ue[i] - ve[i]
+        move(ue, gens_u, 0, i, -d)
+        move(ve, gens_v, 0, i, d)
 
-    word_u = ElementaryWord(n, tuple(gens_u))
-    word_v = ElementaryWord(n, tuple(gens_v))
-    u_final = UnimodularRow(parent, tuple(ue), verified=True)
-    v_final = UnimodularRow(parent, tuple(ve), verified=True)
-
-    if apply_word(u, word_u).entries != u_final.entries:
-        raise AssertionError("word_u does not replay to the reduced u")
-    if apply_word(v, word_v).entries != v_final.entries:
-        raise AssertionError("word_v does not replay to the reduced v")
-
-    return MNResult(x, tuple(tail), word_u, word_v, u_final, v_final, u_mid, v_mid)
+    x, tail = ue[0], tuple(ue[1:])
+    if x + ve[0] != parent.one() or tail != tuple(ve[1:]):
+        raise AssertionError("the words do not move u and v to (x, a) and (1-x, a)")
+    return MNResult(
+        x,
+        tail,
+        ElementaryWord(n, tuple(gens_u)),
+        ElementaryWord(n, tuple(gens_v)),
+        UnimodularRow(parent, tuple(ue), verified=True),
+        UnimodularRow(parent, tuple(ve), verified=True),
+        u_mid,
+        v_mid,
+    )
 
 
 @dataclass(frozen=True)

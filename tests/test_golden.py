@@ -1,9 +1,11 @@
 """The byte-stable report of the combined suite over n = 2..6 is pinned by
 its sha256, per field, and so are the printouts of every named morphism and
 of `gb` and `add` on the sphere, the reduced bases of a fixed set of ideals,
-and those bases with their cofactor rows and lifts.  A refactor must
-leave all six digests unchanged.  A change of pair selection may move the
-cofactor rows, the lifts and the splitting that `add` prints, and a change
+those bases with their cofactor rows and lifts, and the words and rows
+that `mennicke_newman` gives on a fixed set of pairs.  A refactor must
+leave all seven digests unchanged.  A change of pair selection may move the
+cofactor rows, the lifts, the Mennicke-Newman words and rows (their second
+step is a lift) and the splitting that `add` prints, and a change
 of how `vdk_add` builds its witness may move that splitting: they are exact
 but not canonical.  Such a change must leave the other digests unchanged,
 the reduced-bases digest among them, since a reduced basis is unique."""
@@ -16,11 +18,14 @@ import random
 
 import pytest
 
+from umrow.algebra import make_algebra
 from umrow.cli import MORPHISMS, main
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, buchberger
 from umrow.poly import PolyRing
-from umrow.suites import SuiteConfig, run_suite
+from umrow.quadrics import build_q_odd, scalar_algebra, vtilde_ring
+from umrow.rows import check_unimodular, mennicke_newman
+from umrow.suites import SuiteConfig, random_scalar_row, run_suite
 
 
 @pytest.mark.parametrize(
@@ -153,3 +158,43 @@ def test_bases_cofactors_and_lifts_digest():
             for c in gb.lift(f):
                 digest.update(_text(c).encode())
     assert digest.hexdigest() == "ce87f3c14cba4fd77943635fa92f43fd1382a7a62aad575fb7050fab97959a88"
+
+
+def _mn_pairs():
+    # 240 seeded random scalar pairs over Q, F_5 and F_32003 with n = 2..5;
+    # two pairs whose tails the shrink step must move; over Q and F_5 the
+    # sphere pair (x, y, z) + (y, z, x) and the k[Q_3] pair (x1, x2) +
+    # (y1, y2); the universal rows x + u and x + base point for n = 2..5.
+    rng = random.Random(27)
+    for field in (RATIONALS, prime_field(5), prime_field(32003)):
+        alg = scalar_algebra(field)
+        for n in range(2, 6):
+            for _ in range(20):
+                yield tuple(check_unimodular(alg, random_scalar_row(alg, n, rng)) for _ in "uv")
+    alg = make_algebra(RATIONALS, ["x"], [])
+    yield check_unimodular(alg, [1, 0, 0]), check_unimodular(alg, [1, 0, 0])
+    u = check_unimodular(alg, [1, "1/3*x^3 - 3/2*x^2 + 7/6*x"])
+    yield u, check_unimodular(alg, [1, "-2/3*x^3 + 3*x^2 - 10/3*x"])
+    for field in (RATIONALS, prime_field(5)):
+        sphere = make_algebra(field, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
+        yield check_unimodular(sphere, ["x", "y", "z"]), check_unimodular(sphere, ["y", "z", "x"])
+        q3 = build_q_odd(1, field)
+        xs, ys = [q3.x(1), q3.x(2)], [q3.y(1), q3.y(2)]
+        yield check_unimodular(q3.algebra, xs), check_unimodular(q3.algebra, ys)
+    for n in range(2, 6):
+        vt = vtilde_ring(n, RATIONALS)
+        yield vt.x_row(), vt.u_row()
+        yield vt.x_row(), vt.basepoint_row()
+
+
+def test_mennicke_newman_digest():
+    # The two words, x, the tail and the middle and final rows of every
+    # pair above, the k-th pair run with seed k; one digest over them all.
+    digest = hashlib.sha256()
+    for k, (u, v) in enumerate(_mn_pairs()):
+        mn = mennicke_newman(u, v, seed=k)
+        for word in (mn.word_u, mn.word_v):
+            digest.update(repr([(g.i, g.j, str(g.lam)) for g in word.gens]).encode())
+        for part in ((mn.x,), mn.tail, mn.u_mid, mn.v_mid, mn.u_final.entries, mn.v_final.entries):
+            digest.update(repr([str(e) for e in part]).encode())
+    assert digest.hexdigest() == "d0b5adb253c1c7ae285615328d6cd82ced9d1b4385ba5262ea4714a25b0761b3"

@@ -242,6 +242,23 @@ def test_mn_universal_pair():
     assert_mn_contract(u, v, result)
 
 
+def test_mn_rows_are_the_words_images_without_a_replay(monkeypatch):
+    # Each move is recorded and applied as recorded, so the returned rows
+    # are the words' images with no replay through rows.apply_word or
+    # rows.verify_certificate.  The contract's own replay uses the
+    # apply_word imported above, which the patch leaves alone.
+    def no_replay(*args):
+        raise AssertionError("mennicke_newman replayed a word")
+
+    monkeypatch.setattr(rows, "apply_word", no_replay)
+    monkeypatch.setattr(rows, "verify_certificate", no_replay)
+    alg = sphere()
+    vt = vtilde_ring(3, RATIONALS)
+    u, v = check_unimodular(alg, ["x", "y", "z"]), check_unimodular(alg, ["y", "z", "x"])
+    for u, v in [(u, v), (vt.x_row(), vt.u_row())]:
+        assert_mn_contract(u, v, mennicke_newman(u, v))
+
+
 def test_mn_shrink_budget_bounds_the_search():
     # Both tails vanish at x = 0, so the shrink step must move them.  The
     # first candidate, 1, fails in every slot; the second, -1, succeeds.

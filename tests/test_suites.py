@@ -107,19 +107,31 @@ def _doubled_witness(parent, entries, witness):
     return _row_from_witness(parent, entries, [2 * w for w in witness])
 
 
+def _doubled_pair_witness(parent, entries, witness):
+    """Doubles the witness of a row of length 2 only.  In ``fold_model_row``
+    that is the fold witness, so the universal rows, of length n >= 4, pass
+    their own checks and the fault reaches the fold identity."""
+    if len(entries) == 2:
+        witness = [2 * w for w in witness]
+    return _row_from_witness(parent, entries, witness)
+
+
 def _shifted_gen(i, j, lam):
-    """A generator recorded with lam + 1 in place of the lam applied: the
-    word no longer replays onto the row it claims."""
+    """A generator made with lam + 1 in place of the lam asked for: it is
+    recorded and applied as made, so the rows leave the shapes (x, a) and
+    (1-x, a)."""
     return _gen(i, j, lam + 1)
 
 
 FAULTS = {
     "eta-relation": (2, "eta_hom", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
+    "ab-identity": (1, "mu_hom", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
     "e-welldef": (1, "e_endo", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
     "splitting-sphere": (3, "compute_splitting", GroebnerBasis, "lift", _doubled_lift, NotUnimodular),
     "delta-universal": (1, "delta_map", quadrics, "row_from_witness", _doubled_witness, NotUnimodular),
     "mn-random": (2, "mennicke_newman", rows, "ElementaryGen", _shifted_gen, AssertionError),
     "mn-universal": (4, "mennicke_newman", rows, "ElementaryGen", _shifted_gen, AssertionError),
+    "fold-witness": (4, "fold_model_row", quadrics, "row_from_witness", _doubled_pair_witness, NotUnimodular),
 }
 
 
