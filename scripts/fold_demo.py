@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Walk through the fold-model construction at n = 4 and print every stage:
-the universal double-row ring, the addition of the coordinate row with the
-standard vector, the closed-form result, and the elementary certificate
-carrying it back to the coordinate row.
+"""Walk through the fold-model construction at n = 4: print the universal
+double-row ring, the addition of the coordinate row with the standard
+vector, the closed-form result, and the elementary certificate carrying it
+back to the coordinate row, one generator at a time.
 
 Usage: python3 scripts/fold_demo.py [n]
 """

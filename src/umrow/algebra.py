@@ -19,6 +19,7 @@ from functools import cached_property
 from .errors import (
     ConfigError,
     DuplicateVariable,
+    NotInIdeal,
     NotWellDefined,
     RingMismatch,
     ZeroRing,
@@ -112,9 +113,20 @@ class Algebra:
 
     def ideal_with(self, elements) -> Ideal:
         """Ambient ideal for quotient-level membership questions: the given
-        representatives first, then the relations (the ordering pins lifts)."""
+        representatives first, then the relations: the layout ``_lift`` reads."""
         reps = tuple(self.element(e).rep for e in elements)
         return Ideal(self.ring, reps + self.relations)
+
+    def _unit_ideal(self, elements) -> bool:
+        """Whether ``elements`` generate the unit ideal of the algebra."""
+        return groebner_basis(self.ideal_with(elements)).is_unit_ideal()
+
+    def _lift(self, f, elements) -> list:
+        """Normal forms c with f = sum(c_i * elements[i]): the lift over
+        ``ideal_with(elements)`` without the relations' coefficients, or
+        ``NotInIdeal``.  Unchecked: each caller checks what it builds."""
+        coeffs = groebner_basis(self.ideal_with(elements))._coefficients(self.element(f).rep)
+        return [self.element(c) for c in coeffs[: len(elements)]]
 
     @cached_property
     def dimension(self) -> int:
@@ -207,16 +219,13 @@ class AlgebraElement:
     def is_unit(self):
         """Inverse element if this one is invertible, else None.
 
-        Invertibility is decided by whether the representative together with
-        the relations generates the unit ideal of the ambient polynomial ring;
-        the inverse is read off the Bezout certificate for 1.
+        The inverse is read off a Bezout certificate for 1 by
+        ``Algebra._lift``; the product with it is the one check.
         """
-        ideal = self.parent.ideal_with([self])
-        gb = groebner_basis(ideal)
-        if not gb.is_unit_ideal():
+        try:
+            (inverse,) = self.parent._lift(1, [self])
+        except NotInIdeal:
             return None
-        coeffs = gb.lift(self.parent.ring.one())
-        inverse = self.parent.element(coeffs[0])
         if self * inverse != self.parent.one():
             raise AssertionError("unit certificate failed verification")
         return inverse
@@ -273,12 +282,6 @@ class RingHom:
     def __call__(self, elt) -> AlgebraElement:
         return self._apply_poly(self.source.element(elt).rep)
 
-    def compose(self, inner: "RingHom") -> "RingHom":
-        """self o inner as algebra maps (inner applied first)."""
-        if inner.target != self.source:
-            raise RingMismatch("inner map's target is not this map's source")
-        return RingHom(inner.source, self.target, [self(im) for im in inner.images])
-
     def __eq__(self, other):
         return (
             isinstance(other, RingHom)
@@ -296,8 +299,11 @@ class RingHom:
 
 
 def hom_compose(f: RingHom, g: RingHom) -> RingHom:
-    """Composite f o g; g's target must be f's source."""
-    return f.compose(g)
+    """Composite f o g as algebra maps (g applied first); g's target must be
+    f's source."""
+    if g.target != f.source:
+        raise RingMismatch("inner map's target is not this map's source")
+    return RingHom(g.source, f.target, [f(im) for im in g.images])
 
 
 def adjoin_unit_variable(algebra: Algebra, name: str) -> Algebra:

@@ -148,13 +148,18 @@ class GroebnerBasis:
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
-    def lift(self, f: Polynomial):
-        """Coefficients c with f = sum(c_i * generators[i]), exactly."""
+    def _coefficients(self, f: Polynomial):
+        """``lift`` without its check, for a caller that checks what it
+        builds from the coefficients."""
         quots, rem = self.normal_form_with_quotients(f)
         if not rem.is_zero():
             raise NotInIdeal(f"{f} is not in the ideal")
         # f = sum(q_k * basis[k]), and basis[k] = sum(cofactors[k][i] * g_i).
-        coeffs = _combine_rows(self.ring, quots, self.cofactors, len(self.generators))
+        return _combine_rows(self.ring, quots, self.cofactors, len(self.generators))
+
+    def lift(self, f: Polynomial):
+        """Coefficients c with f = sum(c_i * generators[i]), checked in the ring."""
+        coeffs = self._coefficients(f)
         if self.ring.dot(coeffs, self.generators) != f:
             raise AssertionError("cofactor expansion failed to reproduce the element")
         return coeffs
@@ -232,7 +237,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         sugar, _, i, j, lcm = heappop(queue)
         pending.remove((i, j))
         lmi, lmj = leads[i][0], leads[j][0]
-        if lcm == packing.mul(lmi, lmj):
+        if lcm == lmi + lmj:
             continue  # coprime leading monomials: S-polynomial reduces to 0
         if any(
             k != i
@@ -243,8 +248,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             for k in range(len(basis))
         ):
             continue  # chain criterion
-        xti = ring.term(packing.div(lcm, lmi), 1)
-        xtj = ring.term(packing.div(lcm, lmj), -1)
+        xti = ring.term(lcm - lmi, 1)
+        xtj = ring.term(lcm - lmj, -1)
         s = ring.dot((xti, xtj), (basis[i], basis[j]))
         quots, rem = _reduce(s, leads, order, divisor_memo)
         if rem.is_zero():

@@ -80,15 +80,6 @@ class Packing:
     def degree(self, m: int) -> int:
         return m >> self.top
 
-    @staticmethod
-    def mul(a: int, b: int) -> int:
-        return a + b
-
-    @staticmethod
-    def div(a: int, b: int) -> int:
-        """a / b, for a ``b`` that divides ``a``."""
-        return a - b
-
     def divides(self, a: int, b: int) -> bool:
         """Whether ``a`` divides ``b``."""
         return not (b - a) & self.guards

@@ -545,67 +545,47 @@ def fold_model_row(vt: VTildeRing) -> FoldModel:
 
 def fold_model_certificate(vt: VTildeRing) -> OrbitCertificate:
     """An explicit elementary word carrying the fold-model row back to
-    (x1, ..., xn), assembled from the macro toolkit.  Each stage's word is
-    replayed once on the row the previous stage reached, and the last row
-    is compared to (x1, ..., xn): that chain is the raw replay of the whole
-    word, which ``verify_certificate`` would repeat.  The assembly is only
-    available for n >= 4."""
+    (x1, ..., xn), folded from one table of named macro stages.  Each stage
+    is replayed once on the row the one before reached, and the last row,
+    the target, is compared to (x1, ..., xn): that chain is the raw replay
+    of the one word, which ``verify_certificate`` would repeat.  The
+    assembly is only available for n >= 4."""
     n = vt.n
     if n < 4:
         raise CertificateAssemblyFailed("certificate assembly requires n >= 4")
     alg = vt.algebra
     one = alg.one()
     x = [alg.var(f"x{i}") for i in range(1, n + 1)]
-    x1 = x[0]
-    xn = x[n - 1]
+    x1, xn = x[0], x[n - 1]
     r = one - x1
 
-    fold = fold_model_row(vt)
-    current = fold.row
-    word = ElementaryWord(n)
-
-    def run_stage(name: str, macro):
-        nonlocal current, word
+    stages = [
+        # Undo the shared (1-x1) factor on the first two slots; the witness
+        # (1-x1)(1-xn) = 1 - pivot makes 1-xn an inverse of 1-x1 modulo the pivot.
+        ("whitehead", whitehead_mod_coordinate(0, 1, n - 1, unit=r, witness=one - xn, cofactor=-one)),
+        # Slot 0 is now x1 (1 - pivot); one addition from the pivot restores x1.
+        ("pivot-cleanup", add_move(n - 1, 0, x1)),
+        # Slot 1 carries two factors of (1-x1); peel them one at a time
+        # through slot 0, whose congruence certificate is 1 - x1 = 1 + (-1) x1.
+        ("strip-slot-1-outer", congruent_unit_scale(1, {0: -one}, invert=True, base=x[1] * r)),
+        ("strip-slot-1-inner", congruent_unit_scale(1, {0: -one}, invert=True, base=x[1])),
+        *(
+            (f"strip-slot-{idx}", congruent_unit_scale(idx, {0: -one}, invert=True, base=x[idx]))
+            for idx in range(2, n - 1)
+        ),
+        # The pivot slot holds xn + (1-xn) x1; subtract x1 and strip the factor.
+        ("pivot-shift", add_move(0, n - 1, -one)),
+        ("pivot-strip", congruent_unit_scale(n - 1, {0: -one}, invert=True, base=xn)),
+    ]
+    source = current = fold_model_row(vt).row
+    gens = []
+    for name, macro in stages:
         try:
-            stage_word, entries = _expand_checked(macro, current)
+            word, entries = _expand_checked(macro, current)
         except UmrowError as exc:
             raise CertificateAssemblyFailed(f"stage {name!r} failed: {exc}") from exc
-        word = word.concat(stage_word)
-        current = UnimodularRow(alg, tuple(entries), True)
-
-    # Undo the shared (1-x1) factor on the first two slots; the witness
-    # (1-x1)(1-xn) = 1 - pivot makes 1-xn an inverse of 1-x1 modulo the pivot.
-    run_stage(
-        "whitehead",
-        whitehead_mod_coordinate(0, 1, n - 1, unit=r, witness=one - xn, cofactor=-one),
-    )
-    # Slot 0 is now x1 (1 - pivot); one addition from the pivot restores x1.
-    run_stage("pivot-cleanup", add_move(n - 1, 0, x1))
-    if current.entries[0] != x1:
-        raise CertificateAssemblyFailed("stage 'pivot-cleanup' left slot 0 wrong")
-    # Slot 1 carries two factors of (1-x1); peel them one at a time through
-    # slot 0, whose congruence certificate is 1 - x1 = 1 + (-1) x1.
-    run_stage(
-        "strip-slot-1-outer",
-        congruent_unit_scale(1, {0: -one}, invert=True, base=x[1] * r),
-    )
-    run_stage(
-        "strip-slot-1-inner",
-        congruent_unit_scale(1, {0: -one}, invert=True, base=x[1]),
-    )
-    for idx in range(2, n - 1):
-        run_stage(
-            f"strip-slot-{idx}",
-            congruent_unit_scale(idx, {0: -one}, invert=True, base=x[idx]),
-        )
-    # The pivot slot holds xn + (1-xn) x1; subtract x1 and strip the factor.
-    run_stage("pivot-shift", add_move(0, n - 1, -one))
-    run_stage(
-        "pivot-strip",
-        congruent_unit_scale(n - 1, {0: -one}, invert=True, base=xn),
-    )
-
-    target = UnimodularRow(alg, tuple(x), verified=True)
-    if current.entries != target.entries:
+        gens += word.gens
+        current = UnimodularRow(alg, tuple(entries), verified=True)
+    if current.entries != tuple(x):
         raise CertificateAssemblyFailed("assembled word does not reach (x1, ..., xn)")
-    return OrbitCertificate(fold.row, target, word)
+    return OrbitCertificate(source, current, ElementaryWord(n, tuple(gens)))

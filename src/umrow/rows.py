@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .algebra import Algebra, AlgebraElement
-from .errors import ConfigError, NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
-from .groebner import groebner_basis
+from .errors import ConfigError, NotInIdeal, NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,7 @@ def check_unimodular(parent: Algebra, entries) -> UnimodularRow:
     elts = tuple(parent.element(e) for e in entries)
     if len(elts) < 2:
         raise ShapeError("rows must have length at least 2")
-    gb = groebner_basis(parent.ideal_with(elts))
-    if not gb.is_unit_ideal():
+    if not parent._unit_ideal(elts):
         raise NotUnimodular(f"1 is not in the ideal generated by {[str(e) for e in elts]}")
     return UnimodularRow(parent, elts, verified=True)
 
@@ -79,21 +77,17 @@ def row_from_witness(parent: Algebra, entries, witness):
 
 
 def compute_splitting(row: UnimodularRow) -> SplittingRow:
-    """Deterministic splitting extracted from the Bezout certificate for 1.
-
-    The lift runs over the entry representatives first and the relations
-    after, so coefficients on the relations are discarded in the quotient.
+    """Deterministic splitting read off the Bezout certificate for 1 by
+    ``Algebra._lift``, which drops the coefficients on the relations.  The
+    ``SplittingRow`` built from it is the one check that it sums to 1.
     The row and its splitting are the row's point of the odd quadric (the
     Jouanolou device): entries x and splitting y with sum(x_i y_i) = 1,
     whose projection to x recovers the row.
     """
-    parent = row.parent
-    gb = groebner_basis(parent.ideal_with(row.entries))
-    if not gb.is_unit_ideal():
-        raise NotUnimodular("row is not unimodular")
-    coeffs = gb.lift(parent.ring.one())
-    entries = tuple(parent.element(coeffs[i]) for i in range(len(row.entries)))
-    return SplittingRow(row, entries)
+    try:
+        return SplittingRow(row, tuple(row.parent._lift(1, row.entries)))
+    except NotInIdeal:
+        raise NotUnimodular("row is not unimodular") from None
 
 
 @dataclass(frozen=True)
@@ -244,11 +238,6 @@ class MNResult:
     v_mid: tuple
 
 
-def _tail_is_unimodular(parent: Algebra, tail) -> bool:
-    gb = groebner_basis(parent.ideal_with(tail))
-    return gb.is_unit_ideal()
-
-
 def _shrink_draws(parent: Algebra, seed: int):
     """Deterministic candidate coefficients: 1, -1, the algebra generators,
     then seeded random polynomials of degree at most 2, without end."""
@@ -337,13 +326,13 @@ def mennicke_newman(
 
     # Step 1: make (u_2..u_n, v_2..v_n) unimodular by adding multiples of
     # u1*v1, which is an elementary move on each row separately.
-    if not _tail_is_unimodular(parent, ue[1:] + ve[1:]):
+    if not parent._unit_ideal(ue[1:] + ve[1:]):
         for assignment in _shrink_assignments(parent, 2 * (n - 1), seed, shrink_budget):
             tried_u, tried_v, moves_u, moves_v = list(ue), list(ve), [], []
             for i in range(1, n):
                 move(tried_u, moves_u, 0, i, assignment[i - 1] * ve[0])
                 move(tried_v, moves_v, 0, i, assignment[n - 2 + i] * ue[0])
-            if _tail_is_unimodular(parent, tried_u[1:] + tried_v[1:]):
+            if parent._unit_ideal(tried_u[1:] + tried_v[1:]):
                 ue, ve = tried_u, tried_v
                 gens_u += moves_u
                 gens_v += moves_v
@@ -354,12 +343,12 @@ def mennicke_newman(
                 "raise the budget or change the seed"
             )
 
-    # Step 2: write u1 + v1 - 1 over the combined tail and subtract.
-    gb = groebner_basis(parent.ideal_with(ue[1:] + ve[1:]))
-    coeffs = gb.lift((ue[0] + ve[0] - parent.one()).rep)
+    # Step 2: write u1 + v1 - 1 over the combined tail and subtract (checked
+    # once, by the shapes at the end).
+    coeffs = parent._lift(ue[0] + ve[0] - parent.one(), ue[1:] + ve[1:])
     for i in range(1, n):
-        move(ue, gens_u, i, 0, -parent.element(coeffs[i - 1]))
-        move(ve, gens_v, i, 0, -parent.element(coeffs[n - 2 + i]))
+        move(ue, gens_u, i, 0, -coeffs[i - 1])
+        move(ve, gens_v, i, 0, -coeffs[n - 2 + i])
     u_mid, v_mid = tuple(ue), tuple(ve)
 
     # Step 3: merge the tails around the pivot first coordinates.

@@ -1,14 +1,17 @@
 """The byte-stable report of the combined suite over n = 2..6 is pinned by
-its sha256, per field, and so are the printouts of every named morphism and
-of `gb` and `add` on the sphere, the reduced bases of a fixed set of ideals,
-those bases with their cofactor rows and lifts, and the words and rows
-that `mennicke_newman` gives on a fixed set of pairs.  A refactor must
-leave all seven digests unchanged.  A change of pair selection may move the
-cofactor rows, the lifts, the Mennicke-Newman words and rows (their second
-step is a lift) and the splitting that `add` prints, and a change
-of how `vdk_add` builds its witness may move that splitting: they are exact
-but not canonical.  Such a change must leave the other digests unchanged,
-the reduced-bases digest among them, since a reduced basis is unique."""
+its sha256, per field, and so are the printouts of every named morphism (at
+its first size, and at every n = 1..5 with exit status and stderr) and of
+`gb` and `add` on the sphere, the reduced bases of a fixed set of ideals,
+those bases with their cofactor rows and lifts, the words and rows that
+`mennicke_newman` gives on a fixed set of pairs, and the splittings and
+inverses that `compute_splitting` and `is_unit` read off on fixed rows and
+elements.  A refactor must leave all nine digests unchanged.  A change of
+pair selection may move the cofactor rows, the lifts, the Mennicke-Newman
+words and rows (their second step is a lift), the splittings and inverses,
+and the splitting that `add` prints, and a change of how `vdk_add` builds
+its witness may move that splitting: they are exact but not canonical.
+Such a change must leave the other digests unchanged, the reduced-bases
+digest among them, since a reduced basis is unique."""
 
 from __future__ import annotations
 
@@ -18,13 +21,13 @@ import random
 
 import pytest
 
-from umrow.algebra import make_algebra
+from umrow.algebra import adjoin_unit_variable, make_algebra
 from umrow.cli import MORPHISMS, main
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, buchberger
 from umrow.poly import PolyRing
 from umrow.quadrics import build_q_odd, scalar_algebra, vtilde_ring
-from umrow.rows import check_unimodular, mennicke_newman
+from umrow.rows import check_unimodular, compute_splitting, mennicke_newman
 from umrow.suites import SuiteConfig, random_scalar_row, run_suite
 
 
@@ -56,6 +59,20 @@ def test_map_printouts_digest(capsys):
             assert main(argv) == 0
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == "3f84dd9a29f0be83499d350c7c270990df30f88e2e0d4d714b94c618208436d3"
+
+
+def test_every_map_printout_digest(capsys):
+    # Every name at n = 1..5 over q and fp:5, each with --alpha 3: the exit
+    # status, stdout and stderr of all 90 runs, declines included.
+    digest = hashlib.sha256()
+    for field in ("q", "fp:5"):
+        for name in MAP_NAMES:
+            for n in range(1, 6):
+                argv = ["map", "--name", name, "--n", str(n), "--field", field, "--alpha", "3"]
+                status = main(argv)
+                out, err = capsys.readouterr()
+                digest.update(f"{status}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == "d95e4707ce797270351bd59eb7fb64265e53cf4e5a507d5b91baa6e7052a3e53"
 
 
 def test_gb_and_add_printouts_digest(tmp_path, capsys):
@@ -198,3 +215,52 @@ def test_mennicke_newman_digest():
         for part in ((mn.x,), mn.tail, mn.u_mid, mn.v_mid, mn.u_final.entries, mn.v_final.entries):
             digest.update(repr([str(e) for e in part]).encode())
     assert digest.hexdigest() == "d0b5adb253c1c7ae285615328d6cd82ced9d1b4385ba5262ea4714a25b0761b3"
+
+
+def _split_rows():
+    # The sphere row (x, y, z) and the k[Q_3] rows (x1, x2), (y1, y2) over Q
+    # and F_5; the universal x and u rows for n = 2..4 over Q; five seeded
+    # scalar rows for each n = 2..5 over Q, F_5 and F_32003.
+    for field in (RATIONALS, prime_field(5)):
+        sphere = make_algebra(field, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
+        yield check_unimodular(sphere, ["x", "y", "z"])
+        q3 = build_q_odd(1, field)
+        yield check_unimodular(q3.algebra, [q3.x(1), q3.x(2)])
+        yield check_unimodular(q3.algebra, [q3.y(1), q3.y(2)])
+    for n in range(2, 5):
+        vt = vtilde_ring(n, RATIONALS)
+        yield vt.x_row()
+        yield vt.u_row()
+    rng = random.Random(28)
+    for field in (RATIONALS, prime_field(5), prime_field(32003)):
+        alg = scalar_algebra(field)
+        for n in range(2, 6):
+            for _ in range(5):
+                yield check_unimodular(alg, random_scalar_row(alg, n, rng))
+
+
+def _unit_queries():
+    # Units and non-units: scalars, a Laurent ring, k[x, y]/(xy - 1), the
+    # dual numbers k[x]/(x^2) and the sphere, over Q and F_5.
+    for field in (RATIONALS, prime_field(5)):
+        scalars = scalar_algebra(field)
+        yield from (scalars.element(c) for c in (2, 3, 0))
+        laurent = adjoin_unit_variable(make_algebra(field, ["x"], []), "t")
+        yield from (laurent.element(e) for e in ("t", "2*t^3*t_inv", "t + 1", "x", "x*t"))
+        hyperbola = make_algebra(field, ["x", "y"], ["x*y - 1"])
+        yield from (hyperbola.element(e) for e in ("x", "3*y^2", "x + y"))
+        dual = make_algebra(field, ["x"], ["x^2"])
+        yield from (dual.element(e) for e in ("1 + x", "2 - 3*x", "x"))
+        sphere = make_algebra(field, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
+        yield from (sphere.element(e) for e in ("x", "x^2 + y^2 + z^2 + 1", "1 + x"))
+
+
+def test_splittings_and_inverses_digest():
+    # The entries of ``compute_splitting`` on every row above and what
+    # ``is_unit`` returns (the inverse, or None) on every query above.
+    digest = hashlib.sha256()
+    for row in _split_rows():
+        digest.update(repr([str(e) for e in compute_splitting(row).entries]).encode())
+    for element in _unit_queries():
+        digest.update(repr(str(element.is_unit())).encode())
+    assert digest.hexdigest() == "026e1bbf6c6053cdc593328fd9d929cc889785ffa116f974056d14fcf4687e42"

@@ -6,7 +6,9 @@
 ``numerator`` or ``denominator`` of a coefficient, as ``field.pair`` takes
 each coefficient in, and only ``fields.py`` imports ``fractions``, so a
 ``Fraction`` is made only where a field value is.  A
-change to how terms are stored then touches ``poly`` and ``fields`` alone."""
+change to how terms are stored then touches ``poly`` and ``fields`` alone.
+``rows.py`` imports nothing from ``groebner``: ``Algebra`` reads every Bezout
+certificate a row needs."""
 
 from __future__ import annotations
 
@@ -48,6 +50,27 @@ def module_imports(names):
     return scan
 
 
+def package_imports(name: str):
+    """A scanner for the lines that import the package module ``name``, or a
+    name from it, relatively or as ``umrow.<name>``."""
+
+    def scan(source: str) -> list:
+        lines = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                modules = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == name for m in modules):
+                lines.append(node.lineno)
+        return lines
+
+    return scan
+
+
 def attribute_reads(names):
     """A scanner for the lines that read an attribute named in ``names``."""
 
@@ -63,6 +86,7 @@ def attribute_reads(names):
 
 term_tool_imports = module_imports({"operator", "math"})
 fraction_imports = module_imports({"fractions"})
+groebner_imports = package_imports("groebner")
 terms_reads = attribute_reads({"terms"})
 integral_form_reads = attribute_reads({"_terms", "_den"})
 fraction_part_reads = attribute_reads({"numerator", "denominator"})
@@ -80,6 +104,8 @@ def test_scanners_see_what_they_guard():
     assert term_tool_imports(source) == [1, 2]
     source = "from fractions import Fraction\nimport fractions\nfrom .fractions import F\nimport math"
     assert fraction_imports(source) == [1, 2]
+    source = "from .groebner import Ideal\nfrom . import groebner\nimport umrow.groebner\nfrom .rows import groebner_basis"
+    assert groebner_imports(source) == [1, 2, 3]
     source = "p.terms.items()\nlen(e.rep.terms)\nring.term(m, c)\nterms = p.from_terms(t)\nq.terms_of"
     assert terms_reads(source) == [1, 2]
     source = "p._terms.items()\nq._den * r._den\np.terms\n_den = 1\nself._terms_of"
@@ -111,3 +137,7 @@ def test_only_poly_reads_the_integral_form():
 
 def test_only_fields_reads_fraction_parts():
     assert offenders(fraction_part_reads, {"fields.py"}) == {}
+
+
+def test_rows_imports_nothing_from_groebner():
+    assert groebner_imports(SRC.joinpath("rows.py").read_text()) == []

@@ -42,7 +42,7 @@ from umrow.quadrics import (
     universal_split_row,
     vtilde_ring,
 )
-from umrow.rows import check_unimodular, compute_splitting, verify_certificate
+from umrow.rows import ElementaryWord, check_unimodular, compute_splitting, verify_certificate
 
 F5 = prime_field(5)
 
@@ -435,6 +435,46 @@ def test_fold_certificate_reports_only_its_own_errors(monkeypatch):
     with pytest.raises(CertificateAssemblyFailed, match="stage 'whitehead' failed"):
         fold_model_certificate(vt)
 
+
+# The stages of the fold certificate at n = 5, in order.
+FOLD_STAGES = (
+    "whitehead",
+    "pivot-cleanup",
+    "strip-slot-1-outer",
+    "strip-slot-1-inner",
+    "strip-slot-2",
+    "strip-slot-3",
+    "pivot-shift",
+    "pivot-strip",
+)
+
+
+@pytest.mark.parametrize("k", range(len(FOLD_STAGES) + 1))
+def test_fold_certificate_folds_its_stages_into_one_word(monkeypatch, k):
+    # A refusal at the k-th stage fails the certificate with that stage's
+    # name, and with no refusal the word verifies.  The stages' generators
+    # are gathered into one word at the end: no word is concatenated.
+    vt = vtilde_ring(5, RATIONALS)
+    expand = quadrics._expand_checked
+    calls = []
+
+    def refused_at_k(macro, row):
+        calls.append(macro)
+        if len(calls) > k:
+            raise BadCertificate("refused")
+        return expand(macro, row)
+
+    def concat(word, other):
+        raise AssertionError("a stage's word was concatenated")
+
+    monkeypatch.setattr(quadrics, "_expand_checked", refused_at_k)
+    monkeypatch.setattr(ElementaryWord, "concat", concat)
+    if k == len(FOLD_STAGES):
+        assert verify_certificate(fold_model_certificate(vt))
+    else:
+        with pytest.raises(CertificateAssemblyFailed, match=f"stage '{FOLD_STAGES[k]}' failed"):
+            fold_model_certificate(vt)
+    assert len(calls) == min(k + 1, len(FOLD_STAGES))
 
 def test_mu_prime_at_one_collapses_to_base_point():
     # With the unit specialized to 1 the modified map is constant at the

@@ -4,10 +4,11 @@ import warnings
 
 import pytest
 
-from umrow import rows
+from umrow import algebra, rows
 from umrow.algebra import make_algebra
 from umrow.errors import ConfigError, NotUnimodular, ShapeError, ShrinkFailed
 from umrow.fields import RATIONALS, prime_field
+from umrow.groebner import GroebnerBasis
 from umrow.quadrics import build_q_odd, scalar_algebra, vtilde_ring
 from umrow.rows import (
     ElementaryGen,
@@ -393,7 +394,7 @@ def test_vdk_add_builds_no_basis_of_the_moved_rows(monkeypatch):
             asked.append(ideal)
             return groebner_basis(ideal, order)
 
-        monkeypatch.setattr(rows, "groebner_basis", recording)
+        monkeypatch.setattr(algebra, "groebner_basis", recording)
         result = vdk_add(u, v)
         monkeypatch.undo()
         alg = u.parent
@@ -402,6 +403,23 @@ def test_vdk_add_builds_no_basis_of_the_moved_rows(monkeypatch):
         assert alg.ideal_with(mn.v_final.entries) not in asked
         assert (result.word_u, result.word_v) == (mn.word_u, mn.word_v)
 
+
+def test_doubled_bezout_coefficients_fail_at_the_one_check(monkeypatch):
+    # Nothing checks the coefficients ``Algebra._lift`` reads before the
+    # object built from them does, so doubled ones reach that check: the
+    # splitting's sum, the inverse's product, the Mennicke-Newman shapes.
+    coefficients = GroebnerBasis._coefficients
+    monkeypatch.setattr(
+        GroebnerBasis, "_coefficients", lambda gb, f: [2 * c for c in coefficients(gb, f)]
+    )
+    alg = sphere()
+    u, v = check_unimodular(alg, ["x", "y", "z"]), check_unimodular(alg, ["y", "z", "x"])
+    with pytest.raises(NotUnimodular, match="does not sum to 1"):
+        compute_splitting(u)
+    with pytest.raises(AssertionError, match="unit certificate failed"):
+        alg.element(3).is_unit()
+    with pytest.raises(AssertionError, match="do not move u and v"):
+        mennicke_newman(u, v)
 
 def test_vdk_q_odd_2_witness_sizes():
     # (x1, x2, x3) + (y1, y2, y3) on k[Q_5]: with two fresh Bezout lifts the

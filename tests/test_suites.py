@@ -95,12 +95,14 @@ def _off_by_one_hom(source, target, images):
 
 
 # The engine functions the faults replace, as they were.
-_lift, _row_from_witness, _gen = GroebnerBasis.lift, quadrics.row_from_witness, rows.ElementaryGen
+_coefficients, _row_from_witness, _gen = (
+    GroebnerBasis._coefficients, quadrics.row_from_witness, rows.ElementaryGen
+)
 
 
-def _doubled_lift(gb, f):
-    """Twice a lift of f: a splitting built from it sums to 2."""
-    return [2 * c for c in _lift(gb, f)]
+def _doubled_coefficients(gb, f):
+    """Twice the coefficients of f: a splitting built from them sums to 2."""
+    return [2 * c for c in _coefficients(gb, f)]
 
 
 def _doubled_witness(parent, entries, witness):
@@ -127,7 +129,7 @@ FAULTS = {
     "eta-relation": (2, "eta_hom", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
     "ab-identity": (1, "mu_hom", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
     "e-welldef": (1, "e_endo", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
-    "splitting-sphere": (3, "compute_splitting", GroebnerBasis, "lift", _doubled_lift, NotUnimodular),
+    "splitting-sphere": (3, "compute_splitting", GroebnerBasis, "_coefficients", _doubled_coefficients, NotUnimodular),
     "delta-universal": (1, "delta_map", quadrics, "row_from_witness", _doubled_witness, NotUnimodular),
     "mn-random": (2, "mennicke_newman", rows, "ElementaryGen", _shifted_gen, AssertionError),
     "mn-universal": (4, "mennicke_newman", rows, "ElementaryGen", _shifted_gen, AssertionError),
