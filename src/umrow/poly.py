@@ -466,8 +466,7 @@ class PolyRing:
         return Polynomial(self, {0: 1})
 
     def const(self, value) -> "Polynomial":
-        n, den = self.field.pair(value)
-        return Polynomial(self, {0: n} if n else {}, den)
+        return self.term(0, value)
 
     def term(self, mono: int, value) -> "Polynomial":
         """The polynomial ``value * x^mono`` for a packed monomial (0 is the

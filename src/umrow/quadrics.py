@@ -37,8 +37,7 @@ from .rows import (
 )
 
 # Entries kept by each cached builder below: two golden ``verify --suite all
-# --n-min 2 --n-max 6`` runs fill at most 10 per builder, and a caller-chosen
-# key (the scale of ``degree_action``) cannot grow a cache without limit.
+# --n-min 2 --n-max 6`` runs fill at most 10 per builder.
 QUADRIC_CACHE_SIZE = 64
 
 # -- coordinate rings ---------------------------------------------------------
@@ -56,9 +55,9 @@ def _pairing(xs, ys) -> str:
 
 @dataclass(frozen=True)
 class _QuadricRing:
-    """A quadric's coordinate ring, with coordinates named x1, ..., y1, ...
-    and, where the ring has one, z.  The subclasses add no field, so they
-    share this dataclass's equality, hash and repr."""
+    """A quadric's coordinate ring, with coordinates named x1, x2, ... and
+    y1, y2, ....  The subclasses add no field, so they share this dataclass's equality,
+    hash and repr."""
 
     n: int
     algebra: Algebra
@@ -68,9 +67,6 @@ class _QuadricRing:
 
     def y(self, i: int) -> AlgebraElement:
         return self.algebra.var(f"y{i}")
-
-    def z(self) -> AlgebraElement:
-        return self.algebra.var("z")
 
 
 class OddQuadric(_QuadricRing):
@@ -88,6 +84,9 @@ class OddQuadric(_QuadricRing):
 
 class EvenQuadric(_QuadricRing):
     """k[Q_{2n}] with variables x1..xn, y1..yn, z."""
+
+    def z(self) -> AlgebraElement:
+        return self.algebra.var("z")
 
     def base_point(self):
         field = self.algebra.field
@@ -112,6 +111,8 @@ def build_q_even(n: int, field: FieldConfig) -> EvenQuadric:
 
 class GmQuadric(_QuadricRing):
     """k[Gm x Q_{2n}]: the even quadric ring with an adjoined unit t."""
+
+    z = EvenQuadric.z
 
     def t(self) -> AlgebraElement:
         return self.algebra.var("t")
@@ -157,28 +158,33 @@ class QuadricEvenPoint:
             raise ShapeError("point violates the even quadric relation")
 
 
-def segre_point(row: UnimodularRow, splitting: SplittingRow) -> QuadricEvenPoint:
-    """The even-quadric point attached to a unimodular row of length n+1.
+def _segre(parent: Algebra, a, b):
+    """eta's formula: the coordinates (x, y, z) of Q_{2n} that a point
+    (a, b) of Q_{2n+1}, with a and b of length n+1, is sent to:
 
-    With entries a and splitting b, the point is
     x = (a_1, ..., a_{n-1}, a_n a_{n+1}),
     y = (b_1 a_{n+1} b_{n+1}, ..., b_{n-1} a_{n+1} b_{n+1}, b_n b_{n+1}),
-    z = sum(a_i b_i, i <= n);
-    the construction also checks <a_1, ..., a_n> = <x_1, ..., x_n, z>.
+    z = a_1 b_1 + ... + a_n b_n.
+    """
+    n = len(a) - 1
+    unit_factor = a[n] * b[n]
+    x = (*a[: n - 1], a[n - 1] * a[n])
+    y = (*(b[i] * unit_factor for i in range(n - 1)), b[n - 1] * b[n])
+    return x, y, parent.dot(a[:n], b[:n])
+
+
+def segre_point(row: UnimodularRow, splitting: SplittingRow) -> QuadricEvenPoint:
+    """The even-quadric point attached to a unimodular row a of length n+1
+    with splitting b: eta at the point (a, b), by ``_segre``.  The
+    construction also checks <a_1, ..., a_n> = <x_1, ..., x_n, z>.
     """
     if splitting.row is not row and splitting.row.entries != row.entries:
         raise ShapeError("splitting does not belong to the given row")
     parent = row.parent
     a = row.entries
-    b = splitting.entries
-    n = len(a) - 1
-    xs = list(a[: n - 1]) + [a[n - 1] * a[n]]
-    last = a[n] * b[n]
-    ys = [b[i] * last for i in range(n - 1)] + [b[n - 1] * b[n]]
-    z = parent.dot(a[:n], b[:n])
-    point = QuadricEvenPoint(parent, tuple(xs), tuple(ys), z)
-    lhs = parent.ideal_with(a[:n])
-    rhs = parent.ideal_with(list(xs) + [z])
+    point = QuadricEvenPoint(parent, *_segre(parent, a, splitting.entries))
+    lhs = parent.ideal_with(a[:-1])
+    rhs = parent.ideal_with([*point.x, point.z])
     if not ideal_equal(lhs, rhs):
         raise ShapeError("the point's vanishing ideal differs from <a_1..a_n>")
     return point
@@ -187,30 +193,17 @@ def segre_point(row: UnimodularRow, splitting: SplittingRow) -> QuadricEvenPoint
 # -- the explicit morphisms ----------------------------------------------------
 
 
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def eta_hom(n: int, field: FieldConfig) -> RingHom:
     """The comparison map from the odd quadric of dimension 2n+1 to the even
     quadric of dimension 2n, as the algebra map k[Q_{2n}] -> k[Q_{2n+1}]:
-
-    x_i -> x_i (i < n),  x_n -> x_n x_{n+1},
-    y_i -> y_i x_{n+1} y_{n+1} (i < n),  y_n -> y_n y_{n+1},
-    z -> x_1 y_1 + ... + x_n y_n.
+    ``_segre`` at the tautological point (x, y) of Q_{2n+1}.
     """
     if n < 2:
         raise ShapeError("eta needs n >= 2")
     odd = build_q_odd(n, field)
-    even = build_q_even(n, field)
-    unit_factor = odd.x(n + 1) * odd.y(n + 1)
-    images = []
-    for i in range(1, n):
-        images.append(odd.x(i))
-    images.append(odd.x(n) * odd.x(n + 1))
-    for i in range(1, n):
-        images.append(odd.y(i) * unit_factor)
-    images.append(odd.y(n) * odd.y(n + 1))
-    ks = range(1, n + 1)
-    images.append(odd.algebra.dot([odd.x(i) for i in ks], [odd.y(i) for i in ks]))
-    return RingHom(even.algebra, odd.algebra, images)
+    ks = range(1, n + 2)
+    x, y, z = _segre(odd.algebra, [odd.x(i) for i in ks], [odd.y(i) for i in ks])
+    return RingHom(build_q_even(n, field).algebra, odd.algebra, [*x, *y, z])
 
 
 def a_of(point_z: AlgebraElement, unit: AlgebraElement) -> AlgebraElement:
@@ -276,7 +269,6 @@ def mu_prime_hom(n: int, field: FieldConfig) -> RingHom:
     return hom_compose(mu_hom(n, field), e_endo(n, field))
 
 
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def mu_prime_explicit(n: int, field: FieldConfig) -> RingHom:
     """The closed-form images of the modified map, built directly:
 
@@ -348,15 +340,8 @@ def degree_action(alpha_raw, n: int, field: FieldConfig) -> RingHom:
 
     (x_1, ..., x_n, x_{n+1}, y_1, ..., y_n, y_{n+1})
       -> (a x_1, ..., a x_n, x_{n+1}, a^{-1} y_1, ..., a^{-1} y_n, y_{n+1}).
-
-    Cached by the scalar ``a`` of ``field``, so every spelling of one scale
-    (``2``, ``"2"``, ``Fraction(2)``) shares one map.
     """
-    return _degree_action(field.scalar(alpha_raw), n, field)
-
-
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
-def _degree_action(alpha, n: int, field: FieldConfig) -> RingHom:
+    alpha = field.scalar(alpha_raw)
     if alpha.is_zero():
         raise InvalidUnit("the scaling factor must be a nonzero scalar")
     odd = build_q_odd(n, field)
@@ -437,18 +422,16 @@ def phi_map(row: UnimodularRow, check_height: bool = False):
     (J_0, class of a_{d+1} times the standard orientation) together with the
     even-quadric point realizing it.
 
-    J_0 = <a_1, ..., a_d> carries the orientation lift
-    (a_1, ..., a_{d-1}, a_d a_{d+1}); the point comes from ``segre_point``,
-    which checks that its vanishing ideal <x_1, ..., x_d, z> equals J_0.
+    J_0 = <a_1, ..., a_d> carries as orientation lift the x of the point
+    that ``segre_point`` builds by eta's formula and checks: its vanishing
+    ideal <x_1, ..., x_d, z> equals J_0.
     The height check compares Krull dimensions and is advisory.
     """
     parent = row.parent
     d = len(row.entries) - 1
-    splitting = compute_splitting(row)
     a = row.entries
-    lift = tuple(list(a[: d - 1]) + [a[d - 1] * a[d]])
     j0 = parent.ideal_with(a[:d])
-    point = segre_point(row, splitting)
+    point = segre_point(row, compute_splitting(row))
     height_checked = False
     if check_height:
         ambient_dim = parent.dimension
@@ -461,7 +444,7 @@ def phi_map(row: UnimodularRow, check_height: bool = False):
                 f"J_0 has height {ambient_dim - quotient_dim}, expected {d}"
             )
         height_checked = True
-    oriented = OrientedIdeal(parent, lift, tuple(a[:d]), height_checked)
+    oriented = OrientedIdeal(parent, point.x, tuple(a[:d]), height_checked)
     return oriented, point
 
 
@@ -539,7 +522,7 @@ def fold_model_row(vt: VTildeRing) -> FoldModel:
     expected.append(xn + (one - xn) * x1)
     if list(result.row.entries) != expected:
         raise AssertionError("fold-model row differs from its closed form")
-    _, witness = row_from_witness(alg, [xn + (one - xn) * x1, one - x1], [one, one - xn])
+    _, witness = row_from_witness(alg, [expected[-1], one - x1], [one, one - xn])
     return FoldModel(result.row, witness)
 
 

@@ -4,6 +4,7 @@ Each case either passes, fails with a witness (the offending residue or the
 first bad stage), or declines with a reason when its parameters fall outside
 the supported range.  A case whose identity is checked by the constructor it
 calls (a ``RingHom`` pulls back every relation, a ``SplittingRow`` sums to 1,
+``segre_point`` checks that its vanishing ideal is <a_1, ..., a_n>,
 ``mennicke_newman`` checks that its words reach (x, a) and (1-x, a)) only
 calls it: the constructor's ``UmrowError`` or ``AssertionError`` is the
 case's failure and its message the witness.  Case lists depend only on the
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from .algebra import Algebra, RingHom, hom_compose
 from .errors import ConfigError, UmrowError
 from .fields import FieldConfig
-from .groebner import ideal_equal
 from .quadrics import (
     build_q_even,
     build_q_odd,
@@ -39,6 +39,7 @@ from .quadrics import (
     mu_prime_hom,
     phi_map,
     scalar_algebra,
+    segre_point,
     universal_even_point,
     universal_split_row,
     vtilde_ring,
@@ -50,6 +51,7 @@ from .rows import (
     check_unimodular,
     compute_splitting,
     mennicke_newman,
+    row_from_witness,
     vdk_add,
     verify_certificate,
 )
@@ -136,14 +138,8 @@ def _case_eta_relation(n, cfg):
 
 def _case_eta_ideal(n, cfg):
     odd = build_q_odd(n, cfg.field)
-    alg = odd.algebra
-    z = alg.dot([odd.x(i) for i in range(1, n + 1)], [odd.y(i) for i in range(1, n + 1)])
-    tuple_ideal = alg.ideal_with(
-        [odd.x(i) for i in range(1, n)] + [odd.x(n) * odd.x(n + 1), z]
-    )
-    plain_ideal = alg.ideal_with([odd.x(i) for i in range(1, n + 1)])
-    if not ideal_equal(tuple_ideal, plain_ideal):
-        raise CaseFailure("<x_1..x_{n-1}, x_n x_{n+1}, z> != <x_1..x_n>")
+    ks = range(1, n + 2)
+    segre_point(*row_from_witness(odd.algebra, [odd.x(i) for i in ks], [odd.y(i) for i in ks]))
 
 
 def _case_ab_identity(n, cfg):
@@ -164,16 +160,22 @@ def _case_e_basepoint(n, cfg):
         raise CaseFailure("the elementary endomorphism moves the base point")
 
 
+def _expect_images(hom, even, s, head, t, message):
+    """Fail with ``message`` unless ``hom`` sends the odd quadric's
+    coordinates to (s x_1, ..., s x_n, head, t y_1, ..., t y_n, head) in the
+    even quadric ring ``even``."""
+    ks = range(1, even.n + 1)
+    expected = [s * even.x(i) for i in ks] + [head] + [t * even.y(i) for i in ks] + [head]
+    if list(hom.images) != expected:
+        raise CaseFailure(message)
+
+
 def _case_mu_at_one(n, cfg):
     even = build_q_even(n, cfg.field)
-    hom = mu_at_unit(n, cfg.field, 1)
-    alg = even.algebra
-    expected = [even.x(i) for i in range(1, n + 1)]
-    expected.append(alg.one())
-    expected.extend([alg.zero()] * n)
-    expected.append(alg.one())
-    if list(hom.images) != expected:
-        raise CaseFailure("mu at lambda=1 is not (x, 1, 0, ..., 0, 1)")
+    _expect_images(
+        mu_at_unit(n, cfg.field, 1), even, 1, even.algebra.one(), 0,
+        "mu at lambda=1 is not (x, 1, 0, ..., 0, 1)",
+    )
 
 
 def _case_mu_prime_explicit(n, cfg):
@@ -282,32 +284,20 @@ def _case_delta_universal(d, cfg):
 def _case_mu_minus_one(d, cfg):
     _require_odd_char(cfg)
     even = build_q_even(d, cfg.field)
-    alg = even.algebra
-    one = alg.one()
-    head = one - alg.element(2) * even.z()
-    hom = mu_minus_one(d, cfg.field)
-    expected = [even.x(i) for i in range(1, d + 1)]
-    expected.append(head)
-    expected.extend(alg.element(4) * even.y(i) for i in range(1, d + 1))
-    expected.append(head)
-    if list(hom.images) != expected:
-        raise CaseFailure("mu at lambda=-1 differs from (a, 1-2s, 4b, 1-2s)")
+    _expect_images(
+        mu_minus_one(d, cfg.field), even, 1, 1 - 2 * even.z(), 4,
+        "mu at lambda=-1 differs from (a, 1-2s, 4b, 1-2s)",
+    )
 
 
 def _case_degree_composite(d, cfg):
     _require_odd_char(cfg)
     even = build_q_even(d, cfg.field)
-    alg = even.algebra
-    one = alg.one()
-    two = alg.element(2)
-    head = one - two * even.z()
     composite = hom_compose(mu_minus_one(d, cfg.field), degree_action(2, d, cfg.field))
-    expected = [two * even.x(i) for i in range(1, d + 1)]
-    expected.append(head)
-    expected.extend(two * even.y(i) for i in range(1, d + 1))
-    expected.append(head)
-    if list(composite.images) != expected:
-        raise CaseFailure("degree twist of mu(-1) differs from (2a, 1-2s, 2b, 1-2s)")
+    _expect_images(
+        composite, even, 2, 1 - 2 * even.z(), 2,
+        "degree twist of mu(-1) differs from (2a, 1-2s, 2b, 1-2s)",
+    )
 
 
 def _case_phi_universal(d, cfg):

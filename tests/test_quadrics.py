@@ -43,6 +43,7 @@ from umrow.quadrics import (
     vtilde_ring,
 )
 from umrow.rows import ElementaryWord, check_unimodular, compute_splitting, verify_certificate
+from umrow.suites import SuiteConfig, run_suite
 
 F5 = prime_field(5)
 
@@ -223,31 +224,52 @@ def test_degree_action_identity_and_units():
     degree_action(3, 2, prime_field(7))
 
 
+def _cached_builders():
+    return {name: f for name, f in vars(quadrics).items() if hasattr(f, "cache_info")}
+
+
 def test_quadric_caches_are_bounded():
-    builders = [f for f in vars(quadrics).values() if hasattr(f, "cache_info")]
-    assert len(builders) == 13
+    builders = _cached_builders().values()
+    assert len(builders) == 10
     assert {f.cache_info().maxsize for f in builders} == {QUADRIC_CACHE_SIZE}
-    cache_info = quadrics._degree_action.cache_info
-    for alpha in range(1, QUADRIC_CACHE_SIZE + 10):
-        degree_action(alpha, 1, RATIONALS)
+    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+    cache_info = scalar_algebra.cache_info
+    for p in primes[: QUADRIC_CACHE_SIZE + 9]:
+        scalar_algebra(prime_field(p))
         assert cache_info().currsize <= QUADRIC_CACHE_SIZE
     assert cache_info().currsize == QUADRIC_CACHE_SIZE
     hits = cache_info().hits
-    degree_action(QUADRIC_CACHE_SIZE + 9, 1, RATIONALS)
+    scalar_algebra(prime_field(primes[QUADRIC_CACHE_SIZE + 8]))
     assert cache_info().hits == hits + 1
 
 
-def test_degree_action_caches_one_entry_per_scale():
-    # Every spelling of one scale names one map: 2, "2" and Fraction(2) over
+def test_golden_runs_hit_every_quadric_cache():
+    # A cache that no traffic reaches is dead code: each cached builder must
+    # be hit at least once by the two golden runs, from empty caches.
+    builders = _cached_builders()
+    for f in builders.values():
+        f.cache_clear()
+    for field in (RATIONALS, F5):
+        run_suite(SuiteConfig("all", 2, 6, field, timing=False))
+    counts = {name: (f.cache_info().hits, f.cache_info().misses) for name, f in builders.items()}
+    assert all(hits for hits, _ in counts.values()), "hits/misses per builder: " + ", ".join(
+        f"{name} {hits}/{misses}" for name, (hits, misses) in sorted(counts.items())
+    )
+
+
+def test_degree_action_is_one_map_per_scale():
+    # Every spelling of one scale gives one map: 2, "2" and Fraction(2) over
     # Q, and 2 and 7 over F_5.
-    quadrics._degree_action.cache_clear()
     maps = [degree_action(alpha, 2, RATIONALS) for alpha in (2, "2", Fraction(2))]
-    assert maps[0] is maps[1] is maps[2]
-    info = quadrics._degree_action.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    f5 = prime_field(5)
-    assert degree_action(7, 2, f5) is degree_action(2, 2, f5)
-    assert quadrics._degree_action.cache_info().currsize == 2
+    assert maps[0] == maps[1] == maps[2]
+    assert degree_action(7, 2, F5) == degree_action(2, 2, F5)
+
+
+def test_only_rings_with_z_offer_it():
+    # k[Q_{2n+1}] has no coordinate z; k[Q_{2n}] and k[Gm x Q_{2n}] have.
+    assert not hasattr(build_q_odd(1, RATIONALS), "z")
+    for ring in (build_q_even(1, RATIONALS), gm_quadric(1, RATIONALS)):
+        assert ring.z() == ring.algebra.var("z")
 
 
 # -- euler-level maps -----------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from umrow import quadrics, rows, suites
 from umrow.algebra import RingHom
-from umrow.errors import ConfigError, NotUnimodular, NotWellDefined, UmrowError
+from umrow.errors import ConfigError, NotUnimodular, NotWellDefined, ShapeError, UmrowError
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import GroebnerBasis
 from umrow.suites import SuiteConfig, build_cases, run_suite
@@ -118,6 +118,12 @@ def _doubled_pair_witness(parent, entries, witness):
     return _row_from_witness(parent, entries, witness)
 
 
+def _unequal_ideals(lhs, rhs):
+    """Every pair of ideals declared different: the vanishing ideal of a
+    point no longer matches its row's."""
+    return False
+
+
 def _shifted_gen(i, j, lam):
     """A generator made with lam + 1 in place of the lam asked for: it is
     recorded and applied as made, so the rows leave the shapes (x, a) and
@@ -127,6 +133,7 @@ def _shifted_gen(i, j, lam):
 
 FAULTS = {
     "eta-relation": (2, "eta_hom", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
+    "eta-ideal": (2, "segre_point", quadrics, "ideal_equal", _unequal_ideals, ShapeError),
     "ab-identity": (1, "mu_hom", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
     "e-welldef": (1, "e_endo", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
     "splitting-sphere": (3, "compute_splitting", GroebnerBasis, "_coefficients", _doubled_coefficients, NotUnimodular),
