@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Walk through the fold-model construction at n = 4: print the universal
-double-row ring, the addition of the coordinate row with the standard
-vector, the closed-form result, and the elementary certificate carrying it
-back to the coordinate row, one generator at a time.
+"""Walk through the fold-model construction at n, by default the first n the
+certificate is assembled for: print the universal double-row ring, the
+addition of the coordinate row with the standard vector, the closed-form
+result, and the elementary certificate carrying it back to the coordinate
+row, one generator at a time.
 
 Usage: python3 scripts/fold_demo.py [n]
 """
@@ -15,12 +16,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from umrow.fields import RATIONALS
-from umrow.quadrics import fold_model_certificate, fold_model_row, vtilde_ring
+from umrow.quadrics import FOLD_CERTIFICATE_FIRST_N, fold_model_certificate, fold_model_row, vtilde_ring
 from umrow.rows import ElementaryWord, apply_word_entries, verify_certificate
 
 
 def main() -> int:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 4
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else FOLD_CERTIFICATE_FIRST_N
     vt = vtilde_ring(n, RATIONALS)
     print(f"universal ring: {len(vt.algebra.variables)} variables, "
           f"{len(vt.algebra.relations)} relations")

@@ -25,6 +25,7 @@ from .fileio import load_algebra, load_rows_bundle, row_to_json, word_to_json
 from .groebner import groebner_basis
 from .poly import ORDERS
 from .quadrics import (
+    FOLD_CERTIFICATE_FIRST_N,
     degree_action,
     delta_map,
     e_endo,
@@ -39,7 +40,7 @@ from .quadrics import (
     universal_split_row,
     vtilde_ring,
 )
-from .rows import vdk_add
+from .rows import SHRINK_BUDGET, vdk_add
 from .suites import SuiteConfig, run_suite
 
 
@@ -53,26 +54,30 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n-max", type=int, required=True)
     v.add_argument("--field", required=True, help="q or fp:<prime>")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--shrink-budget", type=int, default=200)
+    v.add_argument("--shrink-budget", type=int, default=SHRINK_BUDGET)
     v.add_argument("--report", help="also write the report to this path")
     v.add_argument("--no-timing", action="store_true", help="zero the timing fields")
+    v.set_defaults(handler=_cmd_verify)
 
     g = sub.add_parser("gb", help="reduced basis of an algebra's relations")
     g.add_argument("--input", required=True)
     g.add_argument("--order", choices=list(ORDERS), default="grevlex")
+    g.set_defaults(handler=_cmd_gb)
 
     a = sub.add_parser("add", help="orbit-level addition of two rows")
     a.add_argument("--rows", required=True, help="row bundle file")
     a.add_argument("--u", required=True)
     a.add_argument("--v", required=True)
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--shrink-budget", type=int, default=200)
+    a.add_argument("--shrink-budget", type=int, default=SHRINK_BUDGET)
+    a.set_defaults(handler=_cmd_add)
 
     m = sub.add_parser("map", help="print a named morphism")
     m.add_argument("--name", required=True, choices=list(MORPHISMS))
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--field", required=True)
     m.add_argument("--alpha", type=int, default=2, help="scaling factor for degree")
+    m.set_defaults(handler=_cmd_map)
     return parser
 
 
@@ -128,9 +133,9 @@ def _cmd_add(args) -> int:
         {
             "u": args.u,
             "v": args.v,
-            "x": str(result.x.rep),
+            "x": str(result.x),
             "sum": row_to_json(result.row),
-            "splitting": [str(e.rep) for e in result.splitting.entries],
+            "splitting": [str(e) for e in result.splitting.entries],
             "word_u": word_to_json(result.word_u),
             "word_v": word_to_json(result.word_v),
         }
@@ -142,9 +147,7 @@ def _hom_payload(hom):
     return {
         "source_vars": list(hom.source.variables),
         "target_vars": list(hom.target.variables),
-        "images": {
-            v: str(im.rep) for v, im in zip(hom.source.variables, hom.images)
-        },
+        "images": {v: str(im) for v, im in zip(hom.source.variables, hom.images)},
     }
 
 
@@ -155,16 +158,16 @@ def _hom(build):
 
 def _delta_payload(n, field, alpha):
     row, split = delta_map(universal_even_point(n, field))
-    return {"row": row_to_json(row), "splitting": [str(e.rep) for e in split.entries]}
+    return {"row": row_to_json(row), "splitting": [str(e) for e in split.entries]}
 
 
 def _phi_payload(n, field, alpha):
     oriented, point = phi_map(universal_split_row(n, field))
     return {
-        "lift": [str(e.rep) for e in oriented.lift],
-        "point_x": [str(e.rep) for e in point.x],
-        "point_y": [str(e.rep) for e in point.y],
-        "point_z": str(point.z.rep),
+        "lift": [str(e) for e in oriented.lift],
+        "point_x": [str(e) for e in point.x],
+        "point_y": [str(e) for e in point.y],
+        "point_z": str(point.z),
     }
 
 
@@ -173,10 +176,10 @@ def _fold_payload(n, field, alpha):
     fold = fold_model_row(vt)
     payload = {
         "row": row_to_json(fold.row),
-        "witness_row": [str(e.rep) for e in fold.witness.row.entries],
-        "witness_splitting": [str(e.rep) for e in fold.witness.entries],
+        "witness_row": row_to_json(fold.witness.row),
+        "witness_splitting": [str(e) for e in fold.witness.entries],
     }
-    if n >= 4:
+    if n >= FOLD_CERTIFICATE_FIRST_N:
         payload["certificate"] = word_to_json(fold_model_certificate(vt).word)
     return payload
 
@@ -204,14 +207,8 @@ def _cmd_map(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "verify": _cmd_verify,
-        "gb": _cmd_gb,
-        "add": _cmd_add,
-        "map": _cmd_map,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except UmrowError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

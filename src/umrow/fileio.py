@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from .algebra import Algebra
-from .errors import ConfigError, DivisionByZero, ExponentOverflow, ParseError, UmrowError
+from .errors import ConfigError, DivisionByZero, ExponentOverflow, ParseError, ShapeError, UmrowError
 from .fields import RATIONALS, FieldConfig, prime_field
 from .rows import ElementaryGen, ElementaryWord, UnimodularRow, check_unimodular
 
@@ -97,16 +97,33 @@ def load_rows_bundle(path):
 def word_to_json(word: ElementaryWord):
     return {
         "n": word.n,
-        "gens": [[g.i + 1, g.j + 1, str(g.lam.rep)] for g in word.gens],
+        "gens": [[g.i + 1, g.j + 1, str(g.lam)] for g in word.gens],
     }
 
 
+def _integer(value, where: str) -> int:
+    """``value``, if it is a JSON integer (``true`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def word_from_json(data, algebra: Algebra) -> ElementaryWord:
+    """Parse ``word_to_json``'s format; every malformed shape is a ``ConfigError``."""
+    if not (isinstance(data, dict) and "n" in data and isinstance(data.get("gens"), list)):
+        raise ConfigError(f"word: expected {{\"n\": n, \"gens\": [...]}}, got {data!r}")
+    n = _integer(data["n"], "word: n")
     gens = []
-    for i, j, lam in data["gens"]:
-        gens.append(ElementaryGen(int(i) - 1, int(j) - 1, algebra.element(lam)))
-    return ElementaryWord(int(data["n"]), tuple(gens))
+    try:
+        for gen in data["gens"]:
+            if not (isinstance(gen, list) and len(gen) == 3 and isinstance(gen[2], str)):
+                raise ConfigError(f"word: expected a generator [i, j, \"lambda\"], got {gen!r}")
+            i, j = (_integer(k, "word: generator index") for k in gen[:2])
+            gens.append(ElementaryGen(i - 1, j - 1, algebra.element(gen[2])))
+        return ElementaryWord(n, tuple(gens))
+    except (ParseError, DivisionByZero, ExponentOverflow, ShapeError) as exc:
+        raise ConfigError(f"word: {exc}") from exc
 
 
 def row_to_json(row: UnimodularRow):
-    return [str(e.rep) for e in row.entries]
+    return [str(e) for e in row.entries]

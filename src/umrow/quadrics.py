@@ -40,6 +40,11 @@ from .rows import (
 # --n-min 2 --n-max 6`` runs fill at most 10 per builder.
 QUADRIC_CACHE_SIZE = 64
 
+# The first row length ``fold_model_certificate`` assembles for, and its
+# refusal below it; the suites' fold rows and the CLI's printout start here.
+FOLD_CERTIFICATE_FIRST_N = 4
+FOLD_CERTIFICATE_REFUSAL = f"certificate assembly requires n >= {FOLD_CERTIFICATE_FIRST_N}"
+
 # -- coordinate rings ---------------------------------------------------------
 
 
@@ -315,13 +320,10 @@ def mu_minus_one(n: int, field: FieldConfig) -> RingHom:
 def basepoint_section(n: int, field: FieldConfig) -> RingHom:
     """k[Gm x Q_{2n}] -> k[Gm]: the even-quadric coordinates go to the base
     point while lambda stays symbolic."""
-    gm = gm_quadric(n, field)
     target = gm_algebra(field)
-    zero = target.zero()
-    images = [zero] * (2 * n + 1)
-    images.append(target.var("t"))
-    images.append(target.var("t_inv"))
-    return RingHom(gm.algebra, target, images)
+    images = [target.element(c) for c in build_q_even(n, field).base_point()]
+    images += [target.var("t"), target.var("t_inv")]
+    return RingHom(gm_quadric(n, field).algebra, target, images)
 
 
 def mu_prime_basepoint_check(n: int, field: FieldConfig) -> bool:
@@ -462,8 +464,8 @@ class VTildeRing:
     n: int
     algebra: Algebra
 
-    def _vars(self, letter: str, first: int = 1) -> list:
-        return [self.algebra.var(name) for name in _names(letter, first, self.n)]
+    def _vars(self, letter: str) -> list:
+        return [self.algebra.var(name) for name in _names(letter, 1, self.n)]
 
     def _row(self, entries, witness) -> UnimodularRow:
         """The row of ``entries`` split by ``witness``, checked by
@@ -476,9 +478,6 @@ class VTildeRing:
 
     def u_row(self) -> UnimodularRow:
         return self._row(self._vars("u"), self._vars("v"))
-
-    def tail_row(self) -> UnimodularRow:
-        return self._row(self._vars("x", 2) + self._vars("u", 2), self._vars("r", 2) + self._vars("s", 2))
 
     def basepoint_row(self) -> UnimodularRow:
         entries = [self.algebra.zero()] * (self.n - 1) + [self.algebra.one()]
@@ -532,10 +531,10 @@ def fold_model_certificate(vt: VTildeRing) -> OrbitCertificate:
     is replayed once on the row the one before reached, and the last row,
     the target, is compared to (x1, ..., xn): that chain is the raw replay
     of the one word, which ``verify_certificate`` would repeat.  The
-    assembly is only available for n >= 4."""
+    assembly is only available for n >= ``FOLD_CERTIFICATE_FIRST_N``."""
     n = vt.n
-    if n < 4:
-        raise CertificateAssemblyFailed("certificate assembly requires n >= 4")
+    if n < FOLD_CERTIFICATE_FIRST_N:
+        raise CertificateAssemblyFailed(FOLD_CERTIFICATE_REFUSAL)
     alg = vt.algebra
     one = alg.one()
     x = [alg.var(f"x{i}") for i in range(1, n + 1)]

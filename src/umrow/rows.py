@@ -15,6 +15,9 @@ from itertools import islice
 from .algebra import Algebra, AlgebraElement
 from .errors import ConfigError, NotInIdeal, NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
 
+# Shrink candidates ``mennicke_newman`` tries before it gives up, unless told.
+SHRINK_BUDGET = 200
+
 
 @dataclass(frozen=True)
 class UnimodularRow:
@@ -59,6 +62,8 @@ class SplittingRow:
 
 def check_unimodular(parent: Algebra, entries) -> UnimodularRow:
     """Verify 1 in <entries> (modulo the relations) and return the row."""
+    if isinstance(entries, str):
+        raise ConfigError(f"expected a list of row entries, got {entries!r}")
     elts = tuple(parent.element(e) for e in entries)
     if len(elts) < 2:
         raise ShapeError("rows must have length at least 2")
@@ -118,11 +123,6 @@ class ElementaryWord:
 
     def __len__(self):
         return len(self.gens)
-
-    def concat(self, other: "ElementaryWord") -> "ElementaryWord":
-        if other.n != self.n:
-            raise ShapeError("cannot concatenate words of different widths")
-        return ElementaryWord(self.n, self.gens + other.gens)
 
     def inverse(self) -> "ElementaryWord":
         return ElementaryWord(
@@ -287,7 +287,7 @@ def mennicke_newman(
     v: UnimodularRow,
     *,
     seed: int = 0,
-    shrink_budget: int = 200,
+    shrink_budget: int = SHRINK_BUDGET,
 ) -> MNResult:
     """Move u and v by explicit elementary words to the shapes (x, a) and
     (1-x, a) with a common tail a.
@@ -392,7 +392,7 @@ def vdk_add(
     v: UnimodularRow,
     *,
     seed: int = 0,
-    shrink_budget: int = 200,
+    shrink_budget: int = SHRINK_BUDGET,
 ) -> VdkSum:
     """Orbit-level addition: [u] + [v] = [x(1-x), a_2, ..., a_n].
 

@@ -23,6 +23,8 @@ from .algebra import Algebra, RingHom, hom_compose
 from .errors import ConfigError, UmrowError
 from .fields import FieldConfig
 from .quadrics import (
+    FOLD_CERTIFICATE_FIRST_N,
+    FOLD_CERTIFICATE_REFUSAL,
     build_q_even,
     build_q_odd,
     degree_action,
@@ -45,6 +47,7 @@ from .quadrics import (
     vtilde_ring,
 )
 from .rows import (
+    SHRINK_BUDGET,
     ElementaryGen,
     ElementaryWord,
     OrbitCertificate,
@@ -66,10 +69,16 @@ class SuiteConfig:
     n_max: int
     field: FieldConfig
     seed: int = 0
-    shrink_budget: int = 200
+    shrink_budget: int = SHRINK_BUDGET
     timing: bool = True
 
     def __post_init__(self):
+        for name in ("n_min", "n_max", "seed", "shrink_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.field, FieldConfig):
+            raise ConfigError(f"field must be a FieldConfig, got {self.field!r}")
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if not (1 <= self.n_min <= self.n_max <= MAX_N):
@@ -325,11 +334,11 @@ CASES = (
     ("rows", "mn-random", 2, MAX_N, _case_mn_random, "row cases require n >= 2"),
     ("rows", "vdk-random", 2, MAX_N, _case_vdk_random, "row cases require n >= 2"),
     ("rows", "mn-universal", 4, 4, _case_mn_universal, None),
-    ("fold", "fold-row", 4, MAX_N, _case_fold_row, None),
-    ("fold", "fold-witness", 4, MAX_N, _case_fold_row, None),
-    ("fold", "fold-certificate", 4, MAX_N, _case_fold_certificate,
-     "certificate assembly requires n >= 4"),
-    ("fold", "fold-tamper", 4, MAX_N, _case_fold_tamper, None),
+    ("fold", "fold-row", FOLD_CERTIFICATE_FIRST_N, MAX_N, _case_fold_row, None),
+    ("fold", "fold-witness", FOLD_CERTIFICATE_FIRST_N, MAX_N, _case_fold_row, None),
+    ("fold", "fold-certificate", FOLD_CERTIFICATE_FIRST_N, MAX_N, _case_fold_certificate,
+     FOLD_CERTIFICATE_REFUSAL),
+    ("fold", "fold-tamper", FOLD_CERTIFICATE_FIRST_N, MAX_N, _case_fold_tamper, None),
     ("euler", "delta-universal", 1, MAX_N, _case_delta_universal, None),
     ("euler", "mu-minus-one", 1, MAX_N, _case_mu_minus_one, None),
     ("euler", "degree-composite", 2, MAX_N, _case_degree_composite, None),

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from umrow.cli import main
-from umrow.errors import ConfigError
+from umrow.errors import CertificateAssemblyFailed, ConfigError
 from umrow.fileio import (
     field_from_json,
     load_algebra,
@@ -14,7 +14,9 @@ from umrow.fileio import (
     word_to_json,
 )
 from umrow.fields import RATIONALS, prime_field
+from umrow.quadrics import FOLD_CERTIFICATE_FIRST_N, fold_model_certificate, scalar_algebra, vtilde_ring
 from umrow.rows import ElementaryGen, ElementaryWord
+from umrow.suites import CASES
 
 
 SPHERE = {
@@ -159,8 +161,6 @@ def test_load_rows_bundle_flags_non_unimodular(tmp_path):
 
 
 def test_word_serialization_roundtrip():
-    from umrow.quadrics import scalar_algebra
-
     alg = scalar_algebra(RATIONALS)
     word = ElementaryWord(
         3, (ElementaryGen(0, 2, alg.element(5)), ElementaryGen(2, 1, alg.element(-1)))
@@ -168,6 +168,38 @@ def test_word_serialization_roundtrip():
     data = word_to_json(word)
     assert data["gens"][0] == [1, 3, "5"]
     assert word_from_json(data, alg) == word
+    assert word_from_json(json.loads(json.dumps(data)), alg) == word
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2},
+        {"gens": []},
+        {"n": "x", "gens": []},
+        {"n": 3.0, "gens": []},
+        {"n": True, "gens": []},
+        {"n": 3, "gens": "1 3 5"},
+        {"n": 3, "gens": [[1, 3]]},
+        {"n": 3, "gens": [[1, 3, "5", "7"]]},
+        {"n": 3, "gens": [(1, 3, "5")]},
+        {"n": 3, "gens": [[1.5, 3, "5"]]},
+        {"n": 3, "gens": [[1, True, "5"]]},
+        {"n": 3, "gens": [[1, 3, 5]]},
+        {"n": 3, "gens": [[1, 3, "5 +"]]},
+        {"n": 3, "gens": [[1, 3, "1/0"]]},
+        {"n": 3, "gens": [[1, 1, "5"]]},
+        {"n": 3, "gens": [[0, 2, "5"]]},
+        {"n": 3, "gens": [[1, 4, "5"]]},
+        [["n", 3], ["gens", []]],
+        "word",
+        None,
+    ],
+)
+def test_word_from_json_refuses_malformed_words(data):
+    alg = scalar_algebra(RATIONALS)
+    with pytest.raises(ConfigError):
+        word_from_json(data, alg)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -225,6 +257,30 @@ def test_verify_fold_declines_small_n(capsys):
     case = report["cases"][0]
     assert case["status"] == "error"
     assert "n >= 4" in case["witness"]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fold_bound_has_one_home(capsys, n):
+    # The certificate's guard, the suites' fold rows and the printout all
+    # start at FOLD_CERTIFICATE_FIRST_N.
+    first = FOLD_CERTIFICATE_FIRST_N
+    with pytest.raises(CertificateAssemblyFailed) as refusal:
+        fold_model_certificate(vtilde_ring(first - 1, RATIONALS))
+    assert {row[2] for row in CASES if row[0] == "fold"} == {first}
+
+    code, out = run_cli(capsys, "map", "--name", "fold", "--n", str(n), "--field", "q")
+    assert ("certificate" in (json.loads(out) if code == 0 else {})) == (n >= first)
+
+    code, out = run_cli(
+        capsys, "verify", "--suite", "fold", "--n-min", str(n), "--n-max", str(n),
+        "--field", "q", "--no-timing",
+    )
+    declined = [
+        c for c in json.loads(out)["cases"]
+        if c["name"] == "fold-certificate" and c["witness"] == str(refusal.value)
+    ]
+    assert bool(declined) == (n < first)
+    assert code == (1 if n < first else 0)
 
 
 def test_gb_subcommand(tmp_path, capsys):

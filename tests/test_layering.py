@@ -8,7 +8,9 @@ each coefficient in, and only ``fields.py`` imports ``fractions``, so a
 ``Fraction`` is made only where a field value is.  A
 change to how terms are stored then touches ``poly`` and ``fields`` alone.
 ``rows.py`` imports nothing from ``groebner``: ``Algebra`` reads every Bezout
-certificate a row needs."""
+certificate a row needs.  ``cli.py`` and ``fileio.py`` read no ``rep``: they
+print an element with ``str``, so ``AlgebraElement.__str__`` alone decides
+its text."""
 
 from __future__ import annotations
 
@@ -90,6 +92,7 @@ groebner_imports = package_imports("groebner")
 terms_reads = attribute_reads({"terms"})
 integral_form_reads = attribute_reads({"_terms", "_den"})
 fraction_part_reads = attribute_reads({"numerator", "denominator"})
+rep_reads = attribute_reads({"rep"})
 
 
 def offenders(scan, allowed) -> dict:
@@ -112,6 +115,8 @@ def test_scanners_see_what_they_guard():
     assert integral_form_reads(source) == [1, 2]
     source = "c.numerator\nf(c).denominator\ndenominator = 2\nnumerators = []\np.numerator_of"
     assert fraction_part_reads(source) == [1, 2]
+    source = "str(e.rep)\n[str(g.lam.rep) for g in w]\nrep = 1\nstr(e)\nx.representative"
+    assert rep_reads(source) == [1, 2]
 
 
 def test_only_poly_builds_polynomials():
@@ -141,3 +146,8 @@ def test_only_fields_reads_fraction_parts():
 
 def test_rows_imports_nothing_from_groebner():
     assert groebner_imports(SRC.joinpath("rows.py").read_text()) == []
+
+
+def test_cli_and_fileio_read_no_rep():
+    for name in ("cli.py", "fileio.py"):
+        assert rep_reads(SRC.joinpath(name).read_text()) == [], name

@@ -58,6 +58,12 @@ def test_check_unimodular_failure():
         check_unimodular(alg, ["x", "y"])
 
 
+def test_check_unimodular_refuses_a_string():
+    # "12" would read as the row (1, 2), one entry per character.
+    with pytest.raises(ConfigError, match="list of row entries"):
+        check_unimodular(scalars(), "12")
+
+
 def test_rows_need_length_two():
     alg = scalars()
     with pytest.raises(ShapeError):
@@ -154,7 +160,7 @@ def test_word_concat_is_action_composition():
     w1 = ElementaryWord(3, (ElementaryGen(0, 1, alg.var("x")),))
     w2 = ElementaryWord(3, (ElementaryGen(2, 0, -one), ElementaryGen(1, 2, alg.var("y"))))
     row = check_unimodular(alg, ["x", "y", "z"])
-    both = apply_word(row, w1.concat(w2))
+    both = apply_word(row, ElementaryWord(3, w1.gens + w2.gens))
     stepped = apply_word(apply_word(row, w1), w2)
     assert both.entries == stepped.entries
 

@@ -22,6 +22,23 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SuiteConfig("all", 2, 3, RATIONALS, shrink_budget=0)
 
+    # Wrong types would pass the range checks, or fail them with a
+    # TypeError, and then break ``run_suite`` or linger in the report.
+    good = {"suite": "all", "n_min": 2, "n_max": 3, "field": RATIONALS}
+    for bad in (
+        {"n_min": 2.5},
+        {"n_max": 3.0},
+        {"n_min": True},
+        {"seed": "a"},
+        {"seed": None},
+        {"shrink_budget": 2.5},
+        {"shrink_budget": False},
+        {"field": "q"},
+        {"field": None},
+    ):
+        with pytest.raises(ConfigError, match="must be (an integer|a FieldConfig)"):
+            SuiteConfig(**{**good, **bad})
+
 
 def test_case_lists_are_deterministic():
     cfg = SuiteConfig("all", 2, 3, RATIONALS, timing=False)
