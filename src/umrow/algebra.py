@@ -255,28 +255,26 @@ class RingHom:
         self.source = source
         self.target = target
         self.images = images
-        self._powers: dict = {}
         for idx, rel in enumerate(source.relations):
             residue = self._apply_poly(rel)
             if not residue.is_zero():
                 raise NotWellDefined(idx, residue)
 
     def _image(self, exps) -> Polynomial:
-        """The image of the monomial with exponent tuple ``exps``: a reduced
-        product of powers of the images, each power cached, or 1."""
+        """The image of the monomial with exponent tuple ``exps``: the reduced
+        product of the images' powers, or 1.  A first power is the image
+        itself and forms no product."""
         image = None
-        for var, exp in enumerate(exps):
+        for im, exp in zip(self.images, exps):
             if exp:
-                power = self._powers.get((var, exp))
-                if power is None:
-                    power = self._powers[var, exp] = self.images[var] ** exp
+                power = im ** exp
                 image = power if image is None else image * power
         return self.target.ring.one() if image is None else image.rep
 
     def _apply_poly(self, poly: Polynomial) -> AlgebraElement:
-        # Each monomial's image is a normal form (a reduced product of cached
-        # powers, or 1, which no lead of a proper ideal divides), and so is
-        # any linear combination of them: the sum needs no reduction.
+        # Each monomial's image is a normal form (a reduced product of the
+        # images' powers, or 1, which no lead of a proper ideal divides), and
+        # so is any linear combination of them: the sum needs no reduction.
         return AlgebraElement(self.target, poly._substitute(self.target.ring, self._image))
 
     def __call__(self, elt) -> AlgebraElement:

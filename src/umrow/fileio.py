@@ -84,11 +84,7 @@ def load_rows_bundle(path):
     for name, entry_strs in data["rows"].items():
         entry_strs = _strings(entry_strs, f"{path}: row {name!r}")
         try:
-            entries = [algebra.ring.parse(s) for s in entry_strs]
-        except (ParseError, DivisionByZero, ExponentOverflow) as exc:
-            raise ConfigError(f"{path}: row {name!r}: {exc}") from exc
-        try:
-            rows[name] = check_unimodular(algebra, entries)
+            rows[name] = check_unimodular(algebra, entry_strs)
         except UmrowError as exc:
             raise ConfigError(f"{path}: row {name!r}: {exc}") from exc
     return algebra, rows
@@ -112,7 +108,6 @@ def word_from_json(data, algebra: Algebra) -> ElementaryWord:
     """Parse ``word_to_json``'s format; every malformed shape is a ``ConfigError``."""
     if not (isinstance(data, dict) and "n" in data and isinstance(data.get("gens"), list)):
         raise ConfigError(f"word: expected {{\"n\": n, \"gens\": [...]}}, got {data!r}")
-    n = _integer(data["n"], "word: n")
     gens = []
     try:
         for gen in data["gens"]:
@@ -120,7 +115,7 @@ def word_from_json(data, algebra: Algebra) -> ElementaryWord:
                 raise ConfigError(f"word: expected a generator [i, j, \"lambda\"], got {gen!r}")
             i, j = (_integer(k, "word: generator index") for k in gen[:2])
             gens.append(ElementaryGen(i - 1, j - 1, algebra.element(gen[2])))
-        return ElementaryWord(n, tuple(gens))
+        return ElementaryWord(data["n"], tuple(gens))
     except (ParseError, DivisionByZero, ExponentOverflow, ShapeError) as exc:
         raise ConfigError(f"word: {exc}") from exc
 

@@ -60,9 +60,9 @@ def _pairing(xs, ys) -> str:
 
 @dataclass(frozen=True)
 class _QuadricRing:
-    """A quadric's coordinate ring, with coordinates named x1, x2, ... and
-    y1, y2, ....  The subclasses add no field, so they share this dataclass's equality,
-    hash and repr."""
+    """A quadric's coordinate ring, or the universal double-row ring, with
+    coordinates named x1, x2, ... and y1, y2, ....  The subclasses add no
+    field, so they share this dataclass's equality, hash and repr."""
 
     n: int
     algebra: Algebra
@@ -453,35 +453,27 @@ def phi_map(row: UnimodularRow, check_height: bool = False):
 # -- the universal double-row ring and the fold model ----------------------------
 
 
-@dataclass(frozen=True)
-class VTildeRing:
+class VTildeRing(_QuadricRing):
     """The universal ring carrying two split unimodular rows of length n
     whose combined tail is split as well:
 
     x1 y1 + x' y'^T = 1,   u1 v1 + u' v'^T = 1,   x' r'^T + u' s'^T = 1.
-    """
 
-    n: int
-    algebra: Algebra
+    Each row below is checked against its splitting by ``row_from_witness``.
+    """
 
     def _vars(self, letter: str) -> list:
         return [self.algebra.var(name) for name in _names(letter, 1, self.n)]
 
-    def _row(self, entries, witness) -> UnimodularRow:
-        """The row of ``entries`` split by ``witness``, checked by
-        ``row_from_witness``."""
-        row, _ = row_from_witness(self.algebra, entries, witness)
-        return row
-
     def x_row(self) -> UnimodularRow:
-        return self._row(self._vars("x"), self._vars("y"))
+        return row_from_witness(self.algebra, self._vars("x"), self._vars("y"))[0]
 
     def u_row(self) -> UnimodularRow:
-        return self._row(self._vars("u"), self._vars("v"))
+        return row_from_witness(self.algebra, self._vars("u"), self._vars("v"))[0]
 
     def basepoint_row(self) -> UnimodularRow:
         entries = [self.algebra.zero()] * (self.n - 1) + [self.algebra.one()]
-        return self._row(entries, entries)
+        return row_from_witness(self.algebra, entries, entries)[0]
 
 
 @lru_cache(maxsize=QUADRIC_CACHE_SIZE)
@@ -512,12 +504,10 @@ def fold_model_row(vt: VTildeRing) -> FoldModel:
     """Run the addition of the universal row with the base-point row; the
     outcome is pinned to its closed form."""
     alg = vt.algebra
-    n = vt.n
     result = vdk_add(vt.x_row(), vt.basepoint_row())
     one = alg.one()
-    x1 = alg.var("x1")
-    xn = alg.var(f"x{n}")
-    expected = [alg.var(f"x{i}") * (one - x1) for i in range(1, n)]
+    x1, xn = vt.x(1), vt.x(vt.n)
+    expected = [xi * (one - x1) for xi in vt._vars("x")[:-1]]
     expected.append(xn + (one - xn) * x1)
     if list(result.row.entries) != expected:
         raise AssertionError("fold-model row differs from its closed form")
@@ -537,7 +527,7 @@ def fold_model_certificate(vt: VTildeRing) -> OrbitCertificate:
         raise CertificateAssemblyFailed(FOLD_CERTIFICATE_REFUSAL)
     alg = vt.algebra
     one = alg.one()
-    x = [alg.var(f"x{i}") for i in range(1, n + 1)]
+    x = vt._vars("x")
     x1, xn = x[0], x[n - 1]
     r = one - x1
 

@@ -95,6 +95,11 @@ def compute_splitting(row: UnimodularRow) -> SplittingRow:
         raise NotUnimodular("row is not unimodular") from None
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ElementaryGen:
     """e_{ij}(lam) = I + lam * E_{ij}; adds lam * (entry i) to entry j."""
@@ -104,8 +109,9 @@ class ElementaryGen:
     lam: AlgebraElement
 
     def __post_init__(self):
-        if self.i == self.j or self.i < 0 or self.j < 0:
-            raise ShapeError(f"bad elementary indices ({self.i}, {self.j})")
+        i, j = self.i, self.j
+        if not (_is_int(i) and _is_int(j)) or i == j or i < 0 or j < 0:
+            raise ShapeError(f"bad elementary indices ({i!r}, {j!r})")
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,8 @@ class ElementaryWord:
     gens: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not _is_int(self.n) or self.n < 2:
+            raise ShapeError(f"words act on rows of length at least 2, got {self.n!r}")
         for g in self.gens:
             if g.i >= self.n or g.j >= self.n:
                 raise ShapeError(f"generator indices exceed row length {self.n}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .algebra import Algebra, RingHom, hom_compose
 from .errors import ConfigError, UmrowError
@@ -122,16 +122,10 @@ class Report:
         return s["fail"] == 0 and s["error"] == 0
 
     def to_json(self) -> str:
+        config = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
+        config["field"] = str(config["field"])
         payload = {
-            "config": {
-                "suite": self.config.suite,
-                "n_min": self.config.n_min,
-                "n_max": self.config.n_max,
-                "field": str(self.config.field),
-                "seed": self.config.seed,
-                "shrink_budget": self.config.shrink_budget,
-                "timing": self.config.timing,
-            },
+            "config": config,
             "cases": self.cases,
             "summary": self.summary(),
         }

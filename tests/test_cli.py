@@ -105,12 +105,19 @@ def test_bad_names_and_deep_nesting_exit_2(tmp_path, capsys, payload):
         ("add", {"algebra": dict(SPHERE, relations=["x^2 - 1/0"]), "rows": {"u": ["x"]}}, None),
         ("add", {"algebra": SPHERE, "rows": {"u": ["x", "1/0", "z"]}}, "u"),
         ("add", {"algebra": SPHERE, "rows": {"v": ["x", "y^40000", "z"]}}, "v"),
+        ("add", {"algebra": SPHERE, "rows": {"u": ["x", "y +", "z"]}}, "u"),
+        ("add", {"algebra": SPHERE, "rows": {"u": ["x", "y"]}}, "u"),
     ],
-    ids=["relation-div-zero", "relation-overflow", "bundle-relation-div-zero", "row-div-zero", "row-overflow"],
+    ids=[
+        "relation-div-zero", "relation-overflow", "bundle-relation-div-zero",
+        "row-div-zero", "row-overflow", "row-unparsable", "row-not-unimodular",
+    ],
 )
 def test_arithmetic_errors_in_files_name_the_file(tmp_path, capsys, command, payload, row):
     # A literal n/0 and a degree past the packed form are parse failures
-    # too: one error line that names the file, and the row if in one.
+    # too: one error line that names the file, and the row if in one.  A
+    # row that does not parse and one that is not unimodular go through
+    # the same wrapper.
     path = write_json(tmp_path / "bad.json", payload)
     if command == "add":
         args = ["add", "--rows", path, "--u", "u", "--v", "u"]
@@ -121,7 +128,7 @@ def test_arithmetic_errors_in_files_name_the_file(tmp_path, capsys, command, pay
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}") and captured.err.count("\n") == 1
     if row is not None:
-        assert f"row {row!r}: " in captured.err
+        assert captured.err.startswith(f"error: {path}: row {row!r}: ")
 
 
 def test_load_algebra(tmp_path):
@@ -194,6 +201,8 @@ def test_word_serialization_roundtrip():
         [["n", 3], ["gens", []]],
         "word",
         None,
+        {"n": -3, "gens": []},
+        {"n": 1, "gens": []},
     ],
 )
 def test_word_from_json_refuses_malformed_words(data):

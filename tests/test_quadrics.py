@@ -224,6 +224,18 @@ def test_degree_action_identity_and_units():
     degree_action(3, 2, prime_field(7))
 
 
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(5)], ids=str)
+def test_ring_maps_send_powers_to_powers_of_images(field):
+    # x1^3, y1^2 and x2^2 are where a map multiplies an image by itself:
+    # their image is the same polynomial in the images, reduced in the target.
+    degree = degree_action(3, 2, field)
+    for hom in (degree, mu_prime_hom(2, field)):
+        im = dict(zip(hom.source.variables, hom.images))
+        assert hom("x1^3*y1^2 + x2^2 - 1") == im["x1"] ** 3 * im["y1"] ** 2 + im["x2"] ** 2 - 1
+    # degree_action scales x by 3 and y by 1/3: 3^3 / 3^2 = 3 and 3^2 = 9.
+    assert degree("x1^3*y1^2 + x2^2 - 1") == degree.target.element("3*x1^3*y1^2 + 9*x2^2 - 1")
+
+
 def _cached_builders():
     return {name: f for name, f in vars(quadrics).items() if hasattr(f, "cache_info")}
 

@@ -154,6 +154,19 @@ def test_word_shape_mismatch():
         apply_word(row, ElementaryWord(3))
 
 
+@pytest.mark.parametrize("n", [-3, 0, 1, 2.0, True, "3"])
+def test_word_refuses_a_width_below_two_or_not_an_int(n):
+    with pytest.raises(ShapeError, match="length at least 2"):
+        ElementaryWord(n)
+
+
+@pytest.mark.parametrize("i, j", [(1.5, 0), (0, 1.0), (True, 0), (0, False), ("0", 1), (0, 0), (-1, 1)])
+def test_generator_refuses_indices_that_are_not_distinct_natural_ints(i, j):
+    lam = scalars().one()
+    with pytest.raises(ShapeError, match="bad elementary indices"):
+        ElementaryGen(i, j, lam)
+
+
 def test_word_concat_is_action_composition():
     alg = sphere()
     one = alg.one()
