@@ -20,7 +20,7 @@ from pathlib import Path
 from .algebra import Algebra
 from .errors import ConfigError, DivisionByZero, ExponentOverflow, ParseError, ShapeError, UmrowError
 from .fields import RATIONALS, FieldConfig, prime_field
-from .rows import ElementaryGen, ElementaryWord, UnimodularRow, check_unimodular
+from .rows import ElementaryGen, ElementaryWord, UnimodularRow, _is_int, check_unimodular
 
 
 def field_from_json(spec) -> FieldConfig:
@@ -99,7 +99,7 @@ def word_to_json(word: ElementaryWord):
 
 def _integer(value, where: str) -> int:
     """``value``, if it is a JSON integer (``true`` is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
 

@@ -328,13 +328,13 @@ def basepoint_section(n: int, field: FieldConfig) -> RingHom:
 
 def mu_prime_basepoint_check(n: int, field: FieldConfig) -> bool:
     """True when the modified map carries (lambda, base point) to the odd
-    quadric's base point for symbolic lambda."""
+    quadric's base point for symbolic lambda: the section to the base point
+    sends the modified map's images to the base point's coordinates.  Both
+    maps check their own relations, so no composite is built."""
     odd = build_q_odd(n, field)
     section = basepoint_section(n, field)
-    composite = hom_compose(section, mu_prime_hom(n, field))
-    target = section.target
-    expected = [target.element(c) for c in odd.base_point()]
-    return list(composite.images) == expected
+    expected = [section.target.element(c) for c in odd.base_point()]
+    return [section(im) for im in mu_prime_hom(n, field).images] == expected
 
 
 def degree_action(alpha_raw, n: int, field: FieldConfig) -> RingHom:

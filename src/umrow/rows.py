@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .algebra import Algebra, AlgebraElement
+from .algebra import Algebra, AlgebraElement, _listed
 from .errors import ConfigError, NotInIdeal, NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
 
 # Shrink candidates ``mennicke_newman`` tries before it gives up, unless told.
@@ -60,25 +60,27 @@ class SplittingRow:
             raise NotUnimodular("proposed splitting does not sum to 1")
 
 
+def _elements(parent: Algebra, values, what: str) -> tuple:
+    """``values``, if a list or tuple (``"12"`` is not the row (1, 2)), as
+    elements of ``parent``."""
+    return tuple(parent.element(v) for v in _listed(values, object, what))
+
+
 def check_unimodular(parent: Algebra, entries) -> UnimodularRow:
-    """Verify 1 in <entries> (modulo the relations) and return the row."""
-    if isinstance(entries, str):
-        raise ConfigError(f"expected a list of row entries, got {entries!r}")
-    elts = tuple(parent.element(e) for e in entries)
-    if len(elts) < 2:
-        raise ShapeError("rows must have length at least 2")
-    if not parent._unit_ideal(elts):
-        raise NotUnimodular(f"1 is not in the ideal generated by {[str(e) for e in elts]}")
-    return UnimodularRow(parent, elts, verified=True)
+    """Verify 1 in <entries> (modulo the relations) and return the row.  The
+    row is built, and its shape checked, before any basis is; it is returned
+    only once the check has passed."""
+    row = UnimodularRow(parent, _elements(parent, entries, "row entries"), verified=True)
+    if not parent._unit_ideal(row.entries):
+        raise NotUnimodular(f"1 is not in the ideal generated by {[str(e) for e in row.entries]}")
+    return row
 
 
 def row_from_witness(parent: Algebra, entries, witness):
     """Build a verified row from an explicit splitting; cheaper than a
     Groebner computation when the witness is already known."""
-    elts = tuple(parent.element(e) for e in entries)
-    wits = tuple(parent.element(w) for w in witness)
-    row = UnimodularRow(parent, elts, verified=True)
-    return row, SplittingRow(row, wits)
+    row = UnimodularRow(parent, _elements(parent, entries, "row entries"), verified=True)
+    return row, SplittingRow(row, _elements(parent, witness, "witness entries"))
 
 
 def compute_splitting(row: UnimodularRow) -> SplittingRow:
@@ -126,6 +128,8 @@ class ElementaryWord:
         if not _is_int(self.n) or self.n < 2:
             raise ShapeError(f"words act on rows of length at least 2, got {self.n!r}")
         for g in self.gens:
+            if not isinstance(g, ElementaryGen):
+                raise ShapeError(f"word generators must be ElementaryGen, got {g!r}")
             if g.i >= self.n or g.j >= self.n:
                 raise ShapeError(f"generator indices exceed row length {self.n}")
 
@@ -312,6 +316,8 @@ def mennicke_newman(
     Step two subtracts a Bezout combination of u1+v1-1 from the first
     coordinates.  The final cross-adjustment produces the common tail.
     """
+    if not _is_int(shrink_budget):
+        raise ConfigError(f"shrink budget must be an integer, got {shrink_budget!r}")
     if shrink_budget < 1:
         raise ConfigError("shrink budget must be positive")
     parent = u.parent

@@ -5,11 +5,15 @@ first bad stage), or declines with a reason when its parameters fall outside
 the supported range.  A case whose identity is checked by the constructor it
 calls (a ``RingHom`` pulls back every relation, a ``SplittingRow`` sums to 1,
 ``segre_point`` checks that its vanishing ideal is <a_1, ..., a_n>,
-``mennicke_newman`` checks that its words reach (x, a) and (1-x, a)) only
-calls it: the constructor's ``UmrowError`` or ``AssertionError`` is the
-case's failure and its message the witness.  Case lists depend only on the
-configuration, and the serialized report is byte-stable when timing
-capture is disabled.
+``mennicke_newman`` checks that its words reach (x, a) and (1-x, a),
+``fold_model_certificate`` replays its word stage by stage up to
+(x1, ..., xn)) only calls it: the constructor's ``UmrowError`` or
+``AssertionError`` is the case's failure and its message the witness.  Every
+word has determinant 1 by its generators' type (an ``ElementaryGen`` is
+I + lam E_ij with i != j), so no case computes one.  A case that reads a
+composite map's images evaluates the inner map's images under the outer map
+and builds no composite.  Case lists depend only on the configuration, and
+the serialized report is byte-stable when timing capture is disabled.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 
-from .algebra import Algebra, RingHom, hom_compose
+from .algebra import Algebra, RingHom
 from .errors import ConfigError, UmrowError
 from .fields import FieldConfig
 from .quadrics import (
@@ -51,6 +55,7 @@ from .rows import (
     ElementaryGen,
     ElementaryWord,
     OrbitCertificate,
+    _is_int,
     check_unimodular,
     compute_splitting,
     mennicke_newman,
@@ -75,7 +80,7 @@ class SuiteConfig:
     def __post_init__(self):
         for name in ("n_min", "n_max", "seed", "shrink_budget"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.field, FieldConfig):
             raise ConfigError(f"field must be a FieldConfig, got {self.field!r}")
@@ -157,26 +162,25 @@ def _case_e_basepoint(n, cfg):
     odd = build_q_odd(n, cfg.field)
     target = scalar_algebra(cfg.field)
     base = [target.element(c) for c in odd.base_point()]
-    point_hom = RingHom(odd.algebra, target, base)
-    composite = hom_compose(point_hom, e_endo(n, cfg.field))
-    if list(composite.images) != base:
+    point = RingHom(odd.algebra, target, base)
+    if [point(im) for im in e_endo(n, cfg.field).images] != base:
         raise CaseFailure("the elementary endomorphism moves the base point")
 
 
-def _expect_images(hom, even, s, head, t, message):
-    """Fail with ``message`` unless ``hom`` sends the odd quadric's
-    coordinates to (s x_1, ..., s x_n, head, t y_1, ..., t y_n, head) in the
-    even quadric ring ``even``."""
+def _expect_images(images, even, s, head, t, message):
+    """Fail with ``message`` unless ``images``, the images of the odd
+    quadric's coordinates under a map to the even quadric ring ``even``, are
+    (s x_1, ..., s x_n, head, t y_1, ..., t y_n, head)."""
     ks = range(1, even.n + 1)
     expected = [s * even.x(i) for i in ks] + [head] + [t * even.y(i) for i in ks] + [head]
-    if list(hom.images) != expected:
+    if list(images) != expected:
         raise CaseFailure(message)
 
 
 def _case_mu_at_one(n, cfg):
     even = build_q_even(n, cfg.field)
     _expect_images(
-        mu_at_unit(n, cfg.field, 1), even, 1, even.algebra.one(), 0,
+        mu_at_unit(n, cfg.field, 1).images, even, 1, even.algebra.one(), 0,
         "mu at lambda=1 is not (x, 1, 0, ..., 0, 1)",
     )
 
@@ -226,12 +230,7 @@ def _case_mn_random(n, cfg):
     for trial in range(3):
         u = check_unimodular(alg, random_scalar_row(alg, n, rng))
         v = check_unimodular(alg, random_scalar_row(alg, n, rng))
-        result = mennicke_newman(
-            u, v, seed=cfg.seed + trial, shrink_budget=cfg.shrink_budget
-        )
-        for word in (result.word_u, result.word_v):
-            if word.determinant(alg) != alg.one():
-                raise CaseFailure("word determinant is not 1")
+        mennicke_newman(u, v, seed=cfg.seed + trial, shrink_budget=cfg.shrink_budget)
 
 
 def _case_vdk_random(n, cfg):
@@ -255,9 +254,7 @@ def _case_fold_row(n, cfg):
 
 
 def _case_fold_certificate(n, cfg):
-    cert = fold_model_certificate(vtilde_ring(n, cfg.field))
-    if not verify_certificate(cert):
-        raise CaseFailure("certificate failed raw replay")
+    fold_model_certificate(vtilde_ring(n, cfg.field))
 
 
 def _case_fold_tamper(n, cfg):
@@ -288,7 +285,7 @@ def _case_mu_minus_one(d, cfg):
     _require_odd_char(cfg)
     even = build_q_even(d, cfg.field)
     _expect_images(
-        mu_minus_one(d, cfg.field), even, 1, 1 - 2 * even.z(), 4,
+        mu_minus_one(d, cfg.field).images, even, 1, 1 - 2 * even.z(), 4,
         "mu at lambda=-1 differs from (a, 1-2s, 4b, 1-2s)",
     )
 
@@ -296,9 +293,9 @@ def _case_mu_minus_one(d, cfg):
 def _case_degree_composite(d, cfg):
     _require_odd_char(cfg)
     even = build_q_even(d, cfg.field)
-    composite = hom_compose(mu_minus_one(d, cfg.field), degree_action(2, d, cfg.field))
+    mu = mu_minus_one(d, cfg.field)
     _expect_images(
-        composite, even, 2, 1 - 2 * even.z(), 2,
+        [mu(im) for im in degree_action(2, d, cfg.field).images], even, 2, 1 - 2 * even.z(), 2,
         "degree twist of mu(-1) differs from (2a, 1-2s, 2b, 1-2s)",
     )
 

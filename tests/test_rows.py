@@ -70,6 +70,28 @@ def test_rows_need_length_two():
         UnimodularRow(alg, (alg.one(),))
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda alg: check_unimodular(alg, None), "row"),
+    (lambda alg: row_from_witness(alg, "10", "10"), "row"),
+    (lambda alg: row_from_witness(alg, None, [1, 0]), "row"),
+    (lambda alg: row_from_witness(alg, [1, 0], "10"), "witness"),
+    (lambda alg: row_from_witness(alg, [1, 0], None), "witness"),
+])
+def test_row_constructors_refuse_what_is_not_a_list(build, what):
+    # "10" would read as the row (1, 0), which its own witness splits.
+    with pytest.raises(ConfigError, match=f"expected a list of {what} entries"):
+        build(scalars())
+
+
+def test_one_entry_rows_are_refused_before_any_basis(monkeypatch):
+    alg = sphere()
+    monkeypatch.setattr(alg, "_unit_ideal", lambda elts: pytest.fail("a basis was asked for"))
+    with pytest.raises(ShapeError, match="rows must have length at least 2"):
+        check_unimodular(alg, ["x"])
+    with pytest.raises(ShapeError, match="rows must have length at least 2"):
+        row_from_witness(alg, ["x"], ["x"])
+
+
 def test_splitting_sphere_row():
     alg = sphere()
     row = check_unimodular(alg, ["x", "y", "z"])
@@ -165,6 +187,12 @@ def test_generator_refuses_indices_that_are_not_distinct_natural_ints(i, j):
     lam = scalars().one()
     with pytest.raises(ShapeError, match="bad elementary indices"):
         ElementaryGen(i, j, lam)
+
+
+@pytest.mark.parametrize("gen", [1, (0, 1, 1), None])
+def test_word_refuses_a_generator_that_is_not_one(gen):
+    with pytest.raises(ShapeError, match="must be ElementaryGen"):
+        ElementaryWord(3, (gen,))
 
 
 def test_word_concat_is_action_composition():
@@ -338,6 +366,17 @@ def test_mn_rejects_a_budget_below_one(budget):
     u = check_unimodular(alg, [1, "x"])
     with pytest.raises(ConfigError):
         mennicke_newman(u, u, shrink_budget=budget)
+
+
+@pytest.mark.parametrize("budget", [2.5, "5", None, True])
+def test_mn_and_vdk_refuse_a_budget_that_is_not_an_int(budget):
+    # (1, 0) + (1, 0) has the tail (0, 0), so the shrink step runs and
+    # would draw from the budget.
+    alg = scalars()
+    u = check_unimodular(alg, [1, 0])
+    for add in (mennicke_newman, vdk_add):
+        with pytest.raises(ConfigError, match="shrink budget must be an integer"):
+            add(u, u, shrink_budget=budget)
 
 
 def test_mn_rejects_unverified():

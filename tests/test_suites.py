@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from umrow import quadrics, rows, suites
 from umrow.algebra import RingHom
-from umrow.errors import ConfigError, NotUnimodular, NotWellDefined, ShapeError, UmrowError
+from umrow.errors import (
+    CertificateAssemblyFailed,
+    ConfigError,
+    NotUnimodular,
+    NotWellDefined,
+    ShapeError,
+    UmrowError,
+)
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import GroebnerBasis
 from umrow.suites import SuiteConfig, build_cases, run_suite
@@ -112,8 +120,8 @@ def _off_by_one_hom(source, target, images):
 
 
 # The engine functions the faults replace, as they were.
-_coefficients, _row_from_witness, _gen = (
-    GroebnerBasis._coefficients, quadrics.row_from_witness, rows.ElementaryGen
+_coefficients, _row_from_witness, _gen, _add_move = (
+    GroebnerBasis._coefficients, quadrics.row_from_witness, rows.ElementaryGen, quadrics.add_move
 )
 
 
@@ -148,6 +156,14 @@ def _shifted_gen(i, j, lam):
     return _gen(i, j, lam + 1)
 
 
+def _missed_add_move(i, j, lam):
+    """An addition that promises lam * entry i and whose word adds
+    (lam + 1) * entry i: the fold stage that uses it misses its promise."""
+    macro = _add_move(i, j, lam)
+    expand = macro.expand
+    return replace(macro, expand=lambda row: [_gen(i, j, g.lam + 1) for g in expand(row)])
+
+
 FAULTS = {
     "eta-relation": (2, "eta_hom", quadrics, "RingHom", _off_by_one_hom, NotWellDefined),
     "eta-ideal": (2, "segre_point", quadrics, "ideal_equal", _unequal_ideals, ShapeError),
@@ -158,7 +174,15 @@ FAULTS = {
     "mn-random": (2, "mennicke_newman", rows, "ElementaryGen", _shifted_gen, AssertionError),
     "mn-universal": (4, "mennicke_newman", rows, "ElementaryGen", _shifted_gen, AssertionError),
     "fold-witness": (4, "fold_model_row", quadrics, "row_from_witness", _doubled_pair_witness, NotUnimodular),
+    "fold-certificate": (4, "fold_model_certificate", quadrics, "add_move", _missed_add_move, CertificateAssemblyFailed),
 }
+
+
+def _run_alone(monkeypatch, name, n):
+    """The report of the one case ``name`` at ``n`` over Q."""
+    (row,) = [r for r in suites.CASES if r[1] == name]
+    monkeypatch.setattr(suites, "CASES", (row,))
+    return run_suite(SuiteConfig(row[0], n, n, RATIONALS, timing=False))
 
 
 @pytest.fixture
@@ -176,8 +200,6 @@ def fresh_quadric_caches():
 @pytest.mark.parametrize("name", FAULTS)
 def test_constructor_checks_fail_their_cases(monkeypatch, fresh_quadric_caches, name):
     n, engine, owner, attr, fault, error = FAULTS[name]
-    (row,) = [r for r in suites.CASES if r[1] == name]
-    monkeypatch.setattr(suites, "CASES", (row,))
     raised = []
     call = getattr(suites, engine)
 
@@ -190,8 +212,59 @@ def test_constructor_checks_fail_their_cases(monkeypatch, fresh_quadric_caches, 
 
     monkeypatch.setattr(suites, engine, recording)
     monkeypatch.setattr(owner, attr, fault)
-    report = run_suite(SuiteConfig(row[0], n, n, RATIONALS, timing=False))
-    (case,) = report.cases
+    (case,) = _run_alone(monkeypatch, name, n).cases
     assert case["status"] == "fail"
     assert [type(exc) for exc in raised] == [error]
     assert case["witness"] == str(raised[0])
+
+
+# -- no fact certified twice -----------------------------------------------------
+#
+# A case that a constructor certifies derives nothing again: no determinant
+# of a word (every generator is I + lam E_ij with i != j), no second replay
+# of the fold word, and no composite map built only to read its images.
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this fact is certified by the constructor")
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(5)])
+def test_mn_random_computes_no_determinant(monkeypatch, field):
+    monkeypatch.setattr(rows.ElementaryWord, "determinant", _refuse)
+    report = run_suite(SuiteConfig("rows", 2, 6, field, timing=False))
+    assert [c["n"] for c in report.cases if c["name"] == "mn-random"] == [2, 3, 4, 5, 6]
+    assert report.all_pass(), report.to_json()
+
+
+def test_fold_certificate_replays_its_word_once(monkeypatch):
+    monkeypatch.setattr(suites, "verify_certificate", _refuse)
+    report = _run_alone(monkeypatch, "fold-certificate", 4)
+    assert [(c["name"], c["status"]) for c in report.cases] == [("fold-certificate", "pass")]
+
+
+# Ring maps a case builds once the quadric caches are warm (``e_endo``,
+# ``mu_prime_hom``, ``build_q_*`` and ``gm_quadric`` are cached).
+MAPS_BUILT = {
+    # the evaluation at the base point
+    "e-basepoint": 1,
+    # the section to the base point
+    "mu-prime-basepoint": 1,
+    # degree_action, and mu_minus_one: an evaluation and its composite with mu
+    "degree-composite": 3,
+}
+
+
+@pytest.mark.parametrize("name", MAPS_BUILT)
+def test_image_checks_build_no_composite(monkeypatch, name):
+    assert _run_alone(monkeypatch, name, 3).all_pass()
+    built = []
+    init = RingHom.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingHom, "__init__", counting)
+    assert _run_alone(monkeypatch, name, 3).all_pass()
+    assert len(built) == MAPS_BUILT[name]
