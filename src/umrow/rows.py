@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 from .algebra import Algebra, AlgebraElement, _listed
 from .errors import ConfigError, NotInIdeal, NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
+from .fields import RATIONALS
+from .poly import PolyRing
 
 # Shrink candidates ``mennicke_newman`` tries before it gives up, unless told.
 SHRINK_BUDGET = 200
@@ -29,6 +32,7 @@ class UnimodularRow:
     verified: bool = False
 
     def __post_init__(self):
+        _require_tuple(self.entries, "row entries")
         if len(self.entries) < 2:
             raise ShapeError("rows must have length at least 2")
         for e in self.entries:
@@ -53,11 +57,19 @@ class SplittingRow:
     entries: tuple
 
     def __post_init__(self):
+        _require_tuple(self.entries, "splitting entries")
         if len(self.entries) != len(self.row.entries):
             raise ShapeError("splitting length differs from row length")
         parent = self.row.parent
         if parent.dot(self.row.entries, self.entries) != parent.one():
             raise NotUnimodular("proposed splitting does not sum to 1")
+
+
+def _require_tuple(values, what: str):
+    """Refuse ``values`` unless a tuple: a frozen value type holding a list
+    is unhashable, and one holding an iterator is emptied by its own check."""
+    if not isinstance(values, tuple):
+        raise ShapeError(f"{what} must be a tuple, got {type(values).__name__}")
 
 
 def _elements(parent: Algebra, values, what: str) -> tuple:
@@ -127,6 +139,7 @@ class ElementaryWord:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 2:
             raise ShapeError(f"words act on rows of length at least 2, got {self.n!r}")
+        _require_tuple(self.gens, "word generators")
         for g in self.gens:
             if not isinstance(g, ElementaryGen):
                 raise ShapeError(f"word generators must be ElementaryGen, got {g!r}")
@@ -386,6 +399,72 @@ def mennicke_newman(
     )
 
 
+def _sum_row_and_witness(x, tail, cs, ds):
+    """van der Kallen's sum row (x(1-x), a) and its witness
+    (c0 d0, x c0 d_i + c_i), from a splitting c of (x, a) and d of (1-x, a).
+    The one formula for both: ``_product_lemma`` evaluates it on free
+    symbols and ``_product_splitting`` on algebra elements."""
+    c0, d0 = cs[0], ds[0]
+    x_c0 = x * c0
+    row = (x * (1 - x),) + tuple(tail)
+    return row, (c0 * d0,) + tuple(x_c0 * d_i + c_i for c_i, d_i in zip(cs[1:], ds[1:]))
+
+
+@lru_cache(maxsize=32)  # row lengths; the suites and the benchmark use at most 8
+def _product_lemma(n: int) -> bool:
+    """Whether, for rows of length n, the sum witness pairs with the sum row
+    to x c0 r_v + r_u + 1, where r_u = (x, a).c - 1 and r_v = (1-x, a).d - 1
+    are the residuals of the two splittings.  Checked as an exact identity
+    in the free ring over Q on x, a_1..a_{n-1}, c_0..c_{n-1}, d_0..d_{n-1};
+    its coefficients are integers, so it holds in every commutative ring,
+    and the field does not enter the cache key."""
+    names = ["x"] + [f"a{i}" for i in range(1, n)]
+    names += [f"c{i}" for i in range(n)] + [f"d{i}" for i in range(n)]
+    ring = PolyRing(RATIONALS, names)
+    x, *symbols = ring.gens()
+    tail, cs, ds = tuple(symbols[: n - 1]), symbols[n - 1 : 2 * n - 1], symbols[2 * n - 1 :]
+    one = ring.one()
+    r_u = ring.dot((x,) + tail, cs) - one
+    r_v = ring.dot((one - x,) + tail, ds) - one
+    row, witness = _sum_row_and_witness(x, tail, cs, ds)
+    return ring.dot(row, witness) - one == x * cs[0] * r_v + r_u
+
+
+def _product_splitting(su: SplittingRow, sv: SplittingRow) -> SplittingRow:
+    """The splitting of the sum row (x(1-x), a) built from a splitting ``su``
+    of (x, a) and ``sv`` of (1-x, a).
+
+    Both residuals are zero, as ``su`` and ``sv`` are checked splittings, so
+    ``_product_lemma`` certifies the witness once the premises hold: one
+    parent and length, first entries adding to 1 and equal tails.  No dot
+    over the sum row is formed, and this is the one place a ``SplittingRow``
+    is made without the check of its ``__post_init__``.
+    """
+    if not (isinstance(su, SplittingRow) and isinstance(sv, SplittingRow)):
+        raise ShapeError(
+            "a product of splittings needs two SplittingRow, got "
+            f"{type(su).__name__} and {type(sv).__name__}"
+        )
+    parent = su.row.parent
+    if sv.row.parent != parent:
+        raise RingMismatch("splittings belong to different algebras")
+    n = len(su.entries)
+    if len(sv.entries) != n:
+        raise ShapeError("splittings have different lengths")
+    x, tail = su.row.entries[0], su.row.entries[1:]
+    if x + sv.row.entries[0] != parent.one():
+        raise ShapeError("the rows' first entries do not add to 1")
+    if tail != sv.row.entries[1:]:
+        raise ShapeError("the rows' tails differ")
+    if not _product_lemma(n):
+        raise AssertionError(f"the factored identity of the sum witness fails at length {n}")
+    entries, witness = _sum_row_and_witness(x, tail, su.entries, sv.entries)
+    split = object.__new__(SplittingRow)
+    object.__setattr__(split, "row", UnimodularRow(parent, entries, verified=True))
+    object.__setattr__(split, "entries", witness)
+    return split
+
+
 @dataclass(frozen=True)
 class VdkSum:
     """Sum row (x(1-x), a_2, ..., a_n) with the words that produced it.
@@ -415,24 +494,13 @@ def vdk_add(
     input rows' own, from ``compute_splitting(u)`` and ``compute_splitting(v)``
     (whose bases ``check_unimodular`` has usually cached), moved along the
     Mennicke-Newman words ``word_u`` and ``word_v``: no basis of (x, a) or
-    (1-x, a) is computed either.  Each moved splitting, and the witness, is
-    checked modulo the relations.
+    (1-x, a) is computed either.  Each moved splitting is checked modulo the
+    relations, and the witness is certified from the two by the factored
+    identity of ``_product_splitting``, with no dot over the sum row.
     """
-    parent = u.parent
-    dimension_ok = parent.dimension <= 2 * len(u.entries) - 4
+    dimension_ok = u.parent.dimension <= 2 * len(u.entries) - 4
     mn = mennicke_newman(u, v, seed=seed, shrink_budget=shrink_budget)
-    x = mn.x
-    one = parent.one()
-    sum_entries = (x * (one - x),) + mn.tail
-
     su = SplittingRow(mn.u_final, tuple(_move_splitting(compute_splitting(u).entries, mn.word_u)))
     sv = SplittingRow(mn.v_final, tuple(_move_splitting(compute_splitting(v).entries, mn.word_v)))
-    c0, cs = su.entries[0], su.entries[1:]
-    d0, ds = sv.entries[0], sv.entries[1:]
-    # su splits (x, a) and sv splits (1-x, a), so sum(a_i d_i) = 1 - (1-x) d0
-    # and the product x c0 d_i + (1-x) d0 c_i + c_i sum(a_k d_k) of the two
-    # splittings is x c0 d_i + c_i.
-    x_c0 = x * c0
-    witness = [c0 * d0] + [x_c0 * d_i + c_i for c_i, d_i in zip(cs, ds)]
-    row, split = row_from_witness(parent, sum_entries, witness)
-    return VdkSum(row, split, mn.word_u, mn.word_v, x, mn.tail, dimension_ok)
+    split = _product_splitting(su, sv)
+    return VdkSum(split.row, split, mn.word_u, mn.word_v, mn.x, mn.tail, dimension_ok)

@@ -10,7 +10,11 @@ change to how terms are stored then touches ``poly`` and ``fields`` alone.
 ``rows.py`` imports nothing from ``groebner``: ``Algebra`` reads every Bezout
 certificate a row needs.  ``cli.py`` and ``fileio.py`` read no ``rep``: they
 print an element with ``str``, so ``AlgebraElement.__str__`` alone decides
-its text."""
+its text.  A ``SplittingRow`` is made past the sum check of its
+``__post_init__`` (by ``object.__new__`` and ``object.__setattr__``) only in
+``rows._product_splitting``, whose factored identity certifies it; outside
+it no module sets a field of anything but ``self`` that way, so no second
+unchecked path can appear unseen."""
 
 from __future__ import annotations
 
@@ -86,6 +90,53 @@ def attribute_reads(names):
     return scan
 
 
+BYPASS = {"__new__", "__setattr__"}
+
+
+def bypass_calls(source: str) -> list:
+    """(line, enclosing function, target) of each call that makes or sets an
+    object past its constructor: ``__new__`` or ``__setattr__`` called as an
+    attribute, or through a name bound to one; the target is the text of
+    the first argument."""
+    tree = ast.parse(source)
+    aliases = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+        and node.value.attr in BYPASS
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and child.args:
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in BYPASS or name in aliases:
+                    kind = name if name in BYPASS else "__new__"
+                    found.append((child.lineno, function, kind, ast.unparse(child.args[0])))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def unchecked_builds(source: str, module: str) -> list:
+    """(line, function) of each call that could make a ``SplittingRow`` past
+    its check: in ``rows.py`` any bypass call, elsewhere a ``__new__`` of a
+    ``SplittingRow`` or a ``__setattr__`` on anything but ``self``."""
+    return [
+        (line, function)
+        for line, function, kind, target in bypass_calls(source)
+        if module == "rows.py"
+        or (kind == "__new__" and target.split(".")[-1] == "SplittingRow")
+        or (kind == "__setattr__" and target != "self")
+    ]
+
+
 term_tool_imports = module_imports({"operator", "math"})
 fraction_imports = module_imports({"fractions"})
 groebner_imports = package_imports("groebner")
@@ -117,6 +168,14 @@ def test_scanners_see_what_they_guard():
     assert fraction_part_reads(source) == [1, 2]
     source = "str(e.rep)\n[str(g.lam.rep) for g in w]\nrep = 1\nstr(e)\nx.representative"
     assert rep_reads(source) == [1, 2]
+    source = (
+        "_new = object.__new__\n"
+        "def f():\n    s = _new(Scalar)\n    t = object.__new__(rows.SplittingRow)\n"
+        "    object.__setattr__(t, 'row', r)\n"
+        "class C:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)\n"
+    )
+    assert [line for line, _ in unchecked_builds(source, "quadrics.py")] == [4, 5]
+    assert unchecked_builds(source, "rows.py") == [(3, "f"), (4, "f"), (5, "f"), (8, "__post_init__")]
 
 
 def test_only_poly_builds_polynomials():
@@ -151,3 +210,10 @@ def test_rows_imports_nothing_from_groebner():
 def test_cli_and_fileio_read_no_rep():
     for name in ("cli.py", "fileio.py"):
         assert rep_reads(SRC.joinpath(name).read_text()) == [], name
+
+
+def test_only_the_product_constructor_skips_the_splitting_check():
+    builds = {p.name: unchecked_builds(p.read_text(), p.name) for p in sorted(SRC.glob("*.py"))}
+    rows_builds = builds.pop("rows.py")
+    assert rows_builds and {function for _, function in rows_builds} == {"_product_splitting"}
+    assert {name: lines for name, lines in builds.items() if lines} == {}

@@ -6,7 +6,7 @@ import pytest
 
 from umrow import algebra, rows
 from umrow.algebra import make_algebra
-from umrow.errors import ConfigError, NotUnimodular, ShapeError, ShrinkFailed
+from umrow.errors import ConfigError, NotUnimodular, ShapeError, ShrinkFailed, UmrowError
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import GroebnerBasis
 from umrow.quadrics import build_q_odd, scalar_algebra, vtilde_ring
@@ -17,6 +17,8 @@ from umrow.rows import (
     SplittingRow,
     UnimodularRow,
     _move_splitting,
+    _product_lemma,
+    _product_splitting,
     _shrink_assignments,
     _shrink_pool,
     apply_word,
@@ -193,6 +195,24 @@ def test_generator_refuses_indices_that_are_not_distinct_natural_ints(i, j):
 def test_word_refuses_a_generator_that_is_not_one(gen):
     with pytest.raises(ShapeError, match="must be ElementaryGen"):
         ElementaryWord(3, (gen,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda alg, x, y: ElementaryWord(3, None),
+    lambda alg, x, y: ElementaryWord(3, [ElementaryGen(0, 1, x)]),
+    lambda alg, x, y: ElementaryWord(3, iter([ElementaryGen(0, 1, x)])),
+    lambda alg, x, y: UnimodularRow(alg, [x, y]),
+    lambda alg, x, y: UnimodularRow(alg, iter([x, y])),
+    lambda alg, x, y: SplittingRow(UnimodularRow(alg, (x, y)), [x, y]),
+    lambda alg, x, y: SplittingRow(UnimodularRow(alg, (x, y)), None),
+])
+def test_row_value_types_refuse_what_is_not_a_tuple(build):
+    # A frozen value holding a list would be unhashable and unequal to the
+    # same entries as a tuple; one holding an iterator would be emptied by
+    # its own check.
+    alg = sphere()
+    with pytest.raises(ShapeError, match="must be a tuple"):
+        build(alg, alg.var("x"), alg.var("y"))
 
 
 def test_word_concat_is_action_composition():
@@ -491,6 +511,122 @@ def test_vdk_q_odd_2_witness_sizes():
     result = vdk_add(u, v)
     assert [len(e.rep.terms) for e in result.row.entries] == [165, 49, 102]
     assert [len(e.rep.terms) for e in result.splitting.entries] == [2809, 1025, 3232]
+
+
+def moved_splittings(u, v):
+    """The splittings of (x, a) and (1-x, a) that ``vdk_add`` builds."""
+    mn = mennicke_newman(u, v)
+    su = SplittingRow(mn.u_final, tuple(_move_splitting(compute_splitting(u).entries, mn.word_u)))
+    sv = SplittingRow(mn.v_final, tuple(_move_splitting(compute_splitting(v).entries, mn.word_v)))
+    return su, sv
+
+
+def product_pairs(field):
+    """The sphere pair, the universal pairs of ``vtilde_ring(2..5)`` and
+    (x1, x2, x3) + (y1, y2, y3) on k[Q_5]."""
+    alg = make_algebra(field, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
+    pairs = [(check_unimodular(alg, ["x", "y", "z"]), check_unimodular(alg, ["y", "z", "x"]))]
+    pairs += [(vtilde_ring(n, field).x_row(), vtilde_ring(n, field).u_row()) for n in range(2, 6)]
+    q5 = build_q_odd(2, field).algebra
+    xs = [q5.var(f"x{i}") for i in (1, 2, 3)]
+    ys = [q5.var(f"y{i}") for i in (1, 2, 3)]
+    return pairs + [(row_from_witness(q5, xs, ys)[0], row_from_witness(q5, ys, xs)[0])]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_product_lemma_holds(n):
+    assert _product_lemma.__wrapped__(n)
+
+
+def test_product_lemma_is_checked_once_per_length_whatever_the_field():
+    # Its coefficients are integers, so one check at length n serves every
+    # field; the cache is bounded.
+    _product_lemma.cache_clear()
+    for field in (RATIONALS, prime_field(5), prime_field(32003)):
+        alg = make_algebra(field, ["x", "y", "z"], ["x^2 + y^2 + z^2 - 1"])
+        vdk_add(check_unimodular(alg, ["x", "y", "z"]), check_unimodular(alg, ["y", "z", "x"]))
+    info = _product_lemma.cache_info()
+    assert (info.misses, info.hits) == (1, 2) and info.maxsize is not None
+
+
+def test_product_lemma_refuses_a_wrong_witness_formula(monkeypatch):
+    formula = rows._sum_row_and_witness
+
+    def wrong(x, tail, cs, ds):
+        row, witness = formula(x, tail, cs, ds)
+        return row, witness[:-1] + (witness[-1] - cs[-1] + ds[-1],)
+
+    monkeypatch.setattr(rows, "_sum_row_and_witness", wrong)
+    assert not _product_lemma.__wrapped__(3)
+
+
+def test_product_splitting_needs_the_lemma(monkeypatch):
+    su, sv = moved_splittings(*product_pairs(RATIONALS)[0])
+    monkeypatch.setattr(rows, "_product_lemma", lambda n: False)
+    with pytest.raises(AssertionError, match="factored identity"):
+        _product_splitting(su, sv)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(5)], ids=["q", "fp5"])
+def test_factored_splitting_is_the_flat_one(field):
+    for u, v in product_pairs(field):
+        su, sv = moved_splittings(u, v)
+        alg = u.parent
+        x, tail = su.row.entries[0], su.row.entries[1:]
+        c, d = su.entries, sv.entries
+        witness = [c[0] * d[0]] + [x * c[0] * d[i] + c[i] for i in range(1, len(c))]
+        # ``row_from_witness`` builds the flat ``SplittingRow``, whose check
+        # is the dot over the sum row.
+        flat = row_from_witness(alg, [x * (alg.one() - x), *tail], witness)[1]
+        factored = _product_splitting(su, sv)
+        assert factored == flat
+        assert vdk_add(u, v).splitting == factored
+
+
+@pytest.mark.parametrize("first, second, match", [
+    ((2, 3), (2, 3), "first entries do not add to 1"),
+    ((2, 3, 0), (-1, 3, 5), "tails differ"),
+    ((2, 3), (-1, 3, 0), "different lengths"),
+])
+def test_product_splitting_refuses_rows_of_other_shapes(first, second, match):
+    alg = scalars()
+    su, sv = (compute_splitting(check_unimodular(alg, list(r))) for r in (first, second))
+    with pytest.raises(UmrowError, match=match):
+        _product_splitting(su, sv)
+
+
+def test_product_splitting_refuses_what_is_not_a_splitting():
+    alg = scalars()
+    u, v = check_unimodular(alg, [2, 3]), check_unimodular(alg, [-1, 3])
+    su, sv = compute_splitting(u), compute_splitting(v)
+    assert _product_splitting(su, sv).row.entries == (alg.element(-2), alg.element(3))
+    for bad in (v, sv.entries, None):
+        with pytest.raises(ShapeError, match="needs two SplittingRow"):
+            _product_splitting(su, bad)
+        with pytest.raises(ShapeError, match="needs two SplittingRow"):
+            _product_splitting(bad, sv)
+
+
+def test_vdk_add_forms_no_dot_over_the_sum_row(monkeypatch):
+    # Only the two moved splittings, of (x, a) and (1-x, a), are summed;
+    # the sum's witness is certified by the factored identity.
+    vt = vtilde_ring(2, RATIONALS)
+    for u, v in ((vt.x_row(), vt.u_row()), (check_unimodular(sphere(), ["x", "y", "z"]),
+                                             check_unimodular(sphere(), ["y", "z", "x"]))):
+        mn = mennicke_newman(u, v)
+        dotted = []
+        dot = algebra.Algebra.dot
+
+        def recording(alg, xs, ys):
+            dotted.append(tuple(xs))
+            return dot(alg, xs, ys)
+
+        monkeypatch.setattr(algebra.Algebra, "dot", recording)
+        result = vdk_add(u, v)
+        monkeypatch.undo()
+        assert mn.u_final.entries in dotted and mn.v_final.entries in dotted
+        assert result.row.entries not in dotted
+        assert set(dotted) <= {u.entries, v.entries, mn.u_final.entries, mn.v_final.entries}
 
 
 # -- certificates -----------------------------------------------------------------------
