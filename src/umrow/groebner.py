@@ -1,17 +1,20 @@
-"""Multivariate division, Buchberger's algorithm with cofactor tracking,
-and the ideal-level queries built on top of them.
+"""Multivariate division, reduced Groebner bases with cofactor tracking, and
+the ideal-level queries built on top of them.
 
-Every Groebner basis has an exact cofactor matrix expressing each basis
-element as a polynomial combination of the original generators; this is what
-makes Bezout lifts and splittings exact rather than merely decidable.
-``buchberger`` records how each element entered, and the rows are expanded
-from those records on first read, so a basis that is only reduced against
-never builds them.
+``buchberger`` computes the reduced basis by an incremental signature
+algorithm, so it reduces no pair that its criteria predict to reduce to
+zero.  Every Groebner basis has an exact cofactor matrix expressing each
+basis element as a polynomial combination of the original generators; this
+is what makes Bezout lifts and splittings exact rather than merely
+decidable.  ``buchberger`` records how each element entered, and the rows
+are expanded from those records on first read, so a basis that is only
+reduced against never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from bisect import insort
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 
@@ -166,14 +169,28 @@ class GroebnerBasis:
 
 
 def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Buchberger's algorithm with both pruning criteria and full cofactor
-    tracking.  Pair selection is by the sugar strategy (Giovini, Mora, Niesi,
-    Robbiano and Traverso, ISSAC 1991): pairs pop by (sugar, lcm degree, i,
-    j), so the output is deterministic for a fixed input and order.  The
-    sugar of a generator is its total degree, that of a pair the larger of
-    sugar_k + deg(lcm) - deg(lead_k) over its two elements, and an S-pair
-    remainder inherits its pair's sugar: on inhomogeneous input this keeps
-    the degrees, and with them the cofactor rows, from drifting upward.
+    """The reduced Groebner basis with cofactor tracking, by the incremental
+    signature algorithm G2V (Gao, Guan and Volny, ISSAC 2010) with the
+    criteria of Gao, Volny and Wang (Math. Comp. 85, 2016).
+
+    The nonzero generators enter one per round, by ascending total degree
+    (ties keep their input order).  In the round of f_i, G is the reduced
+    basis of the generators before it, and each new element v comes with a
+    signature, the lead monomial of some u with v = u * f_i modulo G.  The
+    round starts from f_i reduced by G, of signature 1.  J-pairs (an element
+    times the monomial that lifts its lead to the lcm with another lead, in
+    the larger of the two signatures) pop by (signature, lcm), smallest
+    first.  One is skipped when a lead of G, a Koszul signature or the
+    signature of an earlier reduction to zero divides its signature, when an
+    element of the round rewrites it (its signature divides the J-pair's and
+    its shifted lead is smaller than the lcm), or when its signature was
+    already taken.  A J-pair is queued with no element of G whose lead is
+    coprime to the new one, since that lead divides its signature.  The
+    J-pair is reduced regularly, by G or by an element of smaller shifted
+    signature (``_reduce``'s signature rule), and is discarded if only an
+    element of its own signature divides its lead.  The round's elements
+    then join G, which is inter-reduced (``_inter_reduce``).  The output is
+    deterministic for a fixed input and order.
 
     No cofactor row is built here.  Each element's entry, and each tail
     reduction, records how its row is made from earlier rows (the extended
@@ -187,112 +204,143 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     order = ring.check_order(order or ring.order)
     field = ring.field
     packing = ring.packing
+    divides, key = packing.divides, order.desc_key
     gens = ideal.generators
+    one, x0 = field.scalar(1), ring.one()
 
-    basis: list[Polynomial] = []
-    leads: list = []  # basis[k] split by ``_split_lead``
-    sugars: list[int] = []  # the sugar of basis[k]
-    # How each row is made, as ``GroebnerBasis`` reads it; until the tail
-    # reduction, steps[k] is the step of basis[k].
+    # How each row is made, as ``GroebnerBasis`` reads it.
     steps: list[tuple] = []
-    # Pending pairs: a heap pops them in (sugar, lcm degree, i, j) order,
-    # each entry carrying its lcm after that key, and the set answers the
-    # chain criterion's membership test.
+    # G: the reduced basis so far by descending lead, each element with its
+    # lead split by ``_split_lead`` and the step of its row.
+    basis: list[Polynomial] = []
+    leads: list = []
+    rows: list[int] = []
+    # The J-pairs of a round, by (signature, lcm, source).
     queue: list = []
-    pending: set = set()
-    # The first lead that may divide each monomial, for every S-pair
-    # reduction of this run: ``leads`` only grows while pairs are reduced.
-    divisor_memo: dict = {}
 
-    def enter(poly, sources, sugar):
-        """The one way into the basis: ``poly`` made monic, its step recorded
-        as ``sources`` and the inverse it was scaled by, its lead split once,
-        and its sugar.  A constant returns the unit ideal's basis; anything
-        else joins the basis and queues its pairs."""
+    def syzygy(h):
+        """Note the signature ``h`` of a syzygy, keeping the list minimal."""
+        if not any(divides(s, h) for s in syzygies):
+            syzygies[:] = [s for s in syzygies if not divides(h, s)] + [h]
+
+    def enter(poly, sources, sig):
+        """The one way into a round: ``poly`` made monic, its step recorded
+        as ``sources`` and the inverse it was scaled by, and its lead split
+        once.  A constant returns the unit ideal's basis; anything else
+        joins the round with signature ``sig``, its J-pairs queued and its
+        Koszul signatures noted."""
         _, inv_num, inv_den = _lead_inverse(poly, order)
         inv = _scalar(field, inv_num, inv_den)
-        poly = poly.scale(inv)
-        lead = _split_lead(poly, order)
         steps.append(sources + (inv,))
+        if inv_num != inv_den:  # not monic yet
+            poly = poly.scale(inv)
+        lead = _split_lead(poly, order)
         if lead[0] == 0:  # a constant: its lead monomial is 1
             return GroebnerBasis(ring, order, gens, steps, [poly], [lead], [len(steps) - 1])
-        j = len(basis)
-        basis.append(poly)
-        leads.append(lead)
-        sugars.append(sugar)
-        for i in range(j):
-            lcm = packing.lcm(leads[i][0], lead[0])
-            lcm_deg = packing.degree(lcm)
-            pair_sugar = lcm_deg + max(sugars[k] - packing.degree(leads[k][0]) for k in (i, j))
-            heappush(queue, (pair_sugar, lcm_deg, i, j, lcm))
-            pending.add((i, j))
+        lm, j = lead[0], len(polys)
+        for g_lead in leads:
+            lcm = packing.lcm(g_lead[0], lm)
+            if lcm != g_lead[0] + lm:
+                sig_j = lcm - lm + sig
+                heappush(queue, (-key(sig_j), -key(lcm), j, sig_j, lcm))
+        for k in range(j):
+            lcm = packing.lcm(rleads[k][0], lm)
+            sig_j, sig_k = lcm - lm + sig, lcm - rleads[k][0] + sigs[k]
+            if sig_j != sig_k:
+                src, sig_pair = (j, sig_j) if key(sig_j) < key(sig_k) else (k, sig_k)
+                heappush(queue, (-key(sig_pair), -key(lcm), src, sig_pair, lcm))
+            koszul = (rleads[k][0] + sig, lm + sigs[k])
+            if koszul[0] != koszul[1]:
+                syzygy(min(koszul, key=key))
+        polys.append(poly)
+        rleads.append(lead)
+        rsteps.append(len(steps) - 1)
+        sigs.append(sig)
 
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        if unit := enter(g, (i,), g.total_degree()):
-            return unit
-
-    while queue:
-        sugar, _, i, j, lcm = heappop(queue)
-        pending.remove((i, j))
-        lmi, lmj = leads[i][0], leads[j][0]
-        if lcm == lmi + lmj:
-            continue  # coprime leading monomials: S-polynomial reduces to 0
-        if any(
-            k != i
-            and k != j
-            and packing.divides(leads[k][0], lcm)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k in range(len(basis))
-        ):
-            continue  # chain criterion
-        xti = ring.term(lcm - lmi, 1)
-        xtj = ring.term(lcm - lmj, -1)
-        s = ring.dot((xti, xtj), (basis[i], basis[j]))
-        quots, rem = _reduce(s, leads, order, divisor_memo)
+    live = [i for i in range(len(gens)) if not gens[i].is_zero()]
+    for i in sorted(live, key=lambda i: gens[i].total_degree()):
+        g = gens[i]
+        quots, rem = ((), g) if _is_reduced(g, leads) else _reduce(g, leads, order)
         if rem.is_zero():
             continue
-        # rem = x^ti*basis[i] - x^tj*basis[j] - sum(quots[t]*basis[t]), and
-        # the new element is rem scaled to be monic.
-        nonzero = tuple((t, q) for t, q in enumerate(quots) if not q.is_zero())
-        if unit := enter(rem, (((i, xti), (j, xtj)), nonzero), sugar):
-            return unit
-
-    # Minimalize: keep only elements whose leading monomial no kept element
-    # divides; ascending processing makes the kept set deterministic.
-    # The sort is stable, so elements with equal leads keep their order.
-    ascending = sorted(
-        range(len(basis)), key=lambda t: order.desc_key(leads[t][0]), reverse=True
-    )
-    kept: list[int] = []
-    for idx in ascending:
-        if not any(packing.divides(leads[k][0], leads[idx][0]) for k in kept):
-            kept.append(idx)
-
-    final_polys = [basis[t] for t in kept]
-    final_steps = list(kept)  # the step of each element's current row
-
-    # Tail-reduce each element against the current versions of the others;
-    # leading terms are fixed.
-    final_leads = [leads[t] for t in kept]
-    one = field.scalar(1)
-    for pos in range(len(final_polys)):
-        others = [s for s in range(len(final_polys)) if s != pos]
-        if not others:
-            continue
-        quots, rem = _reduce(final_polys[pos], [final_leads[s] for s in others], order)
-        nonzero = tuple((final_steps[s], q) for s, q in zip(others, quots) if not q.is_zero())
+        # The round's elements with their signatures, and the minimal
+        # signatures of known syzygies, at first the leads of G.
+        polys, rleads, rsteps, sigs = [], [], [], []
+        syzygies = [lead[0] for lead in leads]
+        nonzero = tuple((rows[k], q) for k, q in enumerate(quots) if not q.is_zero())
         if nonzero:
-            steps.append((((final_steps[pos], ring.one()),), nonzero, one))
-            final_steps[pos] = len(steps) - 1
-        final_polys[pos] = rem
-        final_leads[pos] = _split_lead(rem, order)
+            steps.append((i, one))
+            sources = (((len(steps) - 1, x0),), nonzero)
+        else:
+            sources = (i,)
+        if unit := enter(rem, sources, 0):
+            return unit
+        taken = None
+        while queue:
+            _, _, src, sig, lcm = heappop(queue)
+            if sig == taken:
+                continue
+            taken = sig
+            if any(divides(h, sig) for h in syzygies):
+                continue
+            if any(
+                divides(sig_k, sig) and key(sig - sig_k + lead_k[0]) > key(lcm)
+                for sig_k, lead_k in zip(sigs, rleads)
+            ):
+                continue  # rewritten
+            xt = ring.term(lcm - rleads[src][0], 1)
+            rule = (len(leads), sigs, sig)
+            reduced = _reduce(ring.dot((xt,), (polys[src],)), leads + rleads, order, rule)
+            if reduced is None:
+                continue  # only an element of the same signature reduces its lead
+            quots, rem = reduced
+            if rem.is_zero():
+                syzygy(sig)
+                continue
+            owners = rows + rsteps
+            nonzero = tuple((owners[k], q) for k, q in enumerate(quots) if not q.is_zero())
+            if unit := enter(rem, (((rsteps[src], xt),), nonzero), sig):
+                return unit
+        basis, leads, rows = _inter_reduce(ring, order, steps, (basis, leads, rows), (polys, rleads, rsteps))
+    return GroebnerBasis(ring, order, gens, steps, basis, leads, rows)
 
-    ranked = sorted(range(len(final_polys)), key=lambda t: order.desc_key(final_leads[t][0]))
-    columns = (final_polys, final_leads, final_steps)
-    return GroebnerBasis(ring, order, gens, steps, *([col[t] for t in ranked] for col in columns))
+
+def _inter_reduce(ring, order, steps, old, new):
+    """The reduced basis at a round's end.  ``old`` is the reduced basis G
+    before the round and ``new`` the round's elements, each as (polys, split
+    leads, steps); together they form a Groebner basis.  No lead of G
+    divides a term of a new element, so the new elements are minimalized
+    against each other, ascending, and an old one needs work only if a kept
+    new lead divides one of its terms (``_is_reduced``): it is dropped if
+    that lead divides its own, and else tail-reduced.  A new element is
+    tail-reduced if another kept new lead divides one of its terms.  Each
+    tail reduction uses the current versions of the rest, records its step
+    and splits the lead again."""
+    packing, key = ring.packing, order.desc_key
+    polys, leads, rows = new
+    kept: list[int] = []
+    for t in sorted(range(len(polys)), key=lambda t: key(leads[t][0]), reverse=True):
+        if not any(packing.divides(leads[k][0], leads[t][0]) for k in kept):
+            kept.append(t)
+    new_leads = [leads[t] for t in kept]
+    members = []  # (poly, split lead, step, reduced) by descending lead
+    for poly, lead, row in zip(*old):
+        reduced = _is_reduced(poly, new_leads)
+        if reduced or not any(packing.divides(n[0], lead[0]) for n in new_leads):
+            members.append((poly, lead, row, reduced))
+    for t in kept:
+        reduced = _is_reduced(polys[t], [n for n in new_leads if n is not leads[t]])
+        insort(members, (polys[t], leads[t], rows[t], reduced), key=lambda e: key(e[1][0]))
+    polys, leads, rows, reduced = (list(col) for col in zip(*members))
+    for pos in range(len(polys)):
+        if reduced[pos]:
+            continue
+        others = [s for s in range(len(polys)) if s != pos]
+        quots, rem = _reduce(polys[pos], [leads[s] for s in others], order)
+        nonzero = tuple((rows[s], q) for s, q in zip(others, quots) if not q.is_zero())
+        steps.append((((rows[pos], ring.one()),), nonzero, ring.field.scalar(1)))
+        rows[pos], polys[pos], leads[pos] = len(steps) - 1, rem, _split_lead(rem, order)
+    return polys, leads, rows
 
 
 # Bases kept by ``groebner_basis``.  Two golden ``umrow verify --suite all

@@ -223,16 +223,10 @@ def _is_reduced(f: Polynomial, leads) -> bool:
     return True
 
 
-def _reduce(f: Polynomial, leads, order: MonomialOrder, memo: dict | None = None):
+def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None = None):
     """Core reduction loop shared by division, Buchberger and normal forms.
 
-    ``leads`` are the divisors split by ``_split_lead``.  ``memo`` maps a
-    monomial to the index of the first lead that may divide it: every lead
-    before that index has been tested and does not.  A caller that only ever
-    appends to ``leads`` may pass the same memo to every call, and a later
-    call then resumes each monomial's scan where the last one stopped: a
-    hit stays the first divisor, and a miss only tests the leads appended
-    since.  Without a memo the call uses a fresh one.  The remainder-to-be
+    ``leads`` are the divisors split by ``_split_lead``.  The remainder-to-be
     ``p`` holds plain ints over one common denominator ``D`` (at first
     ``f``'s own numerators and denominator; over F_p, unreduced residues
     over 1), and its monomials sit in a min-heap of bare ints, so each step
@@ -257,7 +251,16 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, memo: dict | None = None
     of its reduced terms' denominators, rescaled as ``p`` is, and that form
     is canonical already: a prime to its full power in the lcm divides some
     term's denominator fully, and so not that term's scaled numerator.  The
-    remainder is normalized once."""
+    remainder is normalized once.
+
+    ``signature`` is the rule of a signature-based basis, (first, sigs,
+    sigma): ``f`` has signature ``sigma`` and ``leads[first + j]`` has
+    signature ``sigs[j]``, all packed monomials ranked by ``order``.  A term
+    that no lead of ``leads[:first]`` divides is then reduced by the first
+    later divisor whose shifted signature (the term over its lead, times its
+    signature) is below ``sigma``, so the signature stays ``sigma``.  If
+    only later divisors of signature equal to ``sigma`` divide the leading
+    term, the call gives up and returns None."""
     ring = f.ring
     field = ring.field
     packing = ring.packing
@@ -266,10 +269,27 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, memo: dict | None = None
     shift = bits.bit_length()
     dkey = None if order.native else order.desc_key
     residue, ratio = field.residue, field.ratio
-    if memo is None:
-        memo = {}
     dms = [lead[0] for lead in leads]
     nleads = len(dms)
+    first = nleads
+    if signature is not None:
+        first, sigs, sigma = signature
+        key = order.desc_key
+        sigma_key = key(sigma)
+
+        def regular_divisor(m):
+            """The index of the first later lead that reduces m in a smaller
+            signature; else None if one of equal signature divides m, and
+            ``nleads`` if none divides it."""
+            equal = False
+            for j in range(first, nleads):
+                if not (m - dms[j]) & guards:
+                    s = m - dms[j] + sigs[j - first]
+                    if s == sigma:
+                        equal = True
+                    elif key(s) > sigma_key:
+                        return j
+            return None if equal else nleads
 
     p, D = dict(f._terms), f._den
     if dkey is None:
@@ -285,11 +305,15 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, memo: dict | None = None
         n = residue(p.pop(m))
         if not n:
             continue
-        start = idx = memo.get(m, 0)
-        while idx < nleads and (m - dms[idx]) & guards:
+        idx = 0
+        while idx < first and (m - dms[idx]) & guards:
             idx += 1
-        if idx != start:
-            memo[m] = idx
+        if idx == first != nleads:
+            idx = regular_divisor(m)
+            if idx is None:
+                if not rem:
+                    return None
+                idx = nleads
         if idx == nleads:
             rem[m] = n
             continue

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,12 +21,13 @@ from umrow.groebner import (
     ideal_equal,
     krull_dimension,
 )
-from umrow.poly import Grevlex, PolyRing, grevlex, lex
+from umrow.poly import Grevlex, PolyRing, _reduce, _split_lead, grevlex, lex
 from umrow.quadrics import vtilde_ring
 from umrow.rows import check_unimodular
 
 R2 = PolyRing(RATIONALS, ["x", "y"])
 R3 = PolyRing(RATIONALS, ["x", "y", "z"], "lex")
+FP = prime_field(32003)
 
 
 # Monomial arithmetic on the exponent tuples of the public ``terms`` and ``lead``.
@@ -193,51 +195,67 @@ def test_twisted_cubic_by_substitution_oracle():
     assert gb.contains(R3.parse("y^3 - z^2"))
 
 
-def _katsura4_fp():
-    ring = PolyRing(prime_field(32003), ["u0", "u1", "u2", "u3", "u4"])
+def _katsura(n, field):
+    ring = PolyRing(field, [f"u{i}" for i in range(n + 1)])
     u = ring.gens()
 
     def at(m):
-        return u[abs(m)] if abs(m) <= 4 else ring.zero()
+        return u[abs(m)] if abs(m) <= n else ring.zero()
 
-    gens = [sum((at(l) * at(m - l) for l in range(-4, 5)), -at(m)) for m in range(4)]
-    return Ideal.of(ring, gens + [u[0] + 2 * (u[1] + u[2] + u[3] + u[4]) - 1])
+    gens = [sum((at(l) * at(m - l) for l in range(-n, n + 1)), -at(m)) for m in range(n)]
+    return ring, gens + [sum(u[1:], ring.zero()) * 2 + u[0] - 1]
+
+
+def _count_reductions(monkeypatch):
+    """Every polynomial ``buchberger`` hands ``_reduce``, with the result, in
+    call order; a result is None for a lead that only an element of the same
+    signature divides."""
+    results = []
+    real = groebner._reduce
+
+    def reduce(f, *args):
+        results.append((f, real(f, *args)))
+        return results[-1][1]
+
+    monkeypatch.setattr(groebner, "_reduce", reduce)
+    return results
 
 
 @pytest.mark.parametrize(
     "ideal",
-    [_katsura4_fp(), ideal_of(R2, "x^2*y - 1", "x*y^2 - x", "0"), ideal_of(R2, "x", "2")],
+    [Ideal.of(*_katsura(4, FP)), ideal_of(R2, "x^2*y - 1", "x*y^2 - x", "0"), ideal_of(R2, "x", "2")],
     ids=["katsura-4", "unit-by-s-pair", "unit-generator"],
 )
 def test_each_lead_is_split_once(monkeypatch, ideal):
-    # Each element is split when it enters the basis and once more after its
-    # tail reduction; building the GroebnerBasis splits nothing.
-    split, nonzero_remainders = [], []
+    # Each element is split once per version that enters a basis: a
+    # generator reduced by the basis before it (the generator itself when it
+    # is reduced already), a J-pair's reduction, or a tail reduction.
+    # Building the GroebnerBasis splits nothing.
+    split, passed = [], []
 
     def split_lead(d, order):
         split.append(d)
         return real_split(d, order)
 
-    def reduce(*args):
-        quots, rem = real_reduce(*args)
-        if not rem.is_zero():
-            nonzero_remainders.append(rem)
-        return quots, rem
+    def is_reduced(f, leads):
+        if real_is_reduced(f, leads):
+            passed.append(f)
+            return True
+        return False
 
-    real_split, real_reduce = groebner._split_lead, groebner._reduce
+    real_split, real_is_reduced = groebner._split_lead, groebner._is_reduced
     monkeypatch.setattr(groebner, "_split_lead", split_lead)
-    monkeypatch.setattr(groebner, "_reduce", reduce)
+    monkeypatch.setattr(groebner, "_is_reduced", is_reduced)
+    results = _count_reductions(monkeypatch)
     gb = buchberger(ideal)
-    # Elements enter as the nonzero generators (the constant 2 comes last, so
-    # all of them enter) and as the nonzero remainders of S-pairs; each tail
-    # reduction leaves a nonzero remainder too.  Each is split once, and
-    # nothing else is.
-    generators = [g for g in ideal.generators if not g.is_zero()]
-    assert len(split) == len(generators) + len(nonzero_remainders)
+    # The constant 2 has the least degree, so it enters first and ends the run.
+    versions = [r[1] for _, r in results if r is not None and not r[1].is_zero()]
+    versions += [g for g in ideal.generators if any(f is g for f in passed)]
+    assert len(split) == len(versions)
     assert len({id(d) for d in split}) == len(split)
-    # The last splits are of the basis itself: the tail-reduced elements, or
-    # the constant of the unit ideal.
-    assert {id(d) for d in split[-len(gb.basis):]} == {id(g) for g in gb.basis}
+    # The basis is made of split versions: the reduced elements, or the
+    # constant of the unit ideal.
+    assert {id(g) for g in gb.basis} <= {id(d) for d in split}
 
 
 def test_empty_ideal_conventions():
@@ -300,17 +318,122 @@ def _cyclic(n, field):
     return ring, gens + [product(range(n)) - ring.one()]
 
 
-def test_sugar_keeps_cyclic5_rows_small():
-    # Cyclic-5 is not homogeneous: popping pairs by lcm degree alone lets
-    # the degrees drift up and left 14 844 cofactor terms; sugar leaves 6559.
-    ring, gens = _cyclic(5, prime_field(32003))
+def test_cyclic5_rows_stay_small():
+    # Cyclic-5 is not homogeneous.  A pair loop that popped pairs by lcm
+    # degree alone left 14 844 cofactor terms, and by sugar 6559; the
+    # signature loop, which reduces nothing to zero on it, leaves 1819.
+    ring, gens = _cyclic(5, FP)
     gb = buchberger(Ideal.of(ring, gens))
-    assert sum(len(c.terms) for row in gb.cofactors for c in row) <= 7000
+    assert sum(len(c.terms) for row in gb.cofactors for c in row) <= 2000
     for b, row in zip(gb.basis, gb.cofactors):
         assert ring.dot(row, gens) == b
 
 
-@pytest.mark.parametrize("field", [RATIONALS, prime_field(32003)], ids=str)
+# The gb-families benchmark's digests (sha256 of the sorted basis strings).
+FAMILY_DIGESTS = {
+    ("katsura", 5, RATIONALS): "ceaec6371429a13364cb331bbed4706ab00aed1a9c3b3f5baedc71bc2caf4972",
+    ("katsura", 5, FP): "4bfdc00e4a96623f52c282a5c0c21e1587501a9ab8c833ffa735c6ca5eb5774d",
+    ("cyclic", 5, RATIONALS): "a6f4f581bdccaa8c7075fb716f27e27e244972de2e93a615dc1ac58d56e03699",
+    ("cyclic", 5, FP): "3e0ed7e210d3de3b91f82305e263835176593f35603f51dd02011895afba665f",
+}
+# Cyclic-4 is left out: its ideal has a component of dimension 1, and
+# there a signature basis meets syzygies no criterion predicts.
+NO_ZERO_REDUCTION = [("katsura", n, field) for n in (4, 5) for field in (RATIONALS, FP)]
+NO_ZERO_REDUCTION += [("cyclic", 5, field) for field in (RATIONALS, FP)]
+
+
+def _family(name, n, field):
+    return Ideal.of(*(_katsura if name == "katsura" else _cyclic)(n, field))
+
+
+@pytest.mark.parametrize("name, n, field", FAMILY_DIGESTS, ids=lambda v: str(v))
+def test_family_bases_match_the_recorded_digests(name, n, field):
+    gb = buchberger(_family(name, n, field))
+    text = "\n".join(sorted(str(b) for b in gb.basis))
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[name, n, field]
+
+
+@pytest.mark.parametrize("name, n, field", NO_ZERO_REDUCTION, ids=lambda v: str(v))
+def test_no_reduction_ends_in_zero(monkeypatch, name, n, field):
+    # The signature criteria predict every reduction to zero on these
+    # systems; the pair loop before them reduced 55 of katsura-5's 73
+    # S-pairs to zero.
+    results = _count_reductions(monkeypatch)
+    buchberger(_family(name, n, field))
+    assert results
+    assert not any(r is not None and r[1].is_zero() for _, r in results)
+
+
+def test_a_lead_only_an_equal_signature_divides_is_discarded():
+    # ``_reduce``'s signature rule: g, in G, reduces every term; d, of
+    # signature 1, reduces a term only in a signature below that of f.  A
+    # leading term that only an equal signature divides ends the call with
+    # None; a tail term of that kind stays in the remainder.
+    order = R2.order
+    g, d = (_split_lead(R2.parse(t), order) for t in ("y^3 - 1", "x + 1"))
+    one, y, y2 = (R2.pack(e) for e in ((0, 0), (0, 1), (0, 2)))
+    f = R2.parse("x*y + y")  # x*y is y times d's lead: signature y * 1
+    assert _reduce(f, [g, d], order, (1, [one], y)) is None
+    quots, rem = _reduce(f, [g, d], order, (1, [one], y2))
+    assert rem.is_zero() and quots[1] == R2.parse("y")
+    quots, rem = _reduce(f, [g, d], order, (1, [one], one))
+    assert rem == f and all(q.is_zero() for q in quots)
+    # G reduces y^3 away first, and x*y then leads.
+    assert _reduce(R2.parse("y^3 + x*y"), [g, d], order, (1, [one], y)) is None
+    # x^3 leads and stays (signature x^2 is above y); x*y is then a tail term.
+    f = R2.parse("x^3 + x*y")
+    assert _reduce(f, [g, d], order, (1, [one], y)) == ([R2.zero(), R2.zero()], f)
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [ideal_of(R3, "x^2 - y", "x^3 - z"), Ideal.of(*_katsura(3, FP)), Ideal.of(*_cyclic(4, RATIONALS))],
+    ids=["twisted-cubic", "katsura-3", "cyclic-4"],
+)
+def test_lex_basis_is_the_reduced_basis(ideal):
+    # A reduced basis is unique: monic, no lead dividing a term of another
+    # element, in the ideal (its rows) and a Groebner basis of it (every
+    # generator and S-polynomial reduces to 0).
+    ring = ideal.ring
+    order = lex(ring.nvars)
+    gb = buchberger(ideal, order)
+    basis = list(gb.basis)
+    leads = [b.lead(order) for b in basis]
+    assert all(c == 1 for _, c in leads)
+    for k, b in enumerate(basis):
+        assert not any(mono_divides(lm, m) for t, (lm, _) in enumerate(leads) if t != k for m in b.terms)
+    for b, row in zip(basis, gb.cofactors):
+        assert ring.dot(row, ideal.generators) == b
+    for f in ideal.generators:
+        assert divide_with_remainder(f, basis, order)[1].is_zero()
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            lcm = mono_lcm(leads[i][0], leads[j][0])
+            shifts = [tuple(a - b for a, b in zip(lcm, lead)) for lead, _ in (leads[i], leads[j])]
+            s = basis[i].mul_term(shifts[0], 1) - basis[j].mul_term(shifts[1], 1)
+            assert divide_with_remainder(s, basis, order)[1].is_zero()
+    if ring is R3:
+        assert [str(b) for b in basis] == ["x^2 - y", "x*y - z", "x*z - y^2", "y^3 - z^2"]
+
+
+def test_already_reduced_generators_are_single_steps():
+    # The unit ideal (x2..x5, u2..u5, the three relations) of the universal
+    # ring for n = 5: each variable is reduced modulo the ones before it and
+    # is recorded as one step, generator times inverse; each relation is a
+    # generator step and its reduction, and the third reduces to -1.
+    alg = vtilde_ring(5, RATIONALS).algebra
+    ring = alg.ring
+    variables = [ring.var(f"{v}{i}") for v in "xu" for i in range(2, 6)]
+    gb = buchberger(Ideal.of(ring, variables + list(alg.relations)))
+    assert gb.is_unit_ideal()
+    steps = gb._steps
+    assert [step[0] for step in steps[:8]] == list(range(8)) and all(len(step) == 2 for step in steps[:8])
+    assert [len(step) for step in steps[8:]] == [2, 3] * 3
+    assert [step[0] for step in steps[8::2]] == [8, 9, 10]
+    assert ring.dot(gb.lift(ring.one()), gb.generators) == ring.one()
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FP], ids=str)
 def test_buchberger_and_its_rows_make_no_field_value(monkeypatch, field):
     # Each inverse `buchberger` records is a Scalar formed from the stored
     # ints, so a basis, its cofactor rows and a lift need no raw field value.
@@ -343,7 +466,7 @@ def _count_combine_rows(monkeypatch):
 
 @pytest.mark.parametrize(
     "ideal",
-    [_katsura4_fp(), Ideal.of(*_cyclic(5, prime_field(32003))), ideal_of(R2, "x^2*y - 1", "x*y^2 - x", "0")],
+    [Ideal.of(*_katsura(4, FP)), Ideal.of(*_cyclic(5, FP)), ideal_of(R2, "x^2*y - 1", "x*y^2 - x", "0")],
     ids=["katsura-4", "cyclic-5", "unit-by-s-pair"],
 )
 def test_cofactor_rows_are_expanded_on_first_read(monkeypatch, ideal):
@@ -375,23 +498,15 @@ def test_queries_that_read_no_rows_expand_none(monkeypatch):
 
 
 def test_lift_expands_only_the_ancestors_of_the_constant(monkeypatch):
-    # The pair (y^2 - z, y*z - 1) pops first and its remainder enters; the
-    # pair (x^3 + 1, x^3) then gives the constant, which descends from
-    # neither of the first two generators nor from that remainder.
+    # The round of y*z - 1 adds the J-pair element z^2 - y, whose row is a
+    # combination of the first two generators.  x^3 + 1 is reduced already,
+    # and x^3 then reduces by it to the constant, which descends from
+    # neither of the first two generators nor from that element.
     ring = PolyRing(RATIONALS, ["x", "y", "z"])
     ideal = ideal_of(ring, "y^2 - z", "y*z - 1", "x^3 + 1", "x^3")
-    remainders = []
-    real_reduce = groebner._reduce
-
-    def reduce(*args):
-        quots, rem = real_reduce(*args)
-        if not rem.is_zero():
-            remainders.append(rem)
-        return quots, rem
-
-    monkeypatch.setattr(groebner, "_reduce", reduce)
     gb = buchberger(ideal)
-    assert gb.is_unit_ideal() and len(remainders) == 2
+    combinations = [step for step in gb._steps if len(step) == 3]
+    assert gb.is_unit_ideal() and len(combinations) == 2
     calls = _count_combine_rows(monkeypatch)
     coeffs = gb.lift(ring.one())
     assert ring.dot(coeffs, ideal.generators) == ring.one()
@@ -463,16 +578,48 @@ def test_normal_form_short_circuit_examples(field):
         assert (gb.normal_form_with_quotients(f)[1] is f) == reduced
 
 
-def test_buchberger_never_takes_the_short_circuit(monkeypatch):
-    # Buchberger reduces S-pairs and tails with ``_reduce`` itself, and so
-    # must keep handing fresh remainders to ``_split_lead``.
-    def refuse(*args):
-        raise AssertionError("buchberger called the normal-form short-circuit")
+def test_inter_reduction_reduces_only_what_is_not_reduced(monkeypatch):
+    # At a round's end ``_inter_reduce`` checks each element with
+    # ``_is_reduced``: one that passes is kept as it stands, neither reduced
+    # nor split again, and only one that fails is tail-reduced (or dropped,
+    # when a new lead divides its own).
+    rounds, current = [], []
 
-    monkeypatch.setattr(groebner, "_is_reduced", refuse)
-    ring = PolyRing(prime_field(32003), ["x", "y", "z", "t"])
-    gb = buchberger(ideal_of(ring, "x^2 + y*z - t", "x*y - z^2 + 1", "y^2 - x*t"))
-    assert gb.basis
+    def inter_reduce(*args):
+        current.append({"passed": [], "failed": [], "reduced": [], "split": []})
+        out = real_inter_reduce(*args)
+        rounds.append(dict(current.pop(), basis=out[0]))
+        return out
+
+    def is_reduced(f, leads):
+        answer = real_is_reduced(f, leads)
+        if current:
+            current[-1]["passed" if answer else "failed"].append(f)
+        return answer
+
+    def reduce(f, *args):
+        if current:
+            current[-1]["reduced"].append(f)
+        return real_reduce(f, *args)
+
+    def split_lead(d, order):
+        if current:
+            current[-1]["split"].append(d)
+        return real_split(d, order)
+
+    real_inter_reduce, real_is_reduced = groebner._inter_reduce, groebner._is_reduced
+    real_reduce, real_split = groebner._reduce, groebner._split_lead
+    for name, spy in (("_inter_reduce", inter_reduce), ("_is_reduced", is_reduced), ("_reduce", reduce),
+                      ("_split_lead", split_lead)):
+        monkeypatch.setattr(groebner, name, spy)
+    gb = buchberger(Ideal.of(*_katsura(4, FP)))
+    assert len(gb.basis) == 13
+    assert all(r["passed"] for r in rounds) and any(r["reduced"] for r in rounds)
+    for r in rounds:
+        for f in r["passed"]:
+            assert not any(g is f for g in r["reduced"] + r["split"])
+            assert any(g is f for g in r["basis"])
+        assert all(any(g is f for f in r["failed"]) for g in r["reduced"])
 
 
 # -- membership, lifts, equality -------------------------------------------------

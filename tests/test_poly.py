@@ -11,7 +11,7 @@ from umrow.algebra import make_algebra
 from umrow.errors import ConfigError, ExponentOverflow, FieldMismatch, ParseError, RingMismatch
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, buchberger, divide_with_remainder
-from umrow.poly import FIELD_BITS, MAX_DEGREE, MAX_NESTING, PolyRing, _reduce, _split_lead, grevlex, lex
+from umrow.poly import FIELD_BITS, MAX_DEGREE, MAX_NESTING, PolyRing, grevlex, lex
 
 R2 = PolyRing(RATIONALS, ["x", "y"])
 R3 = PolyRing(RATIONALS, ["x", "y", "z"])
@@ -584,43 +584,3 @@ def test_packing_lcm_is_the_fieldwise_max(nvars):
             highest = max(highest, packing.degree(lcm))
     # Two pure powers of different variables reach the largest lcm degree.
     assert highest == (2 * MAX_DEGREE if nvars > 1 else MAX_DEGREE if nvars else 0)
-
-
-def test_a_shared_divisor_memo_gives_the_fresh_scan():
-    ring = R3
-    order = ring.order
-    leads = [_split_lead(ring.parse("x^2 - y"), order)]
-    memo: dict = {}
-    yz = ring.parse("y*z")._terms.popitem()[0]
-
-    def reduce_both(text):
-        f = ring.parse(text)
-        shared, fresh = _reduce(f, leads, order, memo), _reduce(f, leads, order)
-        assert shared == fresh
-        assert [q.terms for q in shared[0]] == [q.terms for q in fresh[0]]
-        return shared
-
-    quots, rem = reduce_both("x^3 + y*z + z")
-    assert rem == ring.parse("x*y + y*z + z") and memo[yz] == 1  # y*z missed the one lead
-    # A lead dividing y*z is appended; the next call resumes y*z's scan at
-    # it and finds it, as a fresh scan does.
-    leads.append(_split_lead(ring.parse("y*z - x"), order))
-    quots, rem = reduce_both("x^3 + y*z + z")
-    assert quots[1] == ring.one() and rem == ring.parse("x*y + x + z")
-
-    # The same, seeded: leads grow between calls that share one memo.
-    for field in (RATIONALS, prime_field(32003)):
-        ring = PolyRing(field, ["a", "b", "c", "d"])
-        order, memo, leads = ring.order, {}, []
-        rng = random.Random(f"memo {field}")
-        hits = 0
-        for _ in range(40):
-            terms = random_terms(rng, 4, field, 3, 3)
-            if terms and rng.random() < 0.5:
-                leads.append(_split_lead(ring.from_terms(terms), order))
-            f = ring.from_terms(random_terms(rng, 4, field, 6, 5))
-            shared, fresh = _reduce(f, leads, order, memo), _reduce(f, leads, order)
-            assert shared == fresh
-            assert [q.terms for q in shared[0]] == [q.terms for q in fresh[0]]
-            hits += sum(not q.is_zero() for q in shared[0])
-        assert len(leads) > 10 and hits > 20
