@@ -23,7 +23,7 @@ from .errors import ConfigError, UmrowError
 from .fields import field_from_text
 from .fileio import load_algebra, load_rows_bundle, row_to_json, word_to_json
 from .groebner import groebner_basis
-from .poly import ORDERS
+from .poly import grevlex, lex
 from .quadrics import (
     FOLD_CERTIFICATE_FIRST_N,
     degree_action,
@@ -42,6 +42,10 @@ from .quadrics import (
 )
 from .rows import SHRINK_BUDGET, vdk_add
 from .suites import SuiteConfig, run_suite
+
+
+# Each monomial order's name and its constructor, for ``umrow gb --order``.
+ORDERS = {"lex": lex, "grevlex": grevlex}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,8 @@ from pathlib import Path
 from .algebra import Algebra
 from .errors import ConfigError, DivisionByZero, ExponentOverflow, ParseError, ShapeError, UmrowError
 from .fields import RATIONALS, FieldConfig, prime_field
-from .rows import ElementaryGen, ElementaryWord, UnimodularRow, _is_int, check_unimodular
+from .poly import _is_int
+from .rows import ElementaryGen, ElementaryWord, UnimodularRow, check_unimodular
 
 
 def field_from_json(spec) -> FieldConfig:

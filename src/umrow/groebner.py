@@ -187,9 +187,10 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     already taken.  A J-pair is queued with no element of G whose lead is
     coprime to the new one, since that lead divides its signature.  The
     J-pair is reduced regularly, by G or by an element of smaller shifted
-    signature (``_reduce``'s signature rule), and is discarded if only an
-    element of its own signature divides its lead.  The round's elements
-    then join G, which is inter-reduced (``_inter_reduce``).  The output is
+    signature (``_reduce``'s signature rule); the criteria leave it no lead
+    that only an element of its own signature divides.  The round's
+    elements then join G, which is inter-reduced (``_inter_reduce``).  The
+    output is
     deterministic for a fixed input and order.
 
     No cofactor row is built here.  Each element's entry, and each tail
@@ -290,10 +291,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
                 continue  # rewritten
             xt = ring.term(lcm - rleads[src][0], 1)
             rule = (len(leads), sigs, sig)
-            reduced = _reduce(ring.dot((xt,), (polys[src],)), leads + rleads, order, rule)
-            if reduced is None:
-                continue  # only an element of the same signature reduces its lead
-            quots, rem = reduced
+            quots, rem = _reduce(ring.dot((xt,), (polys[src],)), leads + rleads, order, rule)
             if rem.is_zero():
                 syzygy(sig)
                 continue

@@ -9,11 +9,11 @@ stored monomial.  So a product of monomials is one ``+``, a quotient one
 ``-``, and ``d`` divides ``m`` exactly when ``(m - d) & guards`` is zero: a
 field that would go negative borrows into its guard bit.  The degree sits
 on top, so packed ints compare by degree first, and ``m ^ low`` (the
-variable fields complemented) ranks monomials in graded reverse lex with
-declaration precedence.  A stored monomial has total degree at most
-``MAX_DEGREE``; an operation whose result would go beyond it raises
-``ExponentOverflow``, so no field ever carries into the next.  The layout
-depends only on the variable count.
+variable fields complemented) ranks monomials in graded reverse lex, the
+first declared variable most significant.  A stored monomial has total
+degree at most ``MAX_DEGREE``; an operation whose result would go beyond it
+raises ``ExponentOverflow``, so no field ever carries into the next.  The
+layout depends only on the variable count.
 
 The coefficients are stored in integral form: plain ints over one positive
 denominator per polynomial, with the gcd of the denominator and every
@@ -166,12 +166,17 @@ def _sum_of_products(pairs, ring: PolyRing) -> Polynomial:
     return Polynomial(ring, out, den)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _power(base, exp, one):
     """``base ** exp`` by square and multiply, for polynomials and algebra
     elements alike; ``one()`` makes the result of exponent 0.  The result
     starts as the first power of two it needs, not as 1, so ``base ** 1``
     is ``base`` and no product by 1 is formed."""
-    if not isinstance(exp, int) or exp < 0:
+    if not _is_int(exp) or exp < 0:
         raise ConfigError(f"exponent {exp!r} is not a non-negative integer")
     result = None
     while exp:
@@ -231,14 +236,13 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
     ``f``'s own numerators and denominator; over F_p, unreduced residues
     over 1), and its monomials sit in a min-heap of bare ints, so each step
     pops the leading term instead of rescanning ``p``, and each monomial is
-    keyed once, when it first enters.  Under the ring's native order (graded
-    reverse lex with declaration precedence) the entry is ``-(m ^ low)``
-    itself; under any other order it is ``order.desc_key(m)`` shifted above
-    the same bits, and one mask recovers ``m`` either way.  A step reads the
-    popped int as a stored numerator (``field.residue``) and skips it if
-    zero (cancelled, or over F_p a multiple of p).  The quotient term is
-    n * inv_num / (D * inv_den), reduced by ``field.ratio`` to a pair of
-    ints with no field value made.  Each negated tail term is then added
+    keyed once, when it first enters.  Under graded reverse lex (``native``)
+    the entry is ``-(m ^ low)`` itself; under lex it is ``order.desc_key(m)``
+    shifted above the same bits, and one mask recovers ``m`` either way.  A
+    step reads the popped int as a stored numerator (``field.residue``) and
+    skips it if zero (cancelled, or over F_p a multiple of p).  The quotient
+    term is n * inv_num / (D * inv_den), reduced by ``field.ratio`` to a pair
+    of ints with no field value made.  Each negated tail term is then added
     times the quotient's numerator as a plain int; first, if the quotient's
     denominator times the tail's does not divide ``D``, all of ``p`` and of
     the remainder so far is rescaled to the lcm.  A cancelled monomial keeps
@@ -258,9 +262,8 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
     signature ``sigs[j]``, all packed monomials ranked by ``order``.  A term
     that no lead of ``leads[:first]`` divides is then reduced by the first
     later divisor whose shifted signature (the term over its lead, times its
-    signature) is below ``sigma``, so the signature stays ``sigma``.  If
-    only later divisors of signature equal to ``sigma`` divide the leading
-    term, the call gives up and returns None."""
+    signature) is below ``sigma``, so the signature stays ``sigma``; a term
+    that no such divisor reduces stays in the remainder."""
     ring = f.ring
     field = ring.field
     packing = ring.packing
@@ -279,17 +282,11 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
 
         def regular_divisor(m):
             """The index of the first later lead that reduces m in a smaller
-            signature; else None if one of equal signature divides m, and
-            ``nleads`` if none divides it."""
-            equal = False
+            signature, else ``nleads``."""
             for j in range(first, nleads):
-                if not (m - dms[j]) & guards:
-                    s = m - dms[j] + sigs[j - first]
-                    if s == sigma:
-                        equal = True
-                    elif key(s) > sigma_key:
-                        return j
-            return None if equal else nleads
+                if not (m - dms[j]) & guards and key(m - dms[j] + sigs[j - first]) > sigma_key:
+                    return j
+            return nleads
 
     p, D = dict(f._terms), f._den
     if dkey is None:
@@ -310,10 +307,6 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
             idx += 1
         if idx == first != nleads:
             idx = regular_divisor(m)
-            if idx is None:
-                if not rem:
-                    return None
-                idx = nleads
         if idx == nleads:
             rem[m] = n
             continue
@@ -345,23 +338,23 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order on packed monomials, with a precedence permutation
-    listing variable indices from most to least significant.  Each subclass
-    defines one int sort key, ``desc_key``: a smaller key means a larger
-    monomial, so sorting by it lists monomials in descending order and a
-    min-heap of these keys pops the largest first.  An order is ``native``
-    when ``m ^ packing.low`` already ranks packed monomials its way; then
-    ``largest``, ``descending`` and ``_reduce`` call no key."""
+    """A monomial order on the packed monomials of ``nvars`` variables, the
+    first declared variable most significant.  Each subclass defines one int
+    sort key, ``desc_key``: a smaller key means a larger monomial, so
+    sorting by it lists monomials in descending order and a min-heap of
+    these keys pops the largest first.  An order is ``native`` when its key
+    is ``-(m ^ packing.low)``, the packed int's own ranking; then
+    ``largest``, ``descending`` and ``_reduce`` call no key.  A width that
+    is not a non-negative int raises ``ConfigError``."""
 
-    precedence: tuple
+    nvars: int
 
     native = False
 
     def __post_init__(self):
-        precedence = self.precedence
-        if not all(type(i) is int for i in precedence) or sorted(precedence) != list(range(len(precedence))):
-            raise ConfigError(f"precedence {precedence} is not a permutation of variable indices")
-        object.__setattr__(self, "packing", _packing(len(self.precedence)))
+        if not _is_int(self.nvars) or self.nvars < 0:
+            raise ConfigError(f"order width {self.nvars!r} is not a non-negative integer")
+        object.__setattr__(self, "packing", _packing(self.nvars))
 
     def largest(self, monos: dict | list) -> int:
         if self.native:
@@ -377,50 +370,37 @@ class MonomialOrder:
 class Lex(MonomialOrder):
     def __post_init__(self):
         super().__post_init__()
-        # The exponents in precedence order, most significant first, each in
-        # a 16-bit field: a larger int is a larger monomial.
-        object.__setattr__(self, "_ranked", struct.Struct(f">{len(self.precedence)}H"))
+        # The exponents, first variable most significant, each in a 16-bit
+        # field: a larger int is a larger monomial.
+        object.__setattr__(self, "_ranked", struct.Struct(f">{self.nvars}H"))
 
     def desc_key(self, m: int) -> int:
-        exps = self.packing.unpack(m)
-        return -int.from_bytes(self._ranked.pack(*[exps[i] for i in self.precedence]), "big")
+        return -int.from_bytes(self._ranked.pack(*self.packing.unpack(m)), "big")
 
 
 class Grevlex(MonomialOrder):
-    def __post_init__(self):
-        super().__post_init__()
-        declared = self.precedence == tuple(range(len(self.precedence)))
-        object.__setattr__(self, "_declared", declared)
-        # A subclass may key differently, so only Grevlex itself is native.
-        object.__setattr__(self, "native", declared and type(self) is Grevlex)
+    native = True
 
     def desc_key(self, m: int) -> int:
-        packing = self.packing
-        if not self._declared:
-            exps = packing.unpack(m)
-            m = packing.pack([exps[i] for i in self.precedence])
-        return -(m ^ packing.low)
+        return -(m ^ self.packing.low)
 
 
-def lex(nvars: int, precedence: Sequence[int] | None = None) -> Lex:
-    return Lex(tuple(precedence) if precedence else tuple(range(nvars)))
+def lex(nvars: int) -> Lex:
+    return Lex(nvars)
 
 
-def grevlex(nvars: int, precedence: Sequence[int] | None = None) -> Grevlex:
-    return Grevlex(tuple(precedence) if precedence else tuple(range(nvars)))
-
-
-# Each order's name and its constructor, for rings and the command line.
-ORDERS = {"lex": lex, "grevlex": grevlex}
+def grevlex(nvars: int) -> Grevlex:
+    return Grevlex(nvars)
 
 
 class PolyRing:
-    """A polynomial ring: coefficient field, named variables, default order,
-    and the packing of its monomials."""
+    """A polynomial ring: coefficient field, named variables and the packing
+    of its monomials.  Its ``order``, graded reverse lex, ranks its printed
+    terms and is the Groebner entry points' default."""
 
     __slots__ = ("field", "vars", "order", "packing", "_index")
 
-    def __init__(self, field: FieldConfig, variables: Sequence[str], order="grevlex"):
+    def __init__(self, field: FieldConfig, variables: Sequence[str]):
         names = tuple(variables)
         for name in names:
             if not isinstance(name, str) or not _NAME.fullmatch(name):
@@ -429,23 +409,16 @@ class PolyRing:
             raise DuplicateVariable(f"repeated variable name in {names}")
         self.field = field
         self.vars = names
-        if isinstance(order, str):
-            if order not in ORDERS:
-                raise ConfigError(f"unknown monomial order {order!r} (expected one of {', '.join(ORDERS)})")
-            order = ORDERS[order](len(names))
-        self.order = order
+        self.order = Grevlex(len(names))
         self.packing = _packing(len(names))
         self._index = {name: i for i, name in enumerate(names)}
-        self.check_order(self.order)
 
     def check_order(self, order: MonomialOrder) -> MonomialOrder:
         """``order``, if it ranks exactly this ring's variables; an order of
         another width would tie distinct monomials, and division by such
         ties never ends."""
-        if len(order.precedence) != len(self.vars):
-            raise RingMismatch(
-                f"order on {len(order.precedence)} variables for a ring with {len(self.vars)}"
-            )
+        if order.nvars != len(self.vars):
+            raise RingMismatch(f"order on {order.nvars} variables for a ring with {len(self.vars)}")
         return order
 
     @property
@@ -477,7 +450,7 @@ class PolyRing:
         if len(exps) != self.nvars:
             raise RingMismatch(f"monomial width {len(exps)} != {self.nvars}")
         for e in exps:
-            if not isinstance(e, int) or e < 0:
+            if not _is_int(e) or e < 0:
                 raise ConfigError(f"exponent {e!r} in {exps} is not a non-negative integer")
         return self.packing.pack(exps)
 
@@ -500,7 +473,7 @@ class PolyRing:
 
     def var(self, name_or_index) -> "Polynomial":
         i = self._index.get(name_or_index) if isinstance(name_or_index, str) else name_or_index
-        if not isinstance(i, int) or i not in range(self.nvars):
+        if not _is_int(i) or i not in range(self.nvars):
             raise RingMismatch(f"no variable {name_or_index!r} in {self.vars}")
         return Polynomial(self, {1 << FIELD_BITS * i | 1 << self.packing.top: 1})
 
@@ -592,11 +565,11 @@ class Polynomial:
         return _scalar(self.ring.field, terms.get(0, 0), self._den)
 
     def lead(self, order: MonomialOrder | None = None):
-        """Leading (exponent tuple, coefficient) under ``order``; None when
-        zero."""
+        """Leading (exponent tuple, coefficient) under ``order``, checked by
+        ``PolyRing.check_order``; None when zero."""
         if not self._terms:
             return None
-        m = (order or self.ring.order).largest(self._terms)
+        m = self.ring.check_order(order or self.ring.order).largest(self._terms)
         return self.ring.packing.unpack(m), self.ring.field.value(self._terms[m], self._den)
 
     def coeff(self, mono):

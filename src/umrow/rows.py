@@ -16,7 +16,7 @@ from itertools import islice
 from .algebra import Algebra, AlgebraElement, _listed
 from .errors import ConfigError, NotInIdeal, NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
 from .fields import RATIONALS
-from .poly import PolyRing
+from .poly import PolyRing, _is_int
 
 # Shrink candidates ``mennicke_newman`` tries before it gives up, unless told.
 SHRINK_BUDGET = 200
@@ -107,11 +107,6 @@ def compute_splitting(row: UnimodularRow) -> SplittingRow:
         return SplittingRow(row, tuple(row.parent._lift(1, row.entries)))
     except NotInIdeal:
         raise NotUnimodular("row is not unimodular") from None
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an int and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, fields
 from .algebra import Algebra, RingHom
 from .errors import ConfigError, UmrowError
 from .fields import FieldConfig
+from .poly import _is_int
 from .quadrics import (
     FOLD_CERTIFICATE_FIRST_N,
     FOLD_CERTIFICATE_REFUSAL,
@@ -55,7 +56,6 @@ from .rows import (
     ElementaryGen,
     ElementaryWord,
     OrbitCertificate,
-    _is_int,
     check_unimodular,
     compute_splitting,
     mennicke_newman,

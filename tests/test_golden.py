@@ -25,7 +25,7 @@ from umrow.algebra import adjoin_unit_variable, make_algebra
 from umrow.cli import MORPHISMS, main
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, buchberger
-from umrow.poly import PolyRing
+from umrow.poly import PolyRing, grevlex, lex
 from umrow.quadrics import build_q_odd, scalar_algebra, vtilde_ring
 from umrow.rows import check_unimodular, compute_splitting, mennicke_newman
 from umrow.suites import SuiteConfig, random_scalar_row, run_suite
@@ -124,7 +124,7 @@ def _cyclic4(field):
 
 
 def _random_ideal(rng, field, order):
-    ring = PolyRing(field, ["x", "y", "z"], order)
+    ring = PolyRing(field, ["x", "y", "z"])
     gens = []
     for _ in range(rng.randint(2, 3)):
         terms = {}
@@ -132,48 +132,50 @@ def _random_ideal(rng, field, order):
             mono = tuple(rng.randint(0, 2) for _ in range(3))
             terms[mono] = field.scalar(rng.randint(-3, 3)).value
         gens.append(ring.from_terms(terms))
-    return ring, gens
+    return ring, gens, order(3)
 
 
-def _text(p):
-    return repr([(m, str(c)) for m, c in p.sorted_terms()])
+def _text(p, order):
+    """The terms of ``p``, largest first under ``order``."""
+    terms = sorted(p.terms.items(), key=lambda t: order.desc_key(p.ring.pack(t[0])))
+    return repr([(m, str(c)) for m, c in terms])
 
 
 def _problems():
-    # katsura-4 and cyclic-4 over Q and F_32003 (grevlex), and 36 seeded
-    # random ideals in three variables over Q, F_32003 and F_5 under lex and
-    # grevlex.
+    # (ring, generators, order): katsura-4 and cyclic-4 over Q and F_32003
+    # under grevlex, and 36 seeded random ideals in three variables over Q,
+    # F_32003 and F_5 under lex and grevlex.
     problems = []
     for field in (RATIONALS, prime_field(32003)):
-        problems += [_katsura4(field), _cyclic4(field)]
+        problems += [(*_katsura4(field), grevlex(5)), (*_cyclic4(field), grevlex(4))]
     rng = random.Random(7)
     for field in (RATIONALS, prime_field(32003), prime_field(5)):
-        for order in ("lex", "grevlex"):
+        for order in (lex, grevlex):
             problems += [_random_ideal(rng, field, order) for _ in range(6)]
     return problems
 
 
 def test_reduced_bases_digest():
     digest = hashlib.sha256()
-    for ring, gens in _problems():
-        for b in buchberger(Ideal.of(ring, gens)).basis:
-            digest.update(_text(b).encode())
+    for ring, gens, order in _problems():
+        for b in buchberger(Ideal.of(ring, gens), order).basis:
+            digest.update(_text(b, order).encode())
     assert digest.hexdigest() == "8c96779b31dafd810fe43f92f0c878dfc3e99067965a4bc0ba2bb5c1787c3ad4"
 
 
 def test_bases_cofactors_and_lifts_digest():
     # Reduced bases, cofactor rows and three lifts each of the problems above.
     digest = hashlib.sha256()
-    for ring, gens in _problems():
-        gb = buchberger(Ideal.of(ring, gens))
+    for ring, gens, order in _problems():
+        gb = buchberger(Ideal.of(ring, gens), order)
         for b, row in zip(gb.basis, gb.cofactors):
-            digest.update(_text(b).encode())
+            digest.update(_text(b, order).encode())
             for c in row:
-                digest.update(_text(c).encode())
+                digest.update(_text(c, order).encode())
         queries = [gens[0] * gens[-1], gens[0] * ring.var(0) + gens[1], gb.basis[-1]]
         for f in queries:
             for c in gb.lift(f):
-                digest.update(_text(c).encode())
+                digest.update(_text(c, order).encode())
     assert digest.hexdigest() == "6259e6aeb90b6792c68d54b1d763e10b5ee5f6d2725dde9d9e17bc9a0d55eee9"
 
 
