@@ -17,7 +17,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import (
-    ConfigError,
     DuplicateVariable,
     NotInIdeal,
     NotWellDefined,
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .fields import _COEFFICIENTS, FieldConfig
 from .groebner import Ideal, groebner_basis, krull_dimension
-from .poly import PolyRing, Polynomial, _power
+from .poly import PolyRing, Polynomial, _listed, _power
 
 
 class Algebra:
@@ -34,7 +33,7 @@ class Algebra:
     elements are normal forms under graded reverse lex."""
 
     def __init__(self, field: FieldConfig, variables, relations):
-        self.ring = PolyRing(field, _listed(variables, str, "variable names"))
+        self.ring = PolyRing(field, variables)
         rels = []
         for r in _listed(relations, (str, Polynomial), "relations (texts or polynomials)"):
             poly = self.ring.parse(r) if isinstance(r, str) else r
@@ -108,13 +107,16 @@ class Algebra:
     def dot(self, xs, ys) -> "AlgebraElement":
         """sum(x_i * y_i), reduced once: normal forms are linear, so this is
         the sum of the reduced products."""
-        reps = self.ring.dot([self.element(x).rep for x in xs], [self.element(y).rep for y in ys])
+        reps = self.ring.dot(
+            [self.element(x).rep for x in _listed(xs, object, "entries")],
+            [self.element(y).rep for y in _listed(ys, object, "entries")],
+        )
         return AlgebraElement(self, self.reduce(reps))
 
     def ideal_with(self, elements) -> Ideal:
         """Ambient ideal for quotient-level membership questions: the given
         representatives first, then the relations: the layout ``_lift`` reads."""
-        reps = tuple(self.element(e).rep for e in elements)
+        reps = tuple(self.element(e).rep for e in _listed(elements, object, "elements"))
         return Ideal(self.ring, reps + self.relations)
 
     def _unit_ideal(self, elements) -> bool:
@@ -131,14 +133,6 @@ class Algebra:
     @cached_property
     def dimension(self) -> int:
         return krull_dimension(self.relations_ideal)
-
-
-def _listed(value, kinds, what: str):
-    """``value``, if it is a list or tuple of ``kinds``; a string would pass
-    as a sequence of strings, and ``"xy"`` is not the variables x and y."""
-    if not (isinstance(value, (list, tuple)) and all(isinstance(v, kinds) for v in value)):
-        raise ConfigError(f"expected a list of {what}, got {value!r}")
-    return value
 
 
 def make_algebra(field: FieldConfig, variables, relations) -> Algebra:
@@ -247,7 +241,7 @@ class RingHom:
     def __init__(self, source: Algebra, target: Algebra, images):
         if source.field != target.field:
             raise RingMismatch("source and target fields differ")
-        images = tuple(target.element(im) for im in images)
+        images = tuple(target.element(im) for im in _listed(images, object, "images"))
         if len(images) != source.ring.nvars:
             raise RingMismatch(
                 f"expected {source.ring.nvars} images, got {len(images)}"

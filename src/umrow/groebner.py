@@ -31,6 +31,7 @@ from .poly import (
     Polynomial,
     _is_reduced,
     _lead_inverse,
+    _listed,
     _reduce,
     _split_lead,
 )
@@ -50,7 +51,7 @@ class Ideal:
 
     @staticmethod
     def of(ring: PolyRing, generators) -> "Ideal":
-        return Ideal(ring, tuple(generators))
+        return Ideal(ring, tuple(_listed(generators, object, "generators")))
 
 
 def divide_with_remainder(f: Polynomial, divisors, order: MonomialOrder | None = None):
@@ -58,9 +59,8 @@ def divide_with_remainder(f: Polynomial, divisors, order: MonomialOrder | None =
     divisible by any divisor's leading term.  Divisor choice is first match
     in list order, which pins the output deterministically."""
     ring = f.ring
-    order = ring.check_order(order or ring.order)
-    divisors = list(divisors)
-    for d in divisors:
+    order = ring.check_order(order)
+    for d in _listed(divisors, object, "divisors"):
         if d.ring != ring:
             raise RingMismatch("divisor outside the dividend's ring")
         if d.is_zero():
@@ -202,7 +202,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     {1} is returned immediately; {1} is the reduced basis in that case and
     its cofactor row is an exact Bezout certificate for 1."""
     ring = ideal.ring
-    order = ring.check_order(order or ring.order)
+    order = ring.check_order(order)
     field = ring.field
     packing = ring.packing
     divides, key = packing.divides, order.desc_key
@@ -354,8 +354,11 @@ def _cached_basis(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
 
 
 def groebner_basis(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Cached entry point; ideals and orders are immutable."""
-    return _cached_basis(ideal, order or ideal.ring.order)
+    """Cached entry point; ideals and orders are immutable.  The order is
+    read by ``PolyRing.check_order`` before the cache, so None and the
+    ring's own order share one entry and a value that is not an order
+    never reaches it."""
+    return _cached_basis(ideal, ideal.ring.check_order(order))
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:

@@ -171,6 +171,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _listed(value, kinds, what: str):
+    """``value``, if it is a list or tuple of ``kinds``, else ``ConfigError``:
+    a string would pass as a sequence of strings, and ``"xy"`` is not the
+    variables x and y.  With ``kinds`` ``object`` no element is looked at,
+    so a list every caller takes whole costs one ``isinstance``."""
+    if not isinstance(value, (list, tuple)) or (
+        kinds is not object and not all(isinstance(v, kinds) for v in value)
+    ):
+        raise ConfigError(f"expected a list of {what}, got {value!r}")
+    return value
+
+
 def _power(base, exp, one):
     """``base ** exp`` by square and multiply, for polynomials and algebra
     elements alike; ``one()`` makes the result of exponent 0.  The result
@@ -396,14 +408,19 @@ def grevlex(nvars: int) -> Grevlex:
 class PolyRing:
     """A polynomial ring: coefficient field, named variables and the packing
     of its monomials.  Its ``order``, graded reverse lex, ranks its printed
-    terms and is the Groebner entry points' default."""
+    terms and is the Groebner entry points' default, taken in
+    ``check_order``.  A field that is not a ``FieldConfig`` raises
+    ``ConfigError``, and so do variables that are not a list or tuple of
+    identifiers."""
 
     __slots__ = ("field", "vars", "order", "packing", "_index")
 
     def __init__(self, field: FieldConfig, variables: Sequence[str]):
-        names = tuple(variables)
+        if not isinstance(field, FieldConfig):
+            raise ConfigError(f"field must be a FieldConfig, got {field!r}")
+        names = tuple(_listed(variables, str, "variable names"))
         for name in names:
-            if not isinstance(name, str) or not _NAME.fullmatch(name):
+            if not _NAME.fullmatch(name):
                 raise ConfigError(f"variable name {name!r} is not an identifier")
         if len(set(names)) != len(names):
             raise DuplicateVariable(f"repeated variable name in {names}")
@@ -413,10 +430,16 @@ class PolyRing:
         self.packing = _packing(len(names))
         self._index = {name: i for i, name in enumerate(names)}
 
-    def check_order(self, order: MonomialOrder) -> MonomialOrder:
-        """``order``, if it ranks exactly this ring's variables; an order of
-        another width would tie distinct monomials, and division by such
-        ties never ends."""
+    def check_order(self, order: MonomialOrder | None = None) -> MonomialOrder:
+        """The order an entry point works under: ``order``, or this ring's
+        own for None, the one place the default is taken.  What is not a
+        ``MonomialOrder`` raises ``ConfigError``; an order of another width
+        raises ``RingMismatch``, since it would tie distinct monomials and
+        division by such ties never ends."""
+        if order is None:
+            return self.order
+        if not isinstance(order, MonomialOrder):
+            raise ConfigError(f"term order must be a MonomialOrder, got {order!r}")
         if order.nvars != len(self.vars):
             raise RingMismatch(f"order on {order.nvars} variables for a ring with {len(self.vars)}")
         return order
@@ -565,11 +588,12 @@ class Polynomial:
         return _scalar(self.ring.field, terms.get(0, 0), self._den)
 
     def lead(self, order: MonomialOrder | None = None):
-        """Leading (exponent tuple, coefficient) under ``order``, checked by
+        """Leading (exponent tuple, coefficient) under ``order``, read by
         ``PolyRing.check_order``; None when zero."""
+        order = self.ring.check_order(order)
         if not self._terms:
             return None
-        m = self.ring.check_order(order or self.ring.order).largest(self._terms)
+        m = order.largest(self._terms)
         return self.ring.packing.unpack(m), self.ring.field.value(self._terms[m], self._den)
 
     def coeff(self, mono):

@@ -25,6 +25,7 @@ from .errors import (
 from .fields import FieldConfig
 from .groebner import Ideal, groebner_basis, ideal_equal, krull_dimension
 from .macros import _expand_checked, add_move, congruent_unit_scale, whitehead_mod_coordinate
+from .poly import _is_int
 from .rows import (
     ElementaryWord,
     OrbitCertificate,
@@ -37,7 +38,9 @@ from .rows import (
 )
 
 # Entries kept by each cached builder below: two golden ``verify --suite all
-# --n-min 2 --n-max 6`` runs fill at most 10 per builder.
+# --n-min 2 --n-max 6`` runs fill at most 10 per builder.  The caches are
+# typed, so ``True`` is not looked up as the entry of 1 and reaches the
+# size guard, which refuses it.
 QUADRIC_CACHE_SIZE = 64
 
 # The first row length ``fold_model_certificate`` assembles for, and its
@@ -98,17 +101,17 @@ class EvenQuadric(_QuadricRing):
         return tuple([field.scalar(0)] * (2 * self.n + 1))
 
 
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE, typed=True)
 def build_q_odd(n: int, field: FieldConfig) -> OddQuadric:
-    if n < 0:
+    if not _is_int(n) or n < 0:
         raise ShapeError("odd quadrics need n >= 0")
     xs, ys = _names("x", 1, n + 1), _names("y", 1, n + 1)
     return OddQuadric(n, Algebra(field, xs + ys, [_pairing(xs, ys) + " - 1"]))
 
 
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE, typed=True)
 def build_q_even(n: int, field: FieldConfig) -> EvenQuadric:
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ShapeError("even quadrics need n >= 1")
     xs, ys = _names("x", 1, n), _names("y", 1, n)
     return EvenQuadric(n, Algebra(field, xs + ys + ["z"], [_pairing(xs, ys) + " - z + z^2"]))
@@ -126,7 +129,7 @@ class GmQuadric(_QuadricRing):
         return self.algebra.var("t_inv")
 
 
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE, typed=True)
 def gm_quadric(n: int, field: FieldConfig) -> GmQuadric:
     even = build_q_even(n, field)
     return GmQuadric(n, adjoin_unit_variable(even.algebra, "t"))
@@ -203,7 +206,7 @@ def eta_hom(n: int, field: FieldConfig) -> RingHom:
     quadric of dimension 2n, as the algebra map k[Q_{2n}] -> k[Q_{2n+1}]:
     ``_segre`` at the tautological point (x, y) of Q_{2n+1}.
     """
-    if n < 2:
+    if not _is_int(n) or n < 2:
         raise ShapeError("eta needs n >= 2")
     odd = build_q_odd(n, field)
     ks = range(1, n + 2)
@@ -222,7 +225,7 @@ def b_of(t: AlgebraElement, t_inv: AlgebraElement) -> AlgebraElement:
     return t.parent.element(2) - t - t_inv
 
 
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE, typed=True)
 def mu_hom(n: int, field: FieldConfig) -> RingHom:
     """The map Gm x Q_{2n} -> Q_{2n+1}, stored as
     k[Q_{2n+1}] -> k[Gm x Q_{2n}]:
@@ -233,7 +236,7 @@ def mu_hom(n: int, field: FieldConfig) -> RingHom:
     a(t,z) a(t^{-1},z) = 1 - b(t) sum(x_i y_i) makes the images a point of
     the odd quadric.
     """
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ShapeError("mu needs n >= 1")
     odd = build_q_odd(n, field)
     gm = gm_quadric(n, field)
@@ -245,7 +248,7 @@ def mu_hom(n: int, field: FieldConfig) -> RingHom:
     return RingHom(odd.algebra, gm.algebra, images)
 
 
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE, typed=True)
 def e_endo(n: int, field: FieldConfig) -> RingHom:
     """The elementary endomorphism of the odd quadric fixing the base point:
 
@@ -254,7 +257,7 @@ def e_endo(n: int, field: FieldConfig) -> RingHom:
 
     in the coordinate naming with z = x_{n+1}, v = y_{n+1}.
     """
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ShapeError("the endomorphism needs n >= 1")
     odd = build_q_odd(n, field)
     one = odd.algebra.one()
@@ -267,7 +270,7 @@ def e_endo(n: int, field: FieldConfig) -> RingHom:
     return RingHom(odd.algebra, odd.algebra, images)
 
 
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE, typed=True)
 def mu_prime_hom(n: int, field: FieldConfig) -> RingHom:
     """The base-point-preserving modification of mu: the composite of mu with
     the elementary endomorphism."""
@@ -414,6 +417,8 @@ class OrientedIdeal:
 def universal_split_row(d: int, field: FieldConfig) -> UnimodularRow:
     """The row (a_1, ..., a_{d+1}) over k[a, b] / (sum(a_i b_i) - 1), the
     universal unimodular row of length d+1 with a chosen splitting."""
+    if not _is_int(d) or d < 1:
+        raise ShapeError("rows must have length at least 2")
     a, b = _names("a", 1, d + 1), _names("b", 1, d + 1)
     alg = Algebra(field, a + b, [_pairing(a, b) + " - 1"])
     return check_unimodular(alg, [alg.var(name) for name in a])
@@ -476,9 +481,9 @@ class VTildeRing(_QuadricRing):
         return row_from_witness(self.algebra, entries, entries)[0]
 
 
-@lru_cache(maxsize=QUADRIC_CACHE_SIZE)
+@lru_cache(maxsize=QUADRIC_CACHE_SIZE, typed=True)
 def vtilde_ring(n: int, field: FieldConfig) -> VTildeRing:
-    if n < 2:
+    if not _is_int(n) or n < 2:
         raise ShapeError("the universal double-row ring needs n >= 2")
     x, y, u, v = (_names(letter, 1, n) for letter in "xyuv")
     r, s = _names("r", 2, n), _names("s", 2, n)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 
-from .algebra import Algebra, AlgebraElement, _listed
+from .algebra import Algebra, AlgebraElement
 from .errors import ConfigError, NotInIdeal, NotUnimodular, RingMismatch, ShapeError, ShrinkFailed
 from .fields import RATIONALS
-from .poly import PolyRing, _is_int
+from .poly import PolyRing, _is_int, _listed
 
 # Shrink candidates ``mennicke_newman`` tries before it gives up, unless told.
 SHRINK_BUDGET = 200
@@ -291,6 +291,19 @@ def _shrink_pool(parent: Algebra, seed: int, budget: int):
             yield cand
 
 
+def _check_shrink(seed, budget) -> None:
+    """The rule for the shrink search's arguments: a seed that is not an
+    int raises ``ConfigError`` (``random.Random(None)`` would seed from the
+    OS, and its draws would not repeat), and so does a budget that is not a
+    positive int.  ``mennicke_newman`` and ``SuiteConfig`` both read it."""
+    if not _is_int(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not _is_int(budget):
+        raise ConfigError(f"shrink budget must be an integer, got {budget!r}")
+    if budget < 1:
+        raise ConfigError("shrink budget must be positive")
+
+
 def _shrink_assignments(parent: Algebra, slots: int, seed: int, budget: int):
     """All-equal assignments first, then single-slot ones, per candidate."""
     zero = parent.zero()
@@ -320,14 +333,12 @@ def mennicke_newman(
     Step one adds multiples of u1*v1 to the tails until the combined tail is
     unimodular (skipped when it already is; the search is a seeded,
     deterministic semidecision over at most ``shrink_budget`` candidate
-    coefficients, and ``ShrinkFailed`` ends it).
+    coefficients, and ``ShrinkFailed`` ends it).  ``_check_shrink`` reads
+    the seed and the budget first.
     Step two subtracts a Bezout combination of u1+v1-1 from the first
     coordinates.  The final cross-adjustment produces the common tail.
     """
-    if not _is_int(shrink_budget):
-        raise ConfigError(f"shrink budget must be an integer, got {shrink_budget!r}")
-    if shrink_budget < 1:
-        raise ConfigError("shrink budget must be positive")
+    _check_shrink(seed, shrink_budget)
     parent = u.parent
     if v.parent != parent:
         raise RingMismatch("rows belong to different algebras")

@@ -53,6 +53,7 @@ from .quadrics import (
 )
 from .rows import (
     SHRINK_BUDGET,
+    _check_shrink,
     ElementaryGen,
     ElementaryWord,
     OrbitCertificate,
@@ -78,10 +79,11 @@ class SuiteConfig:
     timing: bool = True
 
     def __post_init__(self):
-        for name in ("n_min", "n_max", "seed", "shrink_budget"):
+        for name in ("n_min", "n_max"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        _check_shrink(self.seed, self.shrink_budget)
         if not isinstance(self.field, FieldConfig):
             raise ConfigError(f"field must be a FieldConfig, got {self.field!r}")
         if self.suite not in SUITES:
@@ -90,8 +92,6 @@ class SuiteConfig:
             raise ConfigError(
                 f"need 1 <= n_min <= n_max <= {MAX_N}, got [{self.n_min}, {self.n_max}]"
             )
-        if self.shrink_budget < 1:
-            raise ConfigError("shrink budget must be positive")
 
 
 class CaseFailure(Exception):

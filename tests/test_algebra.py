@@ -15,6 +15,7 @@ from umrow.errors import (
     ZeroRing,
 )
 from umrow.fields import RATIONALS, prime_field
+from umrow.groebner import Ideal, divide_with_remainder
 from umrow.poly import PolyRing
 
 
@@ -50,6 +51,26 @@ def test_make_algebra_examples():
 def test_argument_shapes_are_checked(variables, relations, error):
     with pytest.raises(error):
         make_algebra(RATIONALS, variables, relations)
+
+
+LIST_READERS = {
+    "PolyRing": lambda alg, value: PolyRing(RATIONALS, value),
+    "Ideal.of": lambda alg, value: Ideal.of(alg.ring, value),
+    "divide": lambda alg, value: divide_with_remainder(alg.ring.var("x"), value),
+    "dot": lambda alg, value: alg.dot(value, value),
+    "ideal_with": lambda alg, value: alg.ideal_with(value),
+    "RingHom": lambda alg, value: RingHom(alg, alg, value),
+}
+
+
+@pytest.mark.parametrize("reader", LIST_READERS)
+@pytest.mark.parametrize("value", ["yx", None], ids=["string", "none"])
+def test_list_arguments_are_lists_or_tuples(reader, value):
+    # "yx" would read as the names, or the elements, y and x: the ring
+    # k[y, x], the dot product 2xy, the ideal <x, y> or the swap x -> y.
+    alg = make_algebra(RATIONALS, ["x", "y"], [])
+    with pytest.raises(ConfigError, match="expected a list of"):
+        LIST_READERS[reader](alg, value)
 
 
 def test_sums_of_normal_forms_are_not_reduced_again(monkeypatch):

@@ -9,7 +9,14 @@ from hypothesis import given, seed, settings, strategies as st
 
 from umrow import groebner
 from umrow.algebra import make_algebra
-from umrow.errors import DimensionOfZeroRing, InvalidDivisor, NotInIdeal, NotUnimodular, RingMismatch
+from umrow.errors import (
+    ConfigError,
+    DimensionOfZeroRing,
+    InvalidDivisor,
+    NotInIdeal,
+    NotUnimodular,
+    RingMismatch,
+)
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import (
     BASIS_CACHE_SIZE,
@@ -84,6 +91,24 @@ def test_order_of_another_width_is_rejected():
         groebner_basis(ideal, narrow)
     with pytest.raises(RingMismatch):
         ring.parse("z - z^2").lead(narrow)
+
+
+ORDER_ENTRY_POINTS = {
+    "divide": lambda ring, ideal, order: divide_with_remainder(ring.var("x"), [ring.var("x")], order),
+    "buchberger": lambda ring, ideal, order: buchberger(ideal, order),
+    "groebner_basis": lambda ring, ideal, order: groebner_basis(ideal, order),
+    "lead": lambda ring, ideal, order: ring.var("x").lead(order),
+}
+
+
+@pytest.mark.parametrize("entry", ORDER_ENTRY_POINTS)
+@pytest.mark.parametrize("order", ["lex", [1]], ids=["name", "list"])
+def test_order_that_is_not_a_monomial_order_is_refused(entry, order):
+    # A name is not an order (the CLI reads names, the library orders), and
+    # an unhashable value must be refused before the basis cache sees it.
+    ring = PolyRing(RATIONALS, ["x", "y"])
+    with pytest.raises(ConfigError, match="term order must be a MonomialOrder"):
+        ORDER_ENTRY_POINTS[entry](ring, ideal_of(ring, "x - y"), order)
 
 
 @given(seed=st.integers(0, 10_000))

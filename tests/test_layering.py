@@ -14,7 +14,9 @@ its text.  A ``SplittingRow`` is made past the sum check of its
 ``__post_init__`` (by ``object.__new__`` and ``object.__setattr__``) only in
 ``rows._product_splitting``, whose factored identity certifies it; outside
 it no module sets a field of anything but ``self`` that way, so no second
-unchecked path can appear unseen."""
+unchecked path can appear unseen.  No module writes ``order or ...``:
+``PolyRing.check_order`` alone turns None into a ring's order, and only
+``poly.py`` defines ``_listed``, the one rule for list arguments."""
 
 from __future__ import annotations
 
@@ -137,6 +139,31 @@ def unchecked_builds(source: str, module: str) -> list:
     ]
 
 
+def order_defaults(source: str) -> list:
+    """Lines that write ``order or ...``, with ``order`` a name or an
+    attribute: a default order taken past ``check_order``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+        and getattr(node.values[0], "id", getattr(node.values[0], "attr", None)) == "order"
+    ]
+
+
+def definitions(name: str):
+    """A scanner for the lines that define a function called ``name``."""
+
+    def scan(source: str) -> list:
+        return [
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+        ]
+
+    return scan
+
+
+listed_definitions = definitions("_listed")
 term_tool_imports = module_imports({"operator", "math"})
 fraction_imports = module_imports({"fractions"})
 groebner_imports = package_imports("groebner")
@@ -176,6 +203,10 @@ def test_scanners_see_what_they_guard():
     )
     assert [line for line, _ in unchecked_builds(source, "quadrics.py")] == [4, 5]
     assert unchecked_builds(source, "rows.py") == [(3, "f"), (4, "f"), (5, "f"), (8, "__post_init__")]
+    source = "o = order or ring.order\nq = self.order or x\nr = ring.check_order(order)\ns = border or t"
+    assert order_defaults(source) == [1, 2]
+    source = "def _listed(v):\n    pass\nclass C:\n    def _listed(self):\n        pass\n_listed(x)"
+    assert listed_definitions(source) == [1, 4]
 
 
 def test_only_poly_builds_polynomials():
@@ -217,3 +248,12 @@ def test_only_the_product_constructor_skips_the_splitting_check():
     rows_builds = builds.pop("rows.py")
     assert rows_builds and {function for _, function in rows_builds} == {"_product_splitting"}
     assert {name: lines for name, lines in builds.items() if lines} == {}
+
+
+def test_only_check_order_takes_the_default_order():
+    assert offenders(order_defaults, set()) == {}
+
+
+def test_only_poly_defines_the_list_rule():
+    assert listed_definitions(SRC.joinpath("poly.py").read_text())
+    assert offenders(listed_definitions, {"poly.py"}) == {}

@@ -9,6 +9,7 @@ from umrow.errors import (
     BadCertificate,
     CertificateAssemblyFailed,
     CharacteristicTwoUnsupported,
+    ConfigError,
     DimensionOfZeroRing,
     HeightMismatch,
     InvalidUnit,
@@ -61,6 +62,49 @@ def test_build_q_odd_sizes():
     odd = build_q_odd(2, RATIONALS)
     assert len(odd.algebra.variables) == 6
     assert len(odd.algebra.relations) == 1
+
+
+# Each sized builder with its smallest size; ``True`` is tried only where
+# that size is at most 1, as elsewhere the range check refuses it anyway.
+SIZED_BUILDERS = {
+    "build_q_odd": (build_q_odd, 0),
+    "build_q_even": (build_q_even, 1),
+    "gm_quadric": (gm_quadric, 1),
+    "eta_hom": (eta_hom, 2),
+    "mu_hom": (mu_hom, 1),
+    "e_endo": (e_endo, 1),
+    "mu_prime_hom": (mu_prime_hom, 1),
+    "vtilde_ring": (vtilde_ring, 2),
+    "universal_split_row": (universal_split_row, 1),
+}
+SIZE_CASES = [
+    pytest.param(name, size, id=f"{name}-{label}")
+    for name, (_, first) in SIZED_BUILDERS.items()
+    for label, size in [("true", True), ("text", "2"), ("float", 2.0)]
+    if size is not True or first <= 1
+]
+
+
+@pytest.mark.parametrize("name, size", SIZE_CASES)
+def test_sizes_that_are_not_ints_are_refused(name, size):
+    # A bool is not a size: with 1 built first, an untyped cache would hand
+    # back its entry for True before the guard ran.
+    build, _ = SIZED_BUILDERS[name]
+    if size is True:
+        build(1, RATIONALS)
+    with pytest.raises(ShapeError):
+        build(size, RATIONALS)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PolyRing("q", ["x"]),
+    lambda: make_algebra("q", ["x"], []),
+    lambda: build_q_odd(2, "q"),
+    lambda: mu_hom(2, "q"),
+], ids=["PolyRing", "make_algebra", "build_q_odd", "mu_hom"])
+def test_a_field_that_is_not_a_field_config_is_refused(build):
+    with pytest.raises(ConfigError, match="field must be a FieldConfig"):
+        build()
 
 
 def test_odd_base_point_satisfies_relation():

@@ -399,6 +399,17 @@ def test_mn_and_vdk_refuse_a_budget_that_is_not_an_int(budget):
             add(u, u, shrink_budget=budget)
 
 
+@pytest.mark.parametrize("seed", [None, "1", 1.5, True])
+def test_mn_and_vdk_refuse_a_seed_that_is_not_an_int(seed):
+    # random.Random(None) seeds from the OS, so past the fixed candidates
+    # the shrink search would not repeat itself.
+    alg = scalars()
+    u = check_unimodular(alg, [1, 0])
+    for add in (mennicke_newman, vdk_add):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            add(u, u, seed=seed)
+
+
 def test_mn_rejects_unverified():
     alg = scalars()
     bare = UnimodularRow(alg, (alg.element(2), alg.element(3)))
