@@ -34,7 +34,7 @@ from .macros import (
     swap_sign,
     whitehead_mod_coordinate,
 )
-from .poly import MonomialOrder, PolyRing, Polynomial, grevlex, lex
+from .poly import PolyRing, Polynomial
 from .rows import (
     ElementaryGen,
     ElementaryWord,

@@ -5,7 +5,8 @@ Subcommands:
 * ``umrow verify`` runs a named suite over a parameter range and prints a
   deterministic JSON report; the exit status is 0 exactly when every case
   passed.
-* ``umrow gb`` prints the reduced basis of an algebra's relation ideal.
+* ``umrow gb`` prints the reduced basis of an algebra's relation ideal,
+  under graded reverse lex.
 * ``umrow add`` performs orbit-level addition of two named rows from a
   bundle and prints the sum with its elementary certificates.
 * ``umrow map`` prints one of the named quadric morphisms at a given size;
@@ -23,7 +24,6 @@ from .errors import ConfigError, UmrowError
 from .fields import field_from_text
 from .fileio import load_algebra, load_rows_bundle, row_to_json, word_to_json
 from .groebner import groebner_basis
-from .poly import grevlex, lex
 from .quadrics import (
     FOLD_CERTIFICATE_FIRST_N,
     degree_action,
@@ -44,10 +44,6 @@ from .rows import SHRINK_BUDGET, vdk_add
 from .suites import SuiteConfig, run_suite
 
 
-# Each monomial order's name and its constructor, for ``umrow gb --order``.
-ORDERS = {"lex": lex, "grevlex": grevlex}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="umrow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gb", help="reduced basis of an algebra's relations")
     g.add_argument("--input", required=True)
-    g.add_argument("--order", choices=list(ORDERS), default="grevlex")
     g.set_defaults(handler=_cmd_gb)
 
     a = sub.add_parser("add", help="orbit-level addition of two rows")
@@ -115,11 +110,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gb(args) -> int:
     algebra = load_algebra(args.input)
-    order = ORDERS[args.order](algebra.ring.nvars)
-    gb = groebner_basis(algebra.relations_ideal, order)
+    gb = groebner_basis(algebra.relations_ideal)
     _emit(
         {
-            "order": args.order,
+            "order": "grevlex",  # the one term order
             "vars": list(algebra.variables),
             "basis": [str(g) for g in gb.basis],
         }

@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 
 from .errors import (
+    ConfigError,
     DimensionOfZeroRing,
     InvalidDivisor,
     NotInIdeal,
@@ -26,7 +27,6 @@ from .errors import (
 )
 from .fields import _scalar
 from .poly import (
-    MonomialOrder,
     PolyRing,
     Polynomial,
     _is_reduced,
@@ -39,13 +39,17 @@ from .poly import (
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal presented by an ordered list of generators."""
+    """An ideal presented by an ordered list of generators.  A generator
+    that is not a ``Polynomial`` raises ``ConfigError``, and one of another
+    ring ``RingMismatch``."""
 
     ring: PolyRing
     generators: tuple
 
     def __post_init__(self):
         for g in self.generators:
+            if not isinstance(g, Polynomial):
+                raise ConfigError(f"generator {g!r} is not a polynomial")
             if g.ring != self.ring:
                 raise RingMismatch("generator outside the ambient ring")
 
@@ -54,18 +58,19 @@ class Ideal:
         return Ideal(ring, tuple(_listed(generators, object, "generators")))
 
 
-def divide_with_remainder(f: Polynomial, divisors, order: MonomialOrder | None = None):
+def divide_with_remainder(f: Polynomial, divisors):
     """Multivariate division: f = sum(q_i * d_i) + r with no term of r
     divisible by any divisor's leading term.  Divisor choice is first match
     in list order, which pins the output deterministically."""
     ring = f.ring
-    order = ring.check_order(order)
     for d in _listed(divisors, object, "divisors"):
+        if not isinstance(d, Polynomial):
+            raise ConfigError(f"divisor {d!r} is not a polynomial")
         if d.ring != ring:
             raise RingMismatch("divisor outside the dividend's ring")
         if d.is_zero():
             raise InvalidDivisor("zero divisor")
-    return _reduce(f, [_split_lead(d, order) for d in divisors], order)
+    return _reduce(f, [_split_lead(d) for d in divisors])
 
 
 def _combine_rows(ring: PolyRing, mults, rows, width: int):
@@ -87,9 +92,9 @@ class GroebnerBasis:
     hands over, so no lead is split again here.
     """
 
-    def __init__(self, ring, order, generators, steps, basis, leads, final):
+    def __init__(self, ring, generators, steps, basis, leads, final):
         self.ring = ring
-        self.order = order
+        self.order = ring.order
         self.generators = tuple(generators)
         self.basis = tuple(basis)
         self._leads = tuple(leads)
@@ -126,7 +131,7 @@ class GroebnerBasis:
         return tuple(tuple(rows[s]) for s in self._final)
 
     def is_unit_ideal(self) -> bool:
-        # A constant's lead monomial is 1, packed 0, the least under every order.
+        # A constant's lead monomial is 1, packed 0, the least of all.
         return len(self.basis) == 1 and self._leads[0][0] == 0
 
     # Both queries hand back f itself when no lead divides a term of it (as
@@ -139,14 +144,14 @@ class GroebnerBasis:
             raise RingMismatch("element outside the basis ring")
         if _is_reduced(f, self._leads):
             return f
-        return _reduce(f, self._leads, self.order)[1]
+        return _reduce(f, self._leads)[1]
 
     def normal_form_with_quotients(self, f: Polynomial):
         if f.ring != self.ring:
             raise RingMismatch("element outside the basis ring")
         if _is_reduced(f, self._leads):
             return [self.ring.zero()] * len(self.basis), f
-        return _reduce(f, self._leads, self.order)
+        return _reduce(f, self._leads)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -168,7 +173,7 @@ class GroebnerBasis:
         return coeffs
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
+def buchberger(ideal: Ideal) -> GroebnerBasis:
     """The reduced Groebner basis with cofactor tracking, by the incremental
     signature algorithm G2V (Gao, Guan and Volny, ISSAC 2010) with the
     criteria of Gao, Volny and Wang (Math. Comp. 85, 2016).
@@ -190,8 +195,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     signature (``_reduce``'s signature rule); the criteria leave it no lead
     that only an element of its own signature divides.  The round's
     elements then join G, which is inter-reduced (``_inter_reduce``).  The
-    output is
-    deterministic for a fixed input and order.
+    output is deterministic for a fixed input.
 
     No cofactor row is built here.  Each element's entry, and each tail
     reduction, records how its row is made from earlier rows (the extended
@@ -202,10 +206,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     {1} is returned immediately; {1} is the reduced basis in that case and
     its cofactor row is an exact Bezout certificate for 1."""
     ring = ideal.ring
-    order = ring.check_order(order)
     field = ring.field
     packing = ring.packing
-    divides, key = packing.divides, order.desc_key
+    divides, low = packing.divides, packing.low  # m ^ low ranks m
     gens = ideal.generators
     one, x0 = field.scalar(1), ring.one()
 
@@ -230,29 +233,29 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
         once.  A constant returns the unit ideal's basis; anything else
         joins the round with signature ``sig``, its J-pairs queued and its
         Koszul signatures noted."""
-        _, inv_num, inv_den = _lead_inverse(poly, order)
+        _, inv_num, inv_den = _lead_inverse(poly)
         inv = _scalar(field, inv_num, inv_den)
         steps.append(sources + (inv,))
         if inv_num != inv_den:  # not monic yet
             poly = poly.scale(inv)
-        lead = _split_lead(poly, order)
+        lead = _split_lead(poly)
         if lead[0] == 0:  # a constant: its lead monomial is 1
-            return GroebnerBasis(ring, order, gens, steps, [poly], [lead], [len(steps) - 1])
+            return GroebnerBasis(ring, gens, steps, [poly], [lead], [len(steps) - 1])
         lm, j = lead[0], len(polys)
         for g_lead in leads:
             lcm = packing.lcm(g_lead[0], lm)
             if lcm != g_lead[0] + lm:
                 sig_j = lcm - lm + sig
-                heappush(queue, (-key(sig_j), -key(lcm), j, sig_j, lcm))
+                heappush(queue, (sig_j ^ low, lcm ^ low, j, sig_j, lcm))
         for k in range(j):
             lcm = packing.lcm(rleads[k][0], lm)
             sig_j, sig_k = lcm - lm + sig, lcm - rleads[k][0] + sigs[k]
             if sig_j != sig_k:
-                src, sig_pair = (j, sig_j) if key(sig_j) < key(sig_k) else (k, sig_k)
-                heappush(queue, (-key(sig_pair), -key(lcm), src, sig_pair, lcm))
+                src, sig_pair = (j, sig_j) if sig_j ^ low > sig_k ^ low else (k, sig_k)
+                heappush(queue, (sig_pair ^ low, lcm ^ low, src, sig_pair, lcm))
             koszul = (rleads[k][0] + sig, lm + sigs[k])
             if koszul[0] != koszul[1]:
-                syzygy(min(koszul, key=key))
+                syzygy(max(koszul, key=low.__xor__))
         polys.append(poly)
         rleads.append(lead)
         rsteps.append(len(steps) - 1)
@@ -261,7 +264,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
     live = [i for i in range(len(gens)) if not gens[i].is_zero()]
     for i in sorted(live, key=lambda i: gens[i].total_degree()):
         g = gens[i]
-        quots, rem = ((), g) if _is_reduced(g, leads) else _reduce(g, leads, order)
+        quots, rem = ((), g) if _is_reduced(g, leads) else _reduce(g, leads)
         if rem.is_zero():
             continue
         # The round's elements with their signatures, and the minimal
@@ -285,13 +288,13 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             if any(divides(h, sig) for h in syzygies):
                 continue
             if any(
-                divides(sig_k, sig) and key(sig - sig_k + lead_k[0]) > key(lcm)
+                divides(sig_k, sig) and (sig - sig_k + lead_k[0]) ^ low < lcm ^ low
                 for sig_k, lead_k in zip(sigs, rleads)
             ):
                 continue  # rewritten
             xt = ring.term(lcm - rleads[src][0], 1)
             rule = (len(leads), sigs, sig)
-            quots, rem = _reduce(ring.dot((xt,), (polys[src],)), leads + rleads, order, rule)
+            quots, rem = _reduce(ring.dot((xt,), (polys[src],)), leads + rleads, rule)
             if rem.is_zero():
                 syzygy(sig)
                 continue
@@ -299,11 +302,11 @@ def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasi
             nonzero = tuple((owners[k], q) for k, q in enumerate(quots) if not q.is_zero())
             if unit := enter(rem, (((rsteps[src], xt),), nonzero), sig):
                 return unit
-        basis, leads, rows = _inter_reduce(ring, order, steps, (basis, leads, rows), (polys, rleads, rsteps))
-    return GroebnerBasis(ring, order, gens, steps, basis, leads, rows)
+        basis, leads, rows = _inter_reduce(ring, steps, (basis, leads, rows), (polys, rleads, rsteps))
+    return GroebnerBasis(ring, gens, steps, basis, leads, rows)
 
 
-def _inter_reduce(ring, order, steps, old, new):
+def _inter_reduce(ring, steps, old, new):
     """The reduced basis at a round's end.  ``old`` is the reduced basis G
     before the round and ``new`` the round's elements, each as (polys, split
     leads, steps); together they form a Groebner basis.  No lead of G
@@ -314,10 +317,10 @@ def _inter_reduce(ring, order, steps, old, new):
     tail-reduced if another kept new lead divides one of its terms.  Each
     tail reduction uses the current versions of the rest, records its step
     and splits the lead again."""
-    packing, key = ring.packing, order.desc_key
+    packing, low = ring.packing, ring.packing.low  # m ^ low ranks m
     polys, leads, rows = new
     kept: list[int] = []
-    for t in sorted(range(len(polys)), key=lambda t: key(leads[t][0]), reverse=True):
+    for t in sorted(range(len(polys)), key=lambda t: leads[t][0] ^ low):
         if not any(packing.divides(leads[k][0], leads[t][0]) for k in kept):
             kept.append(t)
     new_leads = [leads[t] for t in kept]
@@ -328,16 +331,16 @@ def _inter_reduce(ring, order, steps, old, new):
             members.append((poly, lead, row, reduced))
     for t in kept:
         reduced = _is_reduced(polys[t], [n for n in new_leads if n is not leads[t]])
-        insort(members, (polys[t], leads[t], rows[t], reduced), key=lambda e: key(e[1][0]))
+        insort(members, (polys[t], leads[t], rows[t], reduced), key=lambda e: -(e[1][0] ^ low))
     polys, leads, rows, reduced = (list(col) for col in zip(*members))
     for pos in range(len(polys)):
         if reduced[pos]:
             continue
         others = [s for s in range(len(polys)) if s != pos]
-        quots, rem = _reduce(polys[pos], [leads[s] for s in others], order)
+        quots, rem = _reduce(polys[pos], [leads[s] for s in others])
         nonzero = tuple((rows[s], q) for s, q in zip(others, quots) if not q.is_zero())
         steps.append((((rows[pos], ring.one()),), nonzero, ring.field.scalar(1)))
-        rows[pos], polys[pos], leads[pos] = len(steps) - 1, rem, _split_lead(rem, order)
+        rows[pos], polys[pos], leads[pos] = len(steps) - 1, rem, _split_lead(rem)
     return polys, leads, rows
 
 
@@ -349,16 +352,9 @@ BASIS_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _cached_basis(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
-    return buchberger(ideal, order)
-
-
-def groebner_basis(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Cached entry point; ideals and orders are immutable.  The order is
-    read by ``PolyRing.check_order`` before the cache, so None and the
-    ring's own order share one entry and a value that is not an order
-    never reaches it."""
-    return _cached_basis(ideal, ideal.ring.check_order(order))
+def groebner_basis(ideal: Ideal) -> GroebnerBasis:
+    """``buchberger``, cached by the ideal, which is immutable."""
+    return buchberger(ideal)
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:

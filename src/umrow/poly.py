@@ -200,32 +200,27 @@ def _power(base, exp, one):
     return one() if result is None else result
 
 
-def _lead_inverse(d: Polynomial, order: MonomialOrder):
+def _lead_inverse(d: Polynomial):
     """(lead monomial, numerator and denominator of the lead coefficient's
     inverse) of a nonzero polynomial, from the stored ints through the
     field's ``ratio`` and ``inv_pair``, with no field value made."""
     terms = d._terms
-    lm = order.largest(terms)
+    lm = d.ring.order.largest(terms)
     field = d.ring.field
     return (lm, *field.inv_pair(*field.ratio(terms[lm], d._den)))
 
 
-def _split_lead(d: Polynomial, order: MonomialOrder):
+def _split_lead(d: Polynomial):
     """(lead monomial, numerator and denominator of the lead coefficient's
-    inverse, other terms negated, their denominator, overflow bound) of a
-    divisor, the form ``_reduce`` takes; a basis computes this once, not per
-    reduction, so no reduction step inverts, negates or converts a divisor
-    coefficient.  The inverse comes from ``_lead_inverse``.  A step by
-    this divisor on a monomial at or above the bound would make a term of
-    degree above ``MAX_DEGREE``; under a graded order no tail term outweighs
-    the lead and the bound is above every stored monomial."""
+    inverse, other terms negated, their denominator) of a divisor, the form
+    ``_reduce`` takes; a basis computes this once, not per reduction, so no
+    reduction step inverts, negates or converts a divisor coefficient.  The
+    inverse comes from ``_lead_inverse``.  The order is graded, so no tail
+    term has a larger degree than the lead, and a reduction step never
+    makes a term of larger degree than the one it removes."""
     terms, den = d._terms, d._den
-    lm, inv_num, inv_den = _lead_inverse(d, order)
-    packing = d.ring.packing
-    tail = tuple((m, -n) for m, n in terms.items() if m != lm)
-    excess = packing.degree(max(m for m, _ in tail)) - packing.degree(lm) if tail else 0
-    bound = (MAX_DEGREE + 1 - max(excess, 0)) << packing.top
-    return lm, inv_num, inv_den, tail, den, bound
+    lm, inv_num, inv_den = _lead_inverse(d)
+    return lm, inv_num, inv_den, tuple((m, -n) for m, n in terms.items() if m != lm), den
 
 
 def _is_reduced(f: Polynomial, leads) -> bool:
@@ -240,7 +235,7 @@ def _is_reduced(f: Polynomial, leads) -> bool:
     return True
 
 
-def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None = None):
+def _reduce(f: Polynomial, leads, signature: tuple | None = None):
     """Core reduction loop shared by division, Buchberger and normal forms.
 
     ``leads`` are the divisors split by ``_split_lead``.  The remainder-to-be
@@ -248,10 +243,9 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
     ``f``'s own numerators and denominator; over F_p, unreduced residues
     over 1), and its monomials sit in a min-heap of bare ints, so each step
     pops the leading term instead of rescanning ``p``, and each monomial is
-    keyed once, when it first enters.  Under graded reverse lex (``native``)
-    the entry is ``-(m ^ low)`` itself; under lex it is ``order.desc_key(m)``
-    shifted above the same bits, and one mask recovers ``m`` either way.  A
-    step reads the popped int as a stored numerator (``field.residue``) and
+    keyed once, when it first enters: the entry is ``-(m ^ low)``, its
+    graded reverse lex rank negated, and one ``^`` recovers ``m``.  A step
+    reads the popped int as a stored numerator (``field.residue``) and
     skips it if zero (cancelled, or over F_p a multiple of p).  The quotient
     term is n * inv_num / (D * inv_den), reduced by ``field.ratio`` to a pair
     of ints with no field value made.  Each negated tail term is then added
@@ -261,6 +255,8 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
     its zero entry until popped, so a monomial not in ``p`` has never
     entered it: every new term is below the popped one, so popped monomials
     never return, and a divisor never gets the same quotient monomial twice.
+    The order is graded, so no new term has a larger degree than the popped
+    one, and no step goes beyond ``MAX_DEGREE``.
     Terms leave in descending order and the first divisor in list order
     whose lead divides is used, so quotients and remainder are those of
     plain multivariate division.  Each quotient is kept as ints over the lcm
@@ -271,46 +267,38 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
 
     ``signature`` is the rule of a signature-based basis, (first, sigs,
     sigma): ``f`` has signature ``sigma`` and ``leads[first + j]`` has
-    signature ``sigs[j]``, all packed monomials ranked by ``order``.  A term
-    that no lead of ``leads[:first]`` divides is then reduced by the first
-    later divisor whose shifted signature (the term over its lead, times its
-    signature) is below ``sigma``, so the signature stays ``sigma``; a term
-    that no such divisor reduces stays in the remainder."""
+    signature ``sigs[j]``, all packed monomials.  A term that no lead of
+    ``leads[:first]`` divides is then reduced by the first later divisor
+    whose shifted signature (the term over its lead, times its signature)
+    is below ``sigma``, so the signature stays ``sigma``; a term that no
+    such divisor reduces stays in the remainder."""
     ring = f.ring
     field = ring.field
-    packing = ring.packing
-    low, guards = packing.low, packing.guards
-    bits = packing.limit - 1  # every stored monomial, complemented or not, fits in these
-    shift = bits.bit_length()
-    dkey = None if order.native else order.desc_key
+    low, guards = ring.packing.low, ring.packing.guards
     residue, ratio = field.residue, field.ratio
     dms = [lead[0] for lead in leads]
     nleads = len(dms)
     first = nleads
     if signature is not None:
         first, sigs, sigma = signature
-        key = order.desc_key
-        sigma_key = key(sigma)
+        sigma_rank = sigma ^ low
 
         def regular_divisor(m):
             """The index of the first later lead that reduces m in a smaller
             signature, else ``nleads``."""
             for j in range(first, nleads):
-                if not (m - dms[j]) & guards and key(m - dms[j] + sigs[j - first]) > sigma_key:
+                if not (m - dms[j]) & guards and (m - dms[j] + sigs[j - first]) ^ low < sigma_rank:
                     return j
             return nleads
 
     p, D = dict(f._terms), f._den
-    if dkey is None:
-        heap = [-(m ^ low) for m in p]
-    else:
-        heap = [(dkey(m) << shift) - (m ^ low) for m in p]
+    heap = [-(m ^ low) for m in p]
     heapify(heap)
     rem: dict = {}
     quots = [dict() for _ in leads]
     qdens = [1] * len(leads)  # quots[i] holds ints over qdens[i]
     while heap:
-        m = -heappop(heap) & bits ^ low
+        m = -heappop(heap) ^ low
         n = residue(p.pop(m))
         if not n:
             continue
@@ -322,9 +310,7 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
         if idx == nleads:
             rem[m] = n
             continue
-        dm, inv_num, inv_den, tail, dt, bound = leads[idx]
-        if m >= bound:
-            raise ExponentOverflow(f"a reduction step makes total degree above {MAX_DEGREE}")
+        dm, inv_num, inv_den, tail, dt = leads[idx]
         t = m - dm
         qn, qd = ratio(n * inv_num, D * inv_den)
         qden = qdens[idx]
@@ -341,7 +327,7 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
                 p[mm] += s * c2
             else:
                 p[mm] = s * c2
-                heappush(heap, -(mm ^ low) if dkey is None else (dkey(mm) << shift) - (mm ^ low))
+                heappush(heap, -(mm ^ low))
     quots = [Polynomial(ring, q, qden) for q, qden in zip(quots, qdens)]
     # Each remainder int is a nonzero stored numerator, so over 1 (always,
     # over F_p) the remainder is canonical as it stands.
@@ -349,69 +335,28 @@ def _reduce(f: Polynomial, leads, order: MonomialOrder, signature: tuple | None 
 
 
 @dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order on the packed monomials of ``nvars`` variables, the
-    first declared variable most significant.  Each subclass defines one int
-    sort key, ``desc_key``: a smaller key means a larger monomial, so
-    sorting by it lists monomials in descending order and a min-heap of
-    these keys pops the largest first.  An order is ``native`` when its key
-    is ``-(m ^ packing.low)``, the packed int's own ranking; then
-    ``largest``, ``descending`` and ``_reduce`` call no key.  A width that
-    is not a non-negative int raises ``ConfigError``."""
+class Grevlex:
+    """Graded reverse lex, the one term order, on the packed monomials whose
+    variable fields are ``low``: ``m ^ low`` (the variable fields
+    complemented) is a monomial's rank, a larger int a larger monomial, the
+    first declared variable most significant.  ``PolyRing`` builds it as
+    ``ring.order``; orders of rings with as many variables are equal."""
 
-    nvars: int
-
-    native = False
-
-    def __post_init__(self):
-        if not _is_int(self.nvars) or self.nvars < 0:
-            raise ConfigError(f"order width {self.nvars!r} is not a non-negative integer")
-        object.__setattr__(self, "packing", _packing(self.nvars))
+    low: int
 
     def largest(self, monos: dict | list) -> int:
-        if self.native:
-            return max(monos, key=self.packing.low.__xor__)
-        return min(monos, key=self.desc_key)
+        return max(monos, key=self.low.__xor__)
 
     def descending(self, monos) -> list:
-        if self.native:
-            return sorted(monos, key=self.packing.low.__xor__, reverse=True)
-        return sorted(monos, key=self.desc_key)
-
-
-class Lex(MonomialOrder):
-    def __post_init__(self):
-        super().__post_init__()
-        # The exponents, first variable most significant, each in a 16-bit
-        # field: a larger int is a larger monomial.
-        object.__setattr__(self, "_ranked", struct.Struct(f">{self.nvars}H"))
-
-    def desc_key(self, m: int) -> int:
-        return -int.from_bytes(self._ranked.pack(*self.packing.unpack(m)), "big")
-
-
-class Grevlex(MonomialOrder):
-    native = True
-
-    def desc_key(self, m: int) -> int:
-        return -(m ^ self.packing.low)
-
-
-def lex(nvars: int) -> Lex:
-    return Lex(nvars)
-
-
-def grevlex(nvars: int) -> Grevlex:
-    return Grevlex(nvars)
+        return sorted(monos, key=self.low.__xor__, reverse=True)
 
 
 class PolyRing:
     """A polynomial ring: coefficient field, named variables and the packing
-    of its monomials.  Its ``order``, graded reverse lex, ranks its printed
-    terms and is the Groebner entry points' default, taken in
-    ``check_order``.  A field that is not a ``FieldConfig`` raises
-    ``ConfigError``, and so do variables that are not a list or tuple of
-    identifiers."""
+    of its monomials.  Its ``order``, graded reverse lex, is the one term
+    order: it ranks printed terms, leads, divisions and Groebner bases.  A
+    field that is not a ``FieldConfig`` raises ``ConfigError``, and so do
+    variables that are not a list or tuple of identifiers."""
 
     __slots__ = ("field", "vars", "order", "packing", "_index")
 
@@ -426,23 +371,9 @@ class PolyRing:
             raise DuplicateVariable(f"repeated variable name in {names}")
         self.field = field
         self.vars = names
-        self.order = Grevlex(len(names))
         self.packing = _packing(len(names))
+        self.order = Grevlex(self.packing.low)
         self._index = {name: i for i, name in enumerate(names)}
-
-    def check_order(self, order: MonomialOrder | None = None) -> MonomialOrder:
-        """The order an entry point works under: ``order``, or this ring's
-        own for None, the one place the default is taken.  What is not a
-        ``MonomialOrder`` raises ``ConfigError``; an order of another width
-        raises ``RingMismatch``, since it would tie distinct monomials and
-        division by such ties never ends."""
-        if order is None:
-            return self.order
-        if not isinstance(order, MonomialOrder):
-            raise ConfigError(f"term order must be a MonomialOrder, got {order!r}")
-        if order.nvars != len(self.vars):
-            raise RingMismatch(f"order on {order.nvars} variables for a ring with {len(self.vars)}")
-        return order
 
     @property
     def nvars(self) -> int:
@@ -504,9 +435,14 @@ class PolyRing:
         return tuple(self.var(i) for i in range(self.nvars))
 
     def dot(self, ps, qs) -> "Polynomial":
-        """sum(p_i * q_i), summed into one term dict."""
+        """sum(p_i * q_i), summed into one term dict.  ``ps`` and ``qs`` are
+        lists or tuples of polynomials; another shape or element raises
+        ``ConfigError``, and a polynomial of another ring ``RingMismatch``."""
+        ps, qs = _listed(ps, object, "polynomials"), _listed(qs, object, "polynomials")
         pairs = list(zip(ps, qs, strict=True))
         for p, q in pairs:
+            if not (isinstance(p, Polynomial) and isinstance(q, Polynomial)):
+                raise ConfigError(f"dot product of {p!r} and {q!r}, which are not both polynomials")
             if p.ring != self or q.ring != self:
                 raise RingMismatch("dot product outside the ring")
         return _sum_of_products(pairs, self)
@@ -587,13 +523,16 @@ class Polynomial:
             return None
         return _scalar(self.ring.field, terms.get(0, 0), self._den)
 
-    def lead(self, order: MonomialOrder | None = None):
-        """Leading (exponent tuple, coefficient) under ``order``, read by
-        ``PolyRing.check_order``; None when zero."""
-        order = self.ring.check_order(order)
+    def lead(self, order: Grevlex | None = None):
+        """Leading (exponent tuple, coefficient) under the ring's order; None
+        when zero.  ``order`` may name that order (a basis's ``order``, say)
+        and nothing else, so callers that pass it keep working; any other
+        value raises ``ConfigError``."""
+        if order is not None and order != self.ring.order:
+            raise ConfigError(f"term order must be the ring's own, got {order!r}")
         if not self._terms:
             return None
-        m = order.largest(self._terms)
+        m = self.ring.order.largest(self._terms)
         return self.ring.packing.unpack(m), self.ring.field.value(self._terms[m], self._den)
 
     def coeff(self, mono):

@@ -4,8 +4,8 @@ sympy's reduced bases.
 
 Both computations must present the same ideal: the minimal leading-term
 sets must coincide and each basis must reduce the other to zero.  A reduced
-basis is unique for a fixed order, so sympy's must equal the engine's term
-for term.  This exercises the pair-selection strategy and both pruning
+basis is unique for the one order, graded reverse lex, so sympy's must equal
+the engine's term for term.  This exercises the pair-selection strategy and both pruning
 criteria against implementations that cannot share their bugs; the cofactor
 rows are checked against the plain sums they stand for.
 """
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, buchberger, divide_with_remainder
-from umrow.poly import Grevlex, Lex, PolyRing, grevlex, lex
+from umrow.poly import PolyRing
 
 # Monomial arithmetic on the exponent tuples of the public ``terms`` and
 # ``lead``, written here so that the naive engine shares none of ``poly``'s.
@@ -42,28 +42,28 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b, strict=True))
 
 
-def naive_groebner(ideal, order):
+def naive_groebner(ideal):
     ring = ideal.ring
     field = ring.field
     basis = []
     for g in ideal.generators:
         if g.is_zero():
             continue
-        basis.append(g.scale(field.inv(g.lead(order)[1])))
+        basis.append(g.scale(field.inv(g.lead()[1])))
     while True:
         appended = False
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                mi, _ = basis[i].lead(order)
-                mj, _ = basis[j].lead(order)
+                mi, _ = basis[i].lead()
+                mj, _ = basis[j].lead()
                 lcm = mono_lcm(mi, mj)
                 one = field.one()
                 s = basis[i].mul_term(mono_div(lcm, mi), one) - basis[j].mul_term(
                     mono_div(lcm, mj), one
                 )
-                _, rem = divide_with_remainder(s, basis, order) if basis else ([], s)
+                _, rem = divide_with_remainder(s, basis) if basis else ([], s)
                 if not rem.is_zero():
-                    basis.append(rem.scale(field.inv(rem.lead(order)[1])))
+                    basis.append(rem.scale(field.inv(rem.lead()[1])))
                     appended = True
                     break
             if appended:
@@ -72,34 +72,29 @@ def naive_groebner(ideal, order):
             return basis
 
 
-def reference_key(order, m):
-    """The textbook comparison, as a key that is larger for the larger
-    monomial; it reads only the order's class, not its own key.  Lex
-    compares exponents from the first variable down.  Grevlex compares
-    total degree, then prefers the smaller exponent at the last variable
-    where the two monomials differ."""
-    if isinstance(order, Lex):
-        return list(m)
-    assert isinstance(order, Grevlex)
+def reference_key(m):
+    """The textbook graded reverse lex comparison, as a key that is larger
+    for the larger monomial: total degree, then the smaller exponent at the
+    last variable where the two monomials differ."""
     return sum(m), [-e for e in reversed(m)]
 
 
-def reference_lead(terms, order):
-    return max(terms, key=lambda m: reference_key(order, m))
+def reference_lead(terms):
+    return max(terms, key=reference_key)
 
 
-def naive_division(f, divisors, order):
+def naive_division(f, divisors):
     """Plain multivariate division that rescans the whole remainder for its
     largest monomial at every step, under the reference key: slow, but with
     no ordering state or key that a faster reducer could get wrong."""
     field = f.ring.field
-    lead_monos = [reference_lead(d.terms, order) for d in divisors]
+    lead_monos = [reference_lead(d.terms) for d in divisors]
     leads = [(m, d.terms[m]) for m, d in zip(lead_monos, divisors)]
     p = dict(f.terms)
     rem = {}
     quots = [{} for _ in divisors]
     while p:
-        m = reference_lead(p, order)
+        m = reference_lead(p)
         c = p[m]
         for idx, (dm, dc) in enumerate(leads):
             if mono_divides(dm, m):
@@ -119,8 +114,8 @@ def naive_division(f, divisors, order):
     return [{t: c for t, c in q.items() if c} for q in quots], rem
 
 
-def minimal_lead_monomials(basis, order):
-    leads = [g.lead(order)[0] for g in basis]
+def minimal_lead_monomials(basis):
+    leads = [g.lead()[0] for g in basis]
     return {
         m
         for m in leads
@@ -157,21 +152,18 @@ def test_engine_agrees_with_naive_buchberger(seed):
     ideal = random_ideal(ring, rng, ngens=rng.randint(2, 3))
     if not ideal.generators:
         return
-    for order in (grevlex(ring.nvars), lex(ring.nvars)):
-        engine = buchberger(ideal, order)
-        naive = naive_groebner(ideal, order)
-        if not engine.basis:
-            assert not naive
-            continue
-        assert minimal_lead_monomials(engine.basis, order) == minimal_lead_monomials(
-            naive, order
-        )
-        for g in naive:
-            _, rem = divide_with_remainder(g, list(engine.basis), order)
-            assert rem.is_zero()
-        for g in engine.basis:
-            _, rem = divide_with_remainder(g, naive, order)
-            assert rem.is_zero()
+    engine = buchberger(ideal)
+    naive = naive_groebner(ideal)
+    if not engine.basis:
+        assert not naive
+        return
+    assert minimal_lead_monomials(engine.basis) == minimal_lead_monomials(naive)
+    for g in naive:
+        _, rem = divide_with_remainder(g, list(engine.basis))
+        assert rem.is_zero()
+    for g in engine.basis:
+        _, rem = divide_with_remainder(g, naive)
+        assert rem.is_zero()
 
 
 def test_engine_agrees_on_structured_ideals():
@@ -186,15 +178,12 @@ def test_engine_agrees_on_structured_ideals():
     ]
     for ring, gen_strs in fixtures:
         ideal = Ideal.of(ring, [ring.parse(s) for s in gen_strs])
-        for order in (grevlex(ring.nvars), lex(ring.nvars)):
-            engine = buchberger(ideal, order)
-            naive = naive_groebner(ideal, order)
-            assert minimal_lead_monomials(engine.basis, order) == minimal_lead_monomials(
-                naive, order
-            )
-            for g in naive:
-                _, rem = divide_with_remainder(g, list(engine.basis), order)
-                assert rem.is_zero()
+        engine = buchberger(ideal)
+        naive = naive_groebner(ideal)
+        assert minimal_lead_monomials(engine.basis) == minimal_lead_monomials(naive)
+        for g in naive:
+            _, rem = divide_with_remainder(g, list(engine.basis))
+            assert rem.is_zero()
 
 
 def mixed_coefficients(field):
@@ -222,7 +211,6 @@ def division_problems(draw):
                                   prime_field(2**61 - 1)]))
     nvars = draw(st.integers(2, 3))
     ring = PolyRing(field, ["x", "y", "z"][:nvars])
-    order = draw(st.sampled_from([lex, grevlex]))(nvars)
     monos = st.tuples(*[st.integers(0, 3)] * nvars)
     coeffs = mixed_coefficients(field)
 
@@ -242,15 +230,15 @@ def division_problems(draw):
     dividend = draw(polys(10))
     if draw(st.booleans()):
         dividend = dividend * draw(st.sampled_from(divisors)) + draw(polys(3))
-    return dividend, divisors, order
+    return dividend, divisors
 
 
 @settings(max_examples=100)
 @given(division_problems())
 def test_reducer_matches_naive_division(problem):
-    f, divisors, order = problem
-    quots, rem = divide_with_remainder(f, divisors, order)
-    naive_quots, naive_rem = naive_division(f, divisors, order)
+    f, divisors = problem
+    quots, rem = divide_with_remainder(f, divisors)
+    naive_quots, naive_rem = naive_division(f, divisors)
     assert [q.terms for q in quots] == naive_quots
     assert rem.terms == naive_rem
     p = f.ring.field.characteristic
@@ -260,7 +248,7 @@ def test_reducer_matches_naive_division(problem):
     for q, d in zip(quots, divisors):
         total = total + q * d
     assert total == f
-    leads = [d.lead(order)[0] for d in divisors]
+    leads = [d.lead()[0] for d in divisors]
     assert not any(mono_divides(lm, m) for lm in leads for m in rem.terms)
 
 
@@ -273,26 +261,23 @@ def fractions_in(field):
 
 @st.composite
 def small_ideals(draw):
-    """A small ideal over Q or GF(32003) with an order on its ring: lex or
-    grevlex, generators of total degree at most 3, and sometimes a zero
-    generator, whose cofactor column stays zero."""
+    """A small ideal over Q or GF(32003): generators of total degree at most
+    3, and sometimes a zero generator, whose cofactor column stays zero."""
     field = draw(st.sampled_from([RATIONALS, prime_field(32003)]))
     nvars = draw(st.integers(2, 3))
     ring = PolyRing(field, ["x", "y", "z"][:nvars])
-    order = draw(st.sampled_from([lex, grevlex]))(nvars)
     monos = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: sum(m) <= 3)
     polys = st.dictionaries(monos, fractions_in(field), min_size=1, max_size=3)
     gens = draw(st.lists(polys.map(ring.from_terms), min_size=1, max_size=3))
     if draw(st.booleans()):
         gens.insert(draw(st.integers(0, len(gens))), ring.zero())
-    return Ideal.of(ring, gens), order
+    return Ideal.of(ring, gens)
 
 
 @settings(max_examples=60)
 @given(small_ideals())
-def test_basis_elements_equal_their_cofactor_expansions(problem):
-    ideal, order = problem
-    gb = buchberger(ideal, order)
+def test_basis_elements_equal_their_cofactor_expansions(ideal):
+    gb = buchberger(ideal)
     assert len(gb.cofactors) == len(gb.basis)
     for b, row in zip(gb.basis, gb.cofactors):
         assert len(row) == len(ideal.generators)
@@ -369,9 +354,8 @@ def test_dot_matches_plain_sum(update):
 
 @settings(max_examples=40)
 @given(small_ideals())
-def test_reduced_basis_matches_sympy(problem):
+def test_reduced_basis_matches_sympy(ideal):
     sympy = pytest.importorskip("sympy")
-    ideal, order = problem
     ring = ideal.ring
     p = ring.field.characteristic
     # sympy ranks its generators in the order given, most significant first.
@@ -391,12 +375,11 @@ def test_reduced_basis_matches_sympy(problem):
         return terms
 
     options = {"modulus": p} if p else {"domain": sympy.QQ}
-    name = {Lex: "lex", Grevlex: "grevlex"}[type(order)]
-    theirs = sympy.groebner([to_sympy(g) for g in ideal.generators], *symbols, order=name, **options)
-    ours = buchberger(ideal, order)
+    theirs = sympy.groebner([to_sympy(g) for g in ideal.generators], *symbols, order="grevlex", **options)
+    ours = buchberger(ideal)
     expected = {}
     for poly in theirs.polys:
         terms = from_sympy(poly)
-        expected[reference_lead(terms, order)] = terms
-    assert {b.lead(order)[0]: b.terms for b in ours.basis} == expected
+        expected[reference_lead(terms)] = terms
+    assert {b.lead()[0]: b.terms for b in ours.basis} == expected
     assert len(ours.basis) == len(theirs.polys)

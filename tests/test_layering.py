@@ -14,9 +14,11 @@ its text.  A ``SplittingRow`` is made past the sum check of its
 ``__post_init__`` (by ``object.__new__`` and ``object.__setattr__``) only in
 ``rows._product_splitting``, whose factored identity certifies it; outside
 it no module sets a field of anything but ``self`` that way, so no second
-unchecked path can appear unseen.  No module writes ``order or ...``:
-``PolyRing.check_order`` alone turns None into a ring's order, and only
-``poly.py`` defines ``_listed``, the one rule for list arguments."""
+unchecked path can appear unseen.  Graded reverse lex is the one term
+order: no function has a parameter ``order`` but ``Polynomial.lead``, which
+takes only its ring's own, and nothing named ``Lex``, ``lex``,
+``MonomialOrder`` or ``check_order`` is defined.  Only ``poly.py`` defines
+``_listed``, the one rule for list arguments."""
 
 from __future__ import annotations
 
@@ -139,31 +141,44 @@ def unchecked_builds(source: str, module: str) -> list:
     ]
 
 
-def order_defaults(source: str) -> list:
-    """Lines that write ``order or ...``, with ``order`` a name or an
-    attribute: a default order taken past ``check_order``."""
-    return [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
-        and getattr(node.values[0], "id", getattr(node.values[0], "attr", None)) == "order"
-    ]
+def order_parameters(source: str) -> list:
+    """(line, qualified name) of each function or lambda with a parameter
+    called ``order``; a method is named ``Class.method``."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", "<lambda>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = child.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                if "order" in [a.arg for a in params if a]:
+                    found.append((child.lineno, prefix + name))
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, prefix + name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
 
 
-def definitions(name: str):
-    """A scanner for the lines that define a function called ``name``."""
+def definitions(*names):
+    """A scanner for the lines that define a function or a class called one
+    of ``names``."""
 
     def scan(source: str) -> list:
-        return [
+        return sorted(
             node.lineno
             for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
-        ]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in names
+        )
 
     return scan
 
 
 listed_definitions = definitions("_listed")
+order_definitions = definitions("Lex", "lex", "MonomialOrder", "check_order")
 term_tool_imports = module_imports({"operator", "math"})
 fraction_imports = module_imports({"fractions"})
 groebner_imports = package_imports("groebner")
@@ -203,8 +218,19 @@ def test_scanners_see_what_they_guard():
     )
     assert [line for line, _ in unchecked_builds(source, "quadrics.py")] == [4, 5]
     assert unchecked_builds(source, "rows.py") == [(3, "f"), (4, "f"), (5, "f"), (8, "__post_init__")]
-    source = "o = order or ring.order\nq = self.order or x\nr = ring.check_order(order)\ns = border or t"
-    assert order_defaults(source) == [1, 2]
+    source = (
+        "def f(order):\n    pass\nclass Polynomial:\n    def lead(self, order=None):\n"
+        "        return lambda *, order: order\ndef g(x, /, order):\n    pass\n"
+        "def h(border, orders):\n    return x.order\ndef k(*order):\n    pass\n"
+    )
+    assert order_parameters(source) == [
+        (1, "f"), (4, "Polynomial.lead"), (5, "Polynomial.lead.<lambda>"), (6, "g"), (10, "k")
+    ]
+    source = (
+        "class Lex:\n    pass\ndef lex(n):\n    pass\nclass R:\n    def check_order(self):\n"
+        "        pass\nclass MonomialOrder(X):\n    pass\nlexical = lex(2)\ndef grevlex(n):\n    pass\n"
+    )
+    assert order_definitions(source) == [1, 3, 6, 8]
     source = "def _listed(v):\n    pass\nclass C:\n    def _listed(self):\n        pass\n_listed(x)"
     assert listed_definitions(source) == [1, 4]
 
@@ -250,8 +276,10 @@ def test_only_the_product_constructor_skips_the_splitting_check():
     assert {name: lines for name, lines in builds.items() if lines} == {}
 
 
-def test_only_check_order_takes_the_default_order():
-    assert offenders(order_defaults, set()) == {}
+def test_only_lead_takes_an_order():
+    found = {p.name: [f for _, f in order_parameters(p.read_text())] for p in sorted(SRC.glob("*.py"))}
+    assert {name: functions for name, functions in found.items() if functions} == {"poly.py": ["Polynomial.lead"]}
+    assert offenders(order_definitions, set()) == {}
 
 
 def test_only_poly_defines_the_list_rule():
