@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Walk through the fold-model construction at n, by default the first n the
 certificate is assembled for: print the universal double-row ring, the
-addition of the coordinate row with the standard vector, the closed-form
-result, and the elementary certificate carrying it back to the coordinate
-row, one generator at a time.
+addition of the coordinate row with the standard vector and its closed-form
+result, and the elementary certificate carrying that closed form back to the
+coordinate row, one generator at a time.  The certificate starts from the
+closed form, not from the addition, which only ``fold_model_row`` runs.
 
 Usage: python3 scripts/fold_demo.py [n]
 """

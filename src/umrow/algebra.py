@@ -106,7 +106,8 @@ class Algebra:
 
     def dot(self, xs, ys) -> "AlgebraElement":
         """sum(x_i * y_i), reduced once: normal forms are linear, so this is
-        the sum of the reduced products."""
+        the sum of the reduced products.  Lists of different lengths raise
+        ``ShapeError``, from ``PolyRing.dot``."""
         reps = self.ring.dot(
             [self.element(x).rep for x in _listed(xs, object, "entries")],
             [self.element(y).rep for y in _listed(ys, object, "entries")],

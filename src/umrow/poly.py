@@ -43,7 +43,14 @@ from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Sequence
 
-from .errors import ConfigError, DuplicateVariable, ExponentOverflow, ParseError, RingMismatch
+from .errors import (
+    ConfigError,
+    DuplicateVariable,
+    ExponentOverflow,
+    ParseError,
+    RingMismatch,
+    ShapeError,
+)
 from .fields import _COEFFICIENTS, FieldConfig, _scalar, pair_hash
 
 FIELD_BITS = 16
@@ -437,9 +444,12 @@ class PolyRing:
     def dot(self, ps, qs) -> "Polynomial":
         """sum(p_i * q_i), summed into one term dict.  ``ps`` and ``qs`` are
         lists or tuples of polynomials; another shape or element raises
-        ``ConfigError``, and a polynomial of another ring ``RingMismatch``."""
+        ``ConfigError``, lists of different lengths ``ShapeError``, and a
+        polynomial of another ring ``RingMismatch``."""
         ps, qs = _listed(ps, object, "polynomials"), _listed(qs, object, "polynomials")
-        pairs = list(zip(ps, qs, strict=True))
+        if len(ps) != len(qs):
+            raise ShapeError(f"dot product of {len(ps)} and {len(qs)} polynomials")
+        pairs = list(zip(ps, qs))
         for p, q in pairs:
             if not (isinstance(p, Polynomial) and isinstance(q, Polynomial)):
                 raise ConfigError(f"dot product of {p!r} and {q!r}, which are not both polynomials")

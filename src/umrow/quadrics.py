@@ -16,6 +16,7 @@ from .algebra import Algebra, AlgebraElement, RingHom, adjoin_unit_variable, hom
 from .errors import (
     CertificateAssemblyFailed,
     CharacteristicTwoUnsupported,
+    ConfigError,
     DimensionOfZeroRing,
     HeightMismatch,
     InvalidUnit,
@@ -491,12 +492,33 @@ def vtilde_ring(n: int, field: FieldConfig) -> VTildeRing:
     return VTildeRing(n, Algebra(field, x + y + u + v + r + s, [rel + " - 1" for rel in relations]))
 
 
+def _coordinate_row(vt: VTildeRing) -> UnimodularRow:
+    """``vt.x_row()``: the coordinate row (x1, ..., xn), checked against its
+    splitting y.  Anything but a ``VTildeRing`` is refused with
+    ``ConfigError``."""
+    if not isinstance(vt, VTildeRing):
+        raise ConfigError(f"the fold model needs a VTildeRing, got {type(vt).__name__}")
+    return vt.x_row()
+
+
+def _fold_closed_form(x) -> tuple:
+    """The fold-model row over the coordinate row's entries x in closed form,
+    (x1(1-x1), ..., x_{n-1}(1-x1), xn + (1-xn) x1)."""
+    *head, xn = x
+    x1 = head[0]
+    one = x1.parent.one()
+    r = one - x1
+    return (*(xi * r for xi in head), xn + (one - xn) * x1)
+
+
 @dataclass(frozen=True)
 class FoldModel:
-    """The fold-model row over the universal ring.
+    """The fold-model row over the universal ring: van der Kallen's sum of
+    the coordinate row (x1, ..., xn) with the base-point row.
 
-    ``row`` is (x1(1-x1), ..., x_{n-1}(1-x1), xn + (1-xn) x1); ``witness``
-    certifies the length-2 row (xn + (1-xn) x1, 1 - x1) via the identity
+    ``row`` is that sum, equal to its closed form
+    (x1(1-x1), ..., x_{n-1}(1-x1), xn + (1-xn) x1); ``witness`` certifies
+    the length-2 row (xn + (1-xn) x1, 1 - x1) via the identity
     (1-x1)(1-xn) + xn + (1-xn) x1 = 1.
     """
 
@@ -507,32 +529,38 @@ class FoldModel:
 @lru_cache(maxsize=QUADRIC_CACHE_SIZE)
 def fold_model_row(vt: VTildeRing) -> FoldModel:
     """Run the addition of the universal row with the base-point row; the
-    outcome is pinned to its closed form."""
+    outcome is pinned to its closed form, ``_fold_closed_form``.  The fold
+    certificate starts from that closed form and does not call this."""
+    x_row = _coordinate_row(vt)
+    x = x_row.entries
+    expected = _fold_closed_form(x)
     alg = vt.algebra
-    result = vdk_add(vt.x_row(), vt.basepoint_row())
-    one = alg.one()
-    x1, xn = vt.x(1), vt.x(vt.n)
-    expected = [xi * (one - x1) for xi in vt._vars("x")[:-1]]
-    expected.append(xn + (one - xn) * x1)
-    if list(result.row.entries) != expected:
+    result = vdk_add(x_row, vt.basepoint_row())
+    if result.row.entries != expected:
         raise AssertionError("fold-model row differs from its closed form")
-    _, witness = row_from_witness(alg, [expected[-1], one - x1], [one, one - xn])
+    one = alg.one()
+    _, witness = row_from_witness(alg, [expected[-1], one - x[0]], [one, one - x[-1]])
     return FoldModel(result.row, witness)
 
 
 def fold_model_certificate(vt: VTildeRing) -> OrbitCertificate:
     """An explicit elementary word carrying the fold-model row back to
-    (x1, ..., xn), folded from one table of named macro stages.  Each stage
-    is replayed once on the row the one before reached, and the last row,
-    the target, is compared to (x1, ..., xn): that chain is the raw replay
-    of the one word, which ``verify_certificate`` would repeat.  The
+    (x1, ..., xn), folded from one table of named macro stages.  The chain
+    starts from the row's closed form, not from the addition
+    ``fold_model_row`` runs.  Each stage is replayed once on the row the one
+    before reached, and the last row, the target, is compared to
+    ``vt.x_row()``, which its splitting y certifies: that chain is the raw
+    replay of the one word, which ``verify_certificate`` would repeat.
+    Elementary moves preserve unimodularity both ways, so the source is
+    marked verified once, and only once, that comparison has passed.  The
     assembly is only available for n >= ``FOLD_CERTIFICATE_FIRST_N``."""
+    target = _coordinate_row(vt)
     n = vt.n
     if n < FOLD_CERTIFICATE_FIRST_N:
         raise CertificateAssemblyFailed(FOLD_CERTIFICATE_REFUSAL)
     alg = vt.algebra
     one = alg.one()
-    x = vt._vars("x")
+    x = target.entries
     x1, xn = x[0], x[n - 1]
     r = one - x1
 
@@ -554,7 +582,8 @@ def fold_model_certificate(vt: VTildeRing) -> OrbitCertificate:
         ("pivot-shift", add_move(0, n - 1, -one)),
         ("pivot-strip", congruent_unit_scale(n - 1, {0: -one}, invert=True, base=xn)),
     ]
-    source = current = fold_model_row(vt).row
+    source_entries = _fold_closed_form(x)
+    current = UnimodularRow(alg, source_entries)
     gens = []
     for name, macro in stages:
         try:
@@ -562,7 +591,8 @@ def fold_model_certificate(vt: VTildeRing) -> OrbitCertificate:
         except UmrowError as exc:
             raise CertificateAssemblyFailed(f"stage {name!r} failed: {exc}") from exc
         gens += word.gens
-        current = UnimodularRow(alg, tuple(entries), verified=True)
-    if current.entries != tuple(x):
+        current = UnimodularRow(alg, tuple(entries))
+    if current.entries != x:
         raise CertificateAssemblyFailed("assembled word does not reach (x1, ..., xn)")
-    return OrbitCertificate(source, current, ElementaryWord(n, tuple(gens)))
+    source = UnimodularRow(alg, source_entries, verified=True)
+    return OrbitCertificate(source, target, ElementaryWord(n, tuple(gens)))

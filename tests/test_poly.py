@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from umrow.algebra import make_algebra
-from umrow.errors import ConfigError, ExponentOverflow, FieldMismatch, ParseError, RingMismatch
+from umrow.errors import (
+    ConfigError,
+    ExponentOverflow,
+    FieldMismatch,
+    ParseError,
+    RingMismatch,
+    ShapeError,
+)
 from umrow.fields import RATIONALS, prime_field
 from umrow.groebner import Ideal, buchberger, divide_with_remainder
 from umrow.poly import FIELD_BITS, MAX_DEGREE, MAX_NESTING, PolyRing
@@ -36,6 +43,19 @@ def test_dot_is_the_sum_of_products():
         check_dot_in(field)
     with pytest.raises(RingMismatch):
         R2.dot([R2.one()], [R3.one()])
+
+
+@pytest.mark.parametrize(
+    "ps, qs",
+    [(["x"], []), ([], ["x"]), (("x", "y"), ["x"]), (["x"], ("x", "y"))],
+    ids=["1-0", "0-1", "2-1", "1-2"],
+)
+def test_dot_of_different_lengths_is_a_shape_error(ps, qs):
+    # Through the ring and, lifted element by element, through an algebra.
+    alg = make_algebra(RATIONALS, R2.vars, [])
+    for dot, lift in ((R2.dot, R2.var), (alg.dot, alg.var)):
+        with pytest.raises(ShapeError, match=f"dot product of {len(ps)} and {len(qs)}"):
+            dot(type(ps)(map(lift, ps)), type(qs)(map(lift, qs)))
 
 
 def check_dot_in(field):

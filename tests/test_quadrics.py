@@ -43,7 +43,14 @@ from umrow.quadrics import (
     universal_split_row,
     vtilde_ring,
 )
-from umrow.rows import check_unimodular, compute_splitting, row_from_witness, verify_certificate
+from umrow.rows import (
+    ElementaryWord,
+    apply_word_entries,
+    check_unimodular,
+    compute_splitting,
+    row_from_witness,
+    verify_certificate,
+)
 from umrow.suites import SuiteConfig, run_suite
 
 F5 = prime_field(5)
@@ -521,6 +528,70 @@ def test_fold_certificate_reports_only_its_own_errors(monkeypatch):
     monkeypatch.setattr(quadrics, "_expand_checked", refused)
     with pytest.raises(CertificateAssemblyFailed, match="stage 'whitehead' failed"):
         fold_model_certificate(vt)
+
+
+FOLD_NS = range(4, 9)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F5], ids=["q", "fp:5"])
+def test_fold_certificate_runs_no_addition(monkeypatch, field):
+    # The certificate starts from the fold-model row's closed form: with the
+    # addition and ``fold_model_row`` made to raise, and every quadric cache
+    # empty, it still assembles, and its word replays.
+    for f in _cached_builders().values():
+        f.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fold certificate ran the addition")
+
+    monkeypatch.setattr(quadrics, "vdk_add", refuse)
+    monkeypatch.setattr(quadrics, "fold_model_row", refuse)
+    for n in FOLD_NS:
+        assert verify_certificate(fold_model_certificate(vtilde_ring(n, field)))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F5, prime_field(32003)], ids=str)
+def test_fold_certificate_source_is_the_added_row(field):
+    # The closed form the certificate starts from is the row the addition
+    # gives, and it leaves the assembly verified, as the addition's row is.
+    for n in FOLD_NS:
+        vt = vtilde_ring(n, field)
+        source, row = fold_model_certificate(vt).source, fold_model_row(vt).row
+        assert (source.entries, source.verified) == (row.entries, row.verified)
+        assert source.verified
+
+
+@pytest.mark.parametrize("slot", range(5))
+@pytest.mark.parametrize("checked", [True, False], ids=["stage-checks", "replays-only"])
+def test_fold_certificate_refuses_a_changed_closed_form(monkeypatch, slot, checked):
+    # One entry of the closed form changed: a stage's own check refuses it,
+    # and with every stage reduced to a bare replay, the comparison with
+    # (x1, ..., xn) does.  Either way no certificate comes back.
+    vt = vtilde_ring(5, RATIONALS)
+    closed_form = quadrics._fold_closed_form
+
+    def changed(x):
+        entries = list(closed_form(x))
+        entries[slot] = entries[slot] + x[1]
+        return tuple(entries)
+
+    def replay(macro, row):
+        word = ElementaryWord(len(row), tuple(macro.expand(row)))
+        return word, apply_word_entries(row.entries, word)
+
+    monkeypatch.setattr(quadrics, "_fold_closed_form", changed)
+    if not checked:
+        monkeypatch.setattr(quadrics, "_expand_checked", replay)
+    match = "stage '" if checked else "does not reach"
+    with pytest.raises(CertificateAssemblyFailed, match=match):
+        fold_model_certificate(vt)
+
+
+@pytest.mark.parametrize("fold", [fold_model_row, fold_model_certificate], ids=lambda f: f.__name__)
+def test_fold_model_refuses_what_is_not_a_vtilde_ring(fold):
+    for bad in (None, 4, build_q_odd(4, RATIONALS), build_q_even(4, RATIONALS)):
+        with pytest.raises(ConfigError, match="needs a VTildeRing"):
+            fold(bad)
 
 
 # The stages of the fold certificate at n = 5, in order.
